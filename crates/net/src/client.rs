@@ -1,8 +1,7 @@
 //! The client half of a worker connection.
 
-use crate::message::{
-    recv_message, send_message, BatchRequest, FrontierResult, Hello, Message, ShardPayload,
-};
+use crate::frame::{FrameReader, FrameWriter};
+use crate::message::{BatchRequest, FrontierResult, Hello, Message, ShardPayload};
 use crate::stream::NetStream;
 use crate::NetError;
 use sfo_engine::PlacedState;
@@ -16,7 +15,8 @@ use sfo_search::SearchOutcome;
 /// the connection usable — the protocol never desynchronizes on a refused request.
 #[derive(Debug)]
 pub struct WorkerClient {
-    stream: NetStream,
+    reader: FrameReader<NetStream>,
+    writer: FrameWriter<NetStream>,
     addr: String,
     hello: Hello,
 }
@@ -29,8 +29,8 @@ impl WorkerClient {
     /// Returns [`NetError::Io`] when the dial fails and [`NetError::Protocol`] when the
     /// peer's first message is not a `Hello` (it is not an `sfo serve` worker).
     pub fn connect(addr: &str) -> Result<Self, NetError> {
-        let mut stream = NetStream::connect(addr)?;
-        let hello = match recv_message(&mut stream)? {
+        let (mut reader, writer) = NetStream::connect(addr)?.split()?;
+        let hello = match reader.recv()? {
             Message::Hello(hello) => hello,
             Message::Error { message } => return Err(NetError::Remote { message }),
             other => {
@@ -40,10 +40,17 @@ impl WorkerClient {
             }
         };
         Ok(WorkerClient {
-            stream,
+            reader,
+            writer,
             addr: addr.to_string(),
             hello,
         })
+    }
+
+    /// One synchronous exchange: `request` leaves at once, the reply is awaited.
+    fn exchange(&mut self, request: &Message) -> Result<Message, NetError> {
+        self.writer.send(request)?;
+        self.reader.recv()
     }
 
     /// The worker's address, as dialed.
@@ -63,13 +70,9 @@ impl WorkerClient {
     ///
     /// Returns [`NetError::Remote`] when the worker cannot load the file.
     pub fn load_snapshot(&mut self, path: &str) -> Result<Hello, NetError> {
-        send_message(
-            &mut self.stream,
-            &Message::LoadSnapshot {
-                path: path.to_string(),
-            },
-        )?;
-        match recv_message(&mut self.stream)? {
+        match self.exchange(&Message::LoadSnapshot {
+            path: path.to_string(),
+        })? {
             Message::Hello(hello) => {
                 self.hello = hello;
                 Ok(hello)
@@ -89,8 +92,7 @@ impl WorkerClient {
     /// Returns [`NetError::Remote`] when the worker refuses the shard (it is pinned
     /// to different placement coordinates).
     pub fn load_shard(&mut self, payload: ShardPayload) -> Result<Hello, NetError> {
-        send_message(&mut self.stream, &Message::LoadShard(payload))?;
-        match recv_message(&mut self.stream)? {
+        match self.exchange(&Message::LoadShard(payload))? {
             Message::Hello(hello) => {
                 self.hello = hello;
                 Ok(hello)
@@ -114,11 +116,7 @@ impl WorkerClient {
         identity: u64,
         state: PlacedState,
     ) -> Result<FrontierResult, NetError> {
-        send_message(
-            &mut self.stream,
-            &Message::ForwardFrontier { identity, state },
-        )?;
-        match recv_message(&mut self.stream)? {
+        match self.exchange(&Message::ForwardFrontier { identity, state })? {
             Message::FrontierResult(result) => Ok(result),
             Message::Error { message } => Err(NetError::Remote { message }),
             other => Err(NetError::protocol(format!(
@@ -135,8 +133,7 @@ impl WorkerClient {
     /// [`NetError::Overloaded`] when the worker sheds it (pending-batch queue full);
     /// both leave the connection usable.
     pub fn submit(&mut self, request: &BatchRequest) -> Result<Vec<SearchOutcome>, NetError> {
-        send_message(&mut self.stream, &Message::SubmitBatch(request.clone()))?;
-        match recv_message(&mut self.stream)? {
+        match self.exchange(&Message::SubmitBatch(request.clone()))? {
             Message::BatchResult { outcomes } => Ok(outcomes),
             Message::Overloaded { queued, limit } => Err(NetError::Overloaded { queued, limit }),
             Message::Error { message } => Err(NetError::Remote { message }),
@@ -154,8 +151,7 @@ impl WorkerClient {
     /// Returns [`NetError::Remote`] when the worker refuses the request (an older
     /// worker answers `Error` and the connection stays usable).
     pub fn stats(&mut self) -> Result<MetricsSnapshot, NetError> {
-        send_message(&mut self.stream, &Message::StatsRequest)?;
-        match recv_message(&mut self.stream)? {
+        match self.exchange(&Message::StatsRequest)? {
             Message::StatsReport(snapshot) => Ok(snapshot),
             Message::Error { message } => Err(NetError::Remote { message }),
             other => Err(NetError::protocol(format!(

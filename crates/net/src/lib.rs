@@ -13,7 +13,10 @@
 //! * [`frame`] — a versioned, length-prefixed, FNV-checksummed frame codec over TCP or
 //!   Unix sockets, hand-rolled in the same style as `sfo_graph::snapshot` (byte layout
 //!   in `docs/FORMATS.md`). Strict readers: corrupt frames are typed [`NetError`]s,
-//!   never panics, and declared lengths are bounded before allocation.
+//!   never panics, and declared lengths are bounded before allocation. A connection
+//!   owns one [`frame::FrameReader`] and one [`frame::FrameWriter`]: a buffered reader
+//!   that takes every frame a `read` delivered, and an outbox whose owner decides when
+//!   it is written — every TCP socket runs with `TCP_NODELAY` ([`stream`]).
 //! * [`message`] — the worker vocabulary: `Hello` / `LoadSnapshot` / `SubmitBatch` /
 //!   `BatchResult` / `Error`, plus the observability pair `StatsRequest` /
 //!   `StatsReport` carrying a worker's `sfo-obs` [`MetricsSnapshot`](sfo_obs::MetricsSnapshot).

@@ -7,7 +7,9 @@
 //! round-robin over `workers × connections` pipelined connections. Each connection is
 //! a sender/receiver thread pair over one duplicated socket; because the worker
 //! answers strictly in arrival order, the receiver matches replies to send times with
-//! a plain FIFO.
+//! a plain FIFO — a channel from the sender, which is also what the receiver blocks on
+//! when it has caught up (never a poll: a sleeping receiver would add its wake-up
+//! period to every latency sample at low rates).
 //!
 //! The driver records client-side service time into a `loadtest.latency_micros`
 //! histogram and the in-flight depth at each send into `loadtest.inflight`, and it
@@ -20,7 +22,8 @@
 //! no matter how saturated the worker was or which other requests were shed
 //! (determinism rule 6).
 
-use crate::message::{recv_message, send_message, BatchRequest, Hello, Message};
+use crate::frame::{FrameReader, FrameWriter};
+use crate::message::{BatchRequest, Hello, Message};
 use crate::stream::NetStream;
 use crate::NetError;
 use sfo_engine::QueryBatch;
@@ -28,9 +31,8 @@ use sfo_graph::NodeId;
 use sfo_obs::{Counter, Histogram, HistogramSnapshot};
 use sfo_scenario::WorkloadSpec;
 use sfo_search::SearchOutcome;
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One load-test run: the workload plus where to aim it.
@@ -120,11 +122,11 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, NetError>
     }
 
     // Dial every connection up front; the run starts with all lanes open.
-    let mut connections: Vec<(NetStream, Hello)> = Vec::new();
+    let mut connections: Vec<(Lane, Hello)> = Vec::new();
     for addr in &config.workers {
         for _ in 0..spec.connections {
-            let mut stream = NetStream::connect(addr)?;
-            let hello = match recv_message(&mut stream)? {
+            let mut lane = NetStream::connect(addr)?.split()?;
+            let hello = match lane.0.recv()? {
                 Message::Hello(hello) => hello,
                 other => {
                     return Err(NetError::protocol(format!(
@@ -132,7 +134,7 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, NetError>
                     )))
                 }
             };
-            connections.push((stream, hello));
+            connections.push((lane, hello));
         }
     }
     let identity = connections[0].1.identity;
@@ -171,8 +173,8 @@ pub fn run_loadtest(config: &LoadtestConfig) -> Result<LoadtestReport, NetError>
 
     let start = Instant::now();
     let mut pairs = Vec::new();
-    for ((stream, _), plan) in connections.into_iter().zip(plans) {
-        pairs.push(spawn_lane(stream, plan, spec, node_count, &shared, start)?);
+    for ((lane, _), plan) in connections.into_iter().zip(plans) {
+        pairs.push(spawn_lane(lane, plan, spec, node_count, &shared, start)?);
     }
     for (sender, receiver) in pairs {
         let _ = sender.join();
@@ -226,33 +228,29 @@ fn build_request(spec: &WorkloadSpec, index: u64, node_count: u64) -> Message {
     })
 }
 
+/// One connection's framed halves.
+type Lane = (FrameReader<NetStream>, FrameWriter<NetStream>);
+
 type LaneThreads = (std::thread::JoinHandle<()>, std::thread::JoinHandle<()>);
 
 /// Spawns one connection's sender/receiver pair.
 fn spawn_lane(
-    stream: NetStream,
+    (mut reader, mut writer): Lane,
     plan: Plan,
     spec: &WorkloadSpec,
     node_count: u64,
     shared: &Arc<Shared>,
     start: Instant,
 ) -> Result<LaneThreads, NetError> {
-    let mut write_half = stream.try_clone()?;
-    let mut read_half = stream;
-    // Send instants in send order; the worker replies strictly in arrival order, so
-    // the receiver pops the front to pair a reply with its request.
-    let pending: Arc<Mutex<VecDeque<(u64, Instant)>>> = Arc::new(Mutex::new(VecDeque::new()));
-    // How many requests this lane actually wrote, and whether it is done writing —
-    // the receiver drains exactly that many replies.
-    let lane_sent = Arc::new(AtomicU64::new(0));
-    let sender_done = Arc::new(AtomicU64::new(0));
+    // `(request index, send instant)` of every request written, in send order. The
+    // worker replies strictly in arrival order, so the receiver pairs each reply with
+    // the next entry; with none outstanding it blocks here, and the sender hanging up
+    // its end is how it learns the lane is done.
+    let (written, outstanding) = mpsc::channel::<(u64, Instant)>();
 
     let sender = {
         let spec = spec.clone();
         let shared = Arc::clone(shared);
-        let pending = Arc::clone(&pending);
-        let lane_sent = Arc::clone(&lane_sent);
-        let sender_done = Arc::clone(&sender_done);
         std::thread::Builder::new()
             .name("sfo-loadtest-send".to_string())
             .spawn(move || {
@@ -264,58 +262,35 @@ fn spawn_lane(
                     }
                     let request = build_request(&spec, index, node_count);
                     let sent_at = Instant::now();
-                    pending
-                        .lock()
-                        .expect("pending lock")
-                        .push_back((index, sent_at));
-                    if send_message(&mut write_half, &request).is_err() {
+                    if writer.send(&request).is_err() {
                         // The connection is gone; the receiver sees the same death.
-                        pending.lock().expect("pending lock").pop_back();
                         break;
                     }
                     shared.sent.inc();
-                    lane_sent.fetch_add(1, Ordering::SeqCst);
                     let depth = shared.inflight.fetch_add(1, Ordering::SeqCst) + 1;
                     shared.inflight_hist.record(depth);
+                    if written.send((index, sent_at)).is_err() {
+                        // The receiver gave up on the connection.
+                        break;
+                    }
                 }
-                sender_done.store(1, Ordering::SeqCst);
             })
             .map_err(|e| NetError::protocol(format!("cannot spawn a sender thread: {e}")))?
     };
 
     let receiver = {
         let shared = Arc::clone(shared);
-        let pending = Arc::clone(&pending);
-        let lane_sent = Arc::clone(&lane_sent);
-        let sender_done = Arc::clone(&sender_done);
         std::thread::Builder::new()
             .name("sfo-loadtest-recv".to_string())
             .spawn(move || {
-                let mut received = 0u64;
-                loop {
-                    if received >= lane_sent.load(Ordering::SeqCst) {
-                        if sender_done.load(Ordering::SeqCst) == 1
-                            && received >= lane_sent.load(Ordering::SeqCst)
-                        {
-                            return;
-                        }
-                        // The sender is still pacing the schedule; yield briefly.
-                        std::thread::sleep(Duration::from_micros(200));
-                        continue;
-                    }
-                    let reply = match recv_message(&mut read_half) {
+                for (index, sent_at) in outstanding {
+                    let reply = match reader.recv() {
                         Ok(reply) => reply,
                         Err(_) => {
                             shared.decode_errors.inc();
                             return;
                         }
                     };
-                    received += 1;
-                    let (index, sent_at) = pending
-                        .lock()
-                        .expect("pending lock")
-                        .pop_front()
-                        .expect("a reply implies a pending request");
                     shared.inflight.fetch_sub(1, Ordering::SeqCst);
                     match reply {
                         Message::BatchResult { outcomes } => {

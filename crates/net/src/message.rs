@@ -27,7 +27,7 @@
 //! one tested vocabulary for naming an algorithm, and reusing it keeps the wire format
 //! and the spec files from drifting apart.
 
-use crate::frame::{put_str, PayloadReader};
+use crate::frame::{put_str, FrameReader, FrameWriter, PayloadReader};
 use crate::NetError;
 use sfo_engine::{PlacedAlgorithm, PlacedState, QueryBatch};
 use sfo_graph::{CsrSlice, NodeId};
@@ -36,6 +36,7 @@ use sfo_overlay::protocol::{OverlayMessage, PeerRef};
 use sfo_scenario::json::{FromJson, JsonValue, ToJson};
 use sfo_scenario::SearchSpec;
 use sfo_search::SearchOutcome;
+use std::io::{Read, Write};
 
 /// Frame type tag of [`Message::Hello`].
 pub const TYPE_HELLO: u16 = 1;
@@ -412,130 +413,138 @@ fn read_search_spec(reader: &mut PayloadReader<'_>) -> Result<SearchSpec, NetErr
 }
 
 impl Message {
+    /// The frame type tag the message travels under.
+    pub fn frame_type(&self) -> u16 {
+        match self {
+            Message::Hello(_) => TYPE_HELLO,
+            Message::LoadSnapshot { .. } => TYPE_LOAD_SNAPSHOT,
+            Message::SubmitBatch(_) => TYPE_SUBMIT_BATCH,
+            Message::BatchResult { .. } => TYPE_BATCH_RESULT,
+            Message::Error { .. } => TYPE_ERROR,
+            Message::Overlay(OverlayMessage::Join { .. }) => TYPE_JOIN,
+            Message::Overlay(OverlayMessage::ForwardJoin { .. }) => TYPE_FORWARD_JOIN,
+            Message::Overlay(OverlayMessage::Shuffle { .. }) => TYPE_SHUFFLE,
+            Message::Overlay(OverlayMessage::Probe { .. }) => TYPE_PROBE,
+            Message::Overlay(OverlayMessage::Leave { .. }) => TYPE_LEAVE,
+            Message::StatsRequest => TYPE_STATS_REQUEST,
+            Message::StatsReport(_) => TYPE_STATS_REPORT,
+            Message::LoadShard(_) => TYPE_LOAD_SHARD,
+            Message::ForwardFrontier { .. } => TYPE_FORWARD_FRONTIER,
+            Message::FrontierResult(_) => TYPE_FRONTIER_RESULT,
+            Message::Overloaded { .. } => TYPE_OVERLOADED,
+        }
+    }
+
     /// Encodes the message to `(frame type, payload bytes)`.
     pub fn encode(&self) -> (u16, Vec<u8>) {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        (self.frame_type(), out)
+    }
+
+    /// Appends the message's payload bytes to `out`.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Message::Hello(hello) => {
-                let mut out = Vec::with_capacity(32);
+                out.reserve(32);
                 out.extend_from_slice(&hello.identity.to_le_bytes());
                 out.extend_from_slice(&hello.node_count.to_le_bytes());
                 out.extend_from_slice(&hello.edge_count.to_le_bytes());
                 out.extend_from_slice(&hello.shard_count.to_le_bytes());
                 out.extend_from_slice(&hello.engine_workers.to_le_bytes());
                 out.extend_from_slice(&hello.shard_index.to_le_bytes());
-                (TYPE_HELLO, out)
             }
             Message::LoadSnapshot { path } => {
-                let mut out = Vec::new();
-                put_str(&mut out, path);
-                (TYPE_LOAD_SNAPSHOT, out)
+                put_str(out, path);
             }
-            Message::SubmitBatch(request) => {
-                let mut out = Vec::new();
-                match request {
-                    BatchRequest::Queries {
-                        seed,
-                        index_offset,
-                        algorithms,
-                        batch,
-                    } => {
-                        out.push(0u8);
-                        out.extend_from_slice(&seed.to_le_bytes());
-                        out.extend_from_slice(&index_offset.to_le_bytes());
-                        out.extend_from_slice(&(algorithms.len() as u32).to_le_bytes());
-                        for spec in algorithms {
-                            put_search_spec(&mut out, spec);
-                        }
-                        out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
-                        for job in batch.jobs() {
-                            out.extend_from_slice(&(job.source.as_u32()).to_le_bytes());
-                            out.extend_from_slice(&(job.algorithm as u32).to_le_bytes());
-                            out.extend_from_slice(&job.ttl.to_le_bytes());
-                        }
+            Message::SubmitBatch(request) => match request {
+                BatchRequest::Queries {
+                    seed,
+                    index_offset,
+                    algorithms,
+                    batch,
+                } => {
+                    out.push(0u8);
+                    out.extend_from_slice(&seed.to_le_bytes());
+                    out.extend_from_slice(&index_offset.to_le_bytes());
+                    out.extend_from_slice(&(algorithms.len() as u32).to_le_bytes());
+                    for spec in algorithms {
+                        put_search_spec(out, spec);
                     }
-                    BatchRequest::SweepRange {
-                        seed,
-                        start,
-                        end,
-                        searches_per_point,
-                        ttls,
-                        search,
-                    } => {
-                        out.push(1u8);
-                        out.extend_from_slice(&seed.to_le_bytes());
-                        out.extend_from_slice(&start.to_le_bytes());
-                        out.extend_from_slice(&end.to_le_bytes());
-                        out.extend_from_slice(&searches_per_point.to_le_bytes());
-                        out.extend_from_slice(&(ttls.len() as u32).to_le_bytes());
-                        for &ttl in ttls {
-                            out.extend_from_slice(&ttl.to_le_bytes());
-                        }
-                        put_search_spec(&mut out, search);
+                    out.extend_from_slice(&(batch.len() as u32).to_le_bytes());
+                    for job in batch.jobs() {
+                        out.extend_from_slice(&(job.source.as_u32()).to_le_bytes());
+                        out.extend_from_slice(&(job.algorithm as u32).to_le_bytes());
+                        out.extend_from_slice(&job.ttl.to_le_bytes());
                     }
                 }
-                (TYPE_SUBMIT_BATCH, out)
-            }
+                BatchRequest::SweepRange {
+                    seed,
+                    start,
+                    end,
+                    searches_per_point,
+                    ttls,
+                    search,
+                } => {
+                    out.push(1u8);
+                    out.extend_from_slice(&seed.to_le_bytes());
+                    out.extend_from_slice(&start.to_le_bytes());
+                    out.extend_from_slice(&end.to_le_bytes());
+                    out.extend_from_slice(&searches_per_point.to_le_bytes());
+                    out.extend_from_slice(&(ttls.len() as u32).to_le_bytes());
+                    for &ttl in ttls {
+                        out.extend_from_slice(&ttl.to_le_bytes());
+                    }
+                    put_search_spec(out, search);
+                }
+            },
             Message::BatchResult { outcomes } => {
-                let mut out = Vec::with_capacity(4 + 16 * outcomes.len());
+                out.reserve(4 + 16 * outcomes.len());
                 out.extend_from_slice(&(outcomes.len() as u32).to_le_bytes());
                 for outcome in outcomes {
                     out.extend_from_slice(&(outcome.hits as u64).to_le_bytes());
                     out.extend_from_slice(&(outcome.messages as u64).to_le_bytes());
                 }
-                (TYPE_BATCH_RESULT, out)
             }
             Message::Error { message } => {
-                let mut out = Vec::new();
-                put_str(&mut out, message);
-                (TYPE_ERROR, out)
+                put_str(out, message);
             }
             Message::Overlay(overlay) => match overlay {
                 OverlayMessage::Join { origin, walks } => {
-                    let mut out = Vec::new();
-                    put_peer(&mut out, origin);
+                    put_peer(out, origin);
                     out.extend_from_slice(&walks.to_le_bytes());
-                    (TYPE_JOIN, out)
                 }
                 OverlayMessage::ForwardJoin { origin, ttl } => {
-                    let mut out = Vec::new();
-                    put_peer(&mut out, origin);
+                    put_peer(out, origin);
                     out.extend_from_slice(&ttl.to_le_bytes());
-                    (TYPE_FORWARD_JOIN, out)
                 }
                 OverlayMessage::Shuffle { from, peers, reply } => {
-                    let mut out = Vec::new();
-                    put_peer(&mut out, from);
+                    put_peer(out, from);
                     out.extend_from_slice(&(peers.len() as u32).to_le_bytes());
                     for peer in peers {
-                        put_peer(&mut out, peer);
+                        put_peer(out, peer);
                     }
-                    put_bool(&mut out, *reply);
-                    (TYPE_SHUFFLE, out)
+                    put_bool(out, *reply);
                 }
                 OverlayMessage::Probe { from, nonce, ack } => {
-                    let mut out = Vec::new();
-                    put_peer(&mut out, from);
+                    put_peer(out, from);
                     out.extend_from_slice(&nonce.to_le_bytes());
-                    put_bool(&mut out, *ack);
-                    (TYPE_PROBE, out)
+                    put_bool(out, *ack);
                 }
                 OverlayMessage::Leave { from } => {
-                    let mut out = Vec::new();
-                    put_peer(&mut out, from);
-                    (TYPE_LEAVE, out)
+                    put_peer(out, from);
                 }
             },
-            Message::StatsRequest => (TYPE_STATS_REQUEST, Vec::new()),
+            Message::StatsRequest => {}
             Message::StatsReport(snapshot) => {
-                let mut out = Vec::new();
                 out.extend_from_slice(&(snapshot.counters.len() as u32).to_le_bytes());
                 for (name, value) in &snapshot.counters {
-                    put_str(&mut out, name);
+                    put_str(out, name);
                     out.extend_from_slice(&value.to_le_bytes());
                 }
                 out.extend_from_slice(&(snapshot.histograms.len() as u32).to_le_bytes());
                 for (name, hist) in &snapshot.histograms {
-                    put_str(&mut out, name);
+                    put_str(out, name);
                     out.extend_from_slice(&hist.count.to_le_bytes());
                     out.extend_from_slice(&hist.sum.to_le_bytes());
                     out.extend_from_slice(&hist.max.to_le_bytes());
@@ -545,11 +554,10 @@ impl Message {
                         out.extend_from_slice(&samples.to_le_bytes());
                     }
                 }
-                (TYPE_STATS_REPORT, out)
             }
             Message::LoadShard(shard) => {
                 let (offsets, targets) = shard.slice.raw_parts();
-                let mut out = Vec::with_capacity(60 + 4 * offsets.len() + 4 * targets.len());
+                out.reserve(60 + 4 * offsets.len() + 4 * targets.len());
                 out.extend_from_slice(&shard.identity.to_le_bytes());
                 out.extend_from_slice(
                     &(sfo_graph::ShardView::node_count(&shard.slice) as u64).to_le_bytes(),
@@ -568,35 +576,27 @@ impl Message {
                 for &target in targets {
                     out.extend_from_slice(&target.as_u32().to_le_bytes());
                 }
-                (TYPE_LOAD_SHARD, out)
             }
             Message::ForwardFrontier { identity, state } => {
-                let mut out =
-                    Vec::with_capacity(128 + 12 * state.visited.len() + 12 * state.queue.len());
+                out.reserve(128 + 12 * state.visited.len() + 12 * state.queue.len());
                 out.extend_from_slice(&identity.to_le_bytes());
-                put_placed_state(&mut out, state);
-                (TYPE_FORWARD_FRONTIER, out)
+                put_placed_state(out, state);
             }
-            Message::FrontierResult(result) => {
-                let mut out = Vec::new();
-                match result {
-                    FrontierResult::Done(outcome) => {
-                        out.push(0u8);
-                        out.extend_from_slice(&(outcome.hits as u64).to_le_bytes());
-                        out.extend_from_slice(&(outcome.messages as u64).to_le_bytes());
-                    }
-                    FrontierResult::Continue(state) => {
-                        out.push(1u8);
-                        put_placed_state(&mut out, state);
-                    }
+            Message::FrontierResult(result) => match result {
+                FrontierResult::Done(outcome) => {
+                    out.push(0u8);
+                    out.extend_from_slice(&(outcome.hits as u64).to_le_bytes());
+                    out.extend_from_slice(&(outcome.messages as u64).to_le_bytes());
                 }
-                (TYPE_FRONTIER_RESULT, out)
-            }
+                FrontierResult::Continue(state) => {
+                    out.push(1u8);
+                    put_placed_state(out, state);
+                }
+            },
             Message::Overloaded { queued, limit } => {
-                let mut out = Vec::with_capacity(8);
+                out.reserve(8);
                 out.extend_from_slice(&queued.to_le_bytes());
                 out.extend_from_slice(&limit.to_le_bytes());
-                (TYPE_OVERLOADED, out)
             }
         }
     }
@@ -883,57 +883,58 @@ impl Message {
     }
 }
 
-/// Writes one message as a frame.
+impl<W: Write> FrameWriter<W> {
+    /// Encodes `message` into the outbox without writing it (see
+    /// [`FrameWriter::queue_frame`]) and returns its frame's wire size.
+    pub fn queue(&mut self, message: &Message) -> usize {
+        self.queue_frame(message.frame_type(), |out| message.encode_into(out))
+    }
+
+    /// Writes `message` — and anything queued before it — now.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::Io`] when the underlying write fails.
+    pub fn send(&mut self, message: &Message) -> Result<(), NetError> {
+        self.queue(message);
+        self.flush()
+    }
+}
+
+impl<R: Read> FrameReader<R> {
+    /// Reads and decodes one message, blocking as needed.
+    ///
+    /// # Errors
+    ///
+    /// Every framing failure of [`FrameReader::next_frame`] and decoding failure of
+    /// [`Message::decode`]; after the latter the stream is still frame-aligned.
+    pub fn recv(&mut self) -> Result<Message, NetError> {
+        let (message_type, payload) = self.next_frame()?;
+        Message::decode(message_type, payload)
+    }
+}
+
+/// Writes one message as a frame to a stream the caller keeps. Connections own a
+/// [`FrameWriter`]; this is for callers holding a bare `Write` (tests, tools).
 ///
 /// # Errors
 ///
 /// Returns [`NetError::Io`] when the underlying write fails.
-pub fn send_message(writer: &mut impl std::io::Write, message: &Message) -> Result<(), NetError> {
-    let (message_type, payload) = message.encode();
-    crate::frame::write_frame(writer, message_type, &payload)
+pub fn send_message(writer: &mut impl Write, message: &Message) -> Result<(), NetError> {
+    FrameWriter::new(writer).send(message)
 }
 
-/// Reads one message from a frame.
+/// Reads one message from a stream the caller keeps, consuming exactly its frame.
+/// Connections own a [`FrameReader`]; this is for callers holding a bare `Read`
+/// (tests, tools).
 ///
 /// # Errors
 ///
 /// Every framing and decoding failure of [`crate::frame::read_frame`] and
 /// [`Message::decode`].
-pub fn recv_message(reader: &mut impl std::io::Read) -> Result<Message, NetError> {
-    recv_message_counted(reader).map(|(message, _)| message)
-}
-
-/// Total frame size (header + payload + checksum trailer) of a payload of `len` bytes.
-fn frame_bytes(len: usize) -> u64 {
-    (crate::frame::FRAME_HEADER_LEN + len + crate::frame::FRAME_TRAILER_LEN) as u64
-}
-
-/// [`send_message`], also returning the total frame bytes written — the hook the
-/// server's byte accounting uses.
-///
-/// # Errors
-///
-/// Returns [`NetError::Io`] when the underlying write fails.
-pub fn send_message_counted(
-    writer: &mut impl std::io::Write,
-    message: &Message,
-) -> Result<u64, NetError> {
-    let (message_type, payload) = message.encode();
-    crate::frame::write_frame(writer, message_type, &payload)?;
-    Ok(frame_bytes(payload.len()))
-}
-
-/// [`recv_message`], also returning the total frame bytes consumed — the hook the
-/// server's byte accounting uses.
-///
-/// # Errors
-///
-/// Every framing and decoding failure of [`crate::frame::read_frame`] and
-/// [`Message::decode`].
-pub fn recv_message_counted(reader: &mut impl std::io::Read) -> Result<(Message, u64), NetError> {
+pub fn recv_message(reader: &mut impl Read) -> Result<Message, NetError> {
     let (message_type, payload) = crate::frame::read_frame(reader)?;
-    let bytes = frame_bytes(payload.len());
-    Ok((Message::decode(message_type, &payload)?, bytes))
+    Message::decode(message_type, &payload)
 }
 
 #[cfg(test)]

@@ -13,7 +13,8 @@
 //! `sfo-overlay` covers this transport too. Deterministic topology growth stays the
 //! job of `DynamicsSpec::Live` in `sfo-scenario`.
 
-use crate::message::{recv_message, send_message, Message};
+use crate::frame::{FrameReader, FrameWriter};
+use crate::message::Message;
 use crate::stream::{NetListener, NetStream};
 use crate::NetError;
 use sfo_overlay::protocol::Peer;
@@ -50,8 +51,8 @@ impl OverlayTransport for SocketTransport {
     fn send(&mut self, to: &PeerRef, msg: OverlayMessage) -> sfo_overlay::Result<()> {
         // Best effort by design: a dead or unreachable peer is exactly what probes
         // and redirects handle, so dial and write failures are dropped, not errors.
-        if let Ok(mut stream) = NetStream::connect(&to.addr) {
-            let _ = send_message(&mut stream, &Message::Overlay(msg));
+        if let Ok(stream) = NetStream::connect(&to.addr) {
+            let _ = FrameWriter::new(stream).send(&Message::Overlay(msg));
         }
         Ok(())
     }
@@ -177,14 +178,15 @@ impl OverlayNode {
 fn accept_loop(listener: NetListener, inbox: &Mutex<Vec<OverlayMessage>>, stop: &AtomicBool) {
     loop {
         match listener.accept() {
-            Ok(mut stream) => {
+            Ok(stream) => {
                 if stop.load(Ordering::SeqCst) {
                     return;
                 }
+                let mut reader = FrameReader::new(stream);
                 // A connection carries whole frames until the sender hangs up;
                 // anything that is not an overlay frame (or does not decode) is
                 // dropped with the connection — lossy transport, strict codec.
-                while let Ok(message) = recv_message(&mut stream) {
+                while let Ok(message) = reader.recv() {
                     if let Message::Overlay(overlay) = message {
                         inbox.lock().expect("inbox lock").push(overlay);
                     }

@@ -22,6 +22,18 @@
 //! reader records admission depth into the `net.queue_depth` histogram and sheds
 //! into the `net.shed_total` counter, both visible over `StatsRequest`.
 //!
+//! # The byte path
+//!
+//! Nothing on a connection waits for a timer or for the peer's ACK. Sockets run with
+//! `TCP_NODELAY` (see [`crate::stream`]), so batching is decided here: the reader
+//! thread takes every frame one `read` delivered and hands the run to the executor
+//! under one lock; the executor encodes replies into one outbox and writes it when
+//! its backlog is empty (always before it sleeps), when the oldest queued reply has
+//! been held for 100 µs (`REPLY_HOLD`), when 64 KiB are pending, and before it drops the
+//! connection. An idle connection's reply therefore leaves the moment it is built,
+//! and cheap replies under pipelining leave many per `write`. Reply order, shed
+//! decisions and every reply byte are what they would be with one `write` per frame.
+//!
 //! On connect the worker announces a [`Hello`] carrying the identity hash of the file
 //! it serves ([`sfo_graph::snapshot::read_identity`]); a dispatcher that needs a
 //! different realization refuses it instead of silently measuring the wrong topology.
@@ -44,10 +56,8 @@
 //! shard does not own, or whose snapshot identity differs, is a typed error, never
 //! silently-wrong work.
 
-use crate::message::{
-    recv_message_counted, send_message, send_message_counted, BatchRequest, FrontierResult, Hello,
-    Message, ShardPayload, WHOLE_SNAPSHOT,
-};
+use crate::frame::{frame_len, FrameReader, FrameWriter, IO_BUFFER_LEN};
+use crate::message::{BatchRequest, FrontierResult, Hello, Message, ShardPayload, WHOLE_SNAPSHOT};
 use crate::stream::{NetListener, NetStream};
 use crate::NetError;
 use sfo_engine::{
@@ -57,11 +67,12 @@ use sfo_engine::{
 };
 use sfo_graph::snapshot::{read_identity, Provenance, SnapshotFile};
 use sfo_graph::{CsrSlice, ShardView};
-use sfo_obs::{PhaseTimer, Registry};
+use sfo_obs::{Counter, Histogram, Registry};
 use sfo_scenario::spec::BuiltSearch;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};
+use std::time::{Duration, Instant};
 
 /// The pending-batch queue bound used when [`ServeConfig::queue_bound`] is 0.
 pub const DEFAULT_QUEUE_BOUND: usize = 32;
@@ -404,14 +415,254 @@ enum ConnEvent {
     Hangup,
 }
 
+/// The reader → executor hand-off of one connection.
+type ConnQueue = (Mutex<VecDeque<ConnEvent>>, Condvar);
+
+/// The wire names of the message kinds, as they appear in per-kind metric names.
+const KINDS: [&str; 12] = [
+    "Hello",
+    "LoadSnapshot",
+    "LoadShard",
+    "SubmitBatch",
+    "BatchResult",
+    "ForwardFrontier",
+    "FrontierResult",
+    "Error",
+    "Overlay",
+    "StatsRequest",
+    "StatsReport",
+    "Overloaded",
+];
+
+/// Index of `message`'s kind in [`KINDS`].
+fn kind(message: &Message) -> usize {
+    match message {
+        Message::Hello(_) => 0,
+        Message::LoadSnapshot { .. } => 1,
+        Message::LoadShard(_) => 2,
+        Message::SubmitBatch(_) => 3,
+        Message::BatchResult { .. } => 4,
+        Message::ForwardFrontier { .. } => 5,
+        Message::FrontierResult(_) => 6,
+        Message::Error { .. } => 7,
+        Message::Overlay(_) => 8,
+        Message::StatsRequest => 9,
+        Message::StatsReport(_) => 10,
+        Message::Overloaded { .. } => 11,
+    }
+}
+
+/// One connection thread's handles on a family of per-kind metrics
+/// (`<prefix><Kind>`), resolved from the registry the first time the thread meets
+/// the kind and recorded through from then on — no registry lock, no name
+/// allocation per frame. Resolution is lazy, not up front, so the registry (and every
+/// `StatsReport`) names exactly the metrics the traffic produced.
+struct PerKind<T> {
+    prefix: &'static str,
+    handles: [Option<Arc<T>>; KINDS.len()],
+}
+
+impl<T> PerKind<T> {
+    fn new(prefix: &'static str) -> Self {
+        PerKind {
+            prefix,
+            handles: Default::default(),
+        }
+    }
+
+    fn get(&mut self, kind: usize, resolve: impl FnOnce(&str) -> Arc<T>) -> &T {
+        self.handles[kind]
+            .get_or_insert_with(|| resolve(&format!("{}{}", self.prefix, KINDS[kind])))
+    }
+}
+
+/// How long the executor may hold a finished reply in its outbox while it serves the
+/// backlog behind it, measured from the moment service began on the request the
+/// oldest held reply answers. Cheap requests under pipelining share a `write` (a
+/// dozen 10 µs searches fit); a reply never waits behind an expensive one — a request
+/// that alone takes this long is flushed the moment it is answered. Not a timer:
+/// the clock is read when a reply is queued, and an empty backlog flushes regardless.
+const REPLY_HOLD: Duration = Duration::from_micros(100);
+
+/// The executor's reply path: the connection's outbox and the rule for writing it.
+///
+/// Replies are encoded into the outbox in arrival order and leave together: when the
+/// executor finds its backlog empty (before it sleeps — never across a blocking
+/// wait), when [`REPLY_HOLD`] has passed, when the outbox holds 64 KiB
+/// ([`IO_BUFFER_LEN`]), and before the connection is dropped.
+struct Outbox<'a> {
+    writer: FrameWriter<NetStream>,
+    /// When service began on the request whose reply is the oldest one still queued.
+    held_since: Option<Instant>,
+    metrics: &'a Registry,
+    frames_out: PerKind<Counter>,
+    bytes_out: Arc<Counter>,
+}
+
+impl Outbox<'_> {
+    /// Queues `reply`, the answer to an event whose handling ran from `began` to
+    /// `now`, and writes the outbox if by `now` its oldest reply has been held for
+    /// [`REPLY_HOLD`] or it has grown to [`IO_BUFFER_LEN`].
+    fn answer(&mut self, reply: &Message, began: Instant, now: Instant) -> Result<(), NetError> {
+        let bytes = self.writer.queue(reply);
+        let metrics = self.metrics;
+        self.frames_out
+            .get(kind(reply), |name| metrics.counter(name))
+            .inc();
+        self.bytes_out.add(bytes as u64);
+        let held_since = *self.held_since.get_or_insert(began);
+        if now.duration_since(held_since) >= REPLY_HOLD || self.writer.pending() >= IO_BUFFER_LEN {
+            self.flush()?;
+        }
+        Ok(())
+    }
+
+    fn flush(&mut self) -> Result<(), NetError> {
+        self.held_since = None;
+        self.writer.flush()
+    }
+}
+
+/// The reader half of one conversation: decodes frames as fast as they arrive, decides
+/// admission per frame at arrival, and hands the executor every frame one `read`
+/// delivered as one run — one lock, one wake-up.
+struct ConnReader {
+    frames: FrameReader<NetStream>,
+    queue: Arc<ConnQueue>,
+    pending: Arc<AtomicUsize>,
+    queue_bound: usize,
+    conn: u64,
+    peer: String,
+    metrics: Arc<Registry>,
+    // Handles into `metrics`, each resolved on first use (see [`PerKind`]).
+    frames_in: PerKind<Counter>,
+    bytes_in: Option<Arc<Counter>>,
+    queue_depth: Option<Arc<Histogram>>,
+    shed_total: Option<Arc<Counter>>,
+}
+
+impl ConnReader {
+    fn run(mut self) {
+        let mut run = Vec::new();
+        loop {
+            // Block for one frame, then take what the same fill delivered behind it.
+            let mut next = Some(self.frames.next_frame());
+            let mut ended = false;
+            while let Some(frame) = next {
+                let event = match frame.and_then(|(message_type, payload)| {
+                    let message = Message::decode(message_type, payload)?;
+                    Ok((message, frame_len(payload.len())))
+                }) {
+                    Ok((message, bytes)) => {
+                        let metrics = &self.metrics;
+                        self.frames_in
+                            .get(kind(&message), |name| metrics.counter(name))
+                            .inc();
+                        self.bytes_in
+                            .get_or_insert_with(|| metrics.counter("net.bytes_in"))
+                            .add(bytes as u64);
+                        self.admit(message)
+                    }
+                    // A clean hang-up between frames: the normal end.
+                    Err(NetError::Truncated { section: "header" }) => ConnEvent::Hangup,
+                    Err(e) => self.decode_error(&e),
+                };
+                // After a hang-up or a desync nothing readable follows.
+                ended = matches!(
+                    event,
+                    ConnEvent::Hangup | ConnEvent::DecodeError { desynced: true, .. }
+                );
+                run.push(event);
+                next = if ended {
+                    None
+                } else {
+                    self.frames.buffered_frame()
+                };
+            }
+            let (events, signal) = &*self.queue;
+            events
+                .lock()
+                .expect("conn queue lock")
+                .extend(run.drain(..));
+            signal.notify_one();
+            if ended {
+                return;
+            }
+        }
+    }
+
+    /// Admission happens at arrival, not at execution, so a saturated executor sheds
+    /// instead of buffering without bound.
+    fn admit(&mut self, message: Message) -> ConnEvent {
+        if matches!(message, Message::SubmitBatch(_)) {
+            let metrics = &self.metrics;
+            let depth = self.pending.load(Ordering::SeqCst);
+            if depth >= self.queue_bound {
+                self.shed_total
+                    .get_or_insert_with(|| metrics.counter("net.shed_total"))
+                    .inc();
+                return ConnEvent::Shed {
+                    queued: depth as u32,
+                };
+            }
+            self.pending.fetch_add(1, Ordering::SeqCst);
+            self.queue_depth
+                .get_or_insert_with(|| metrics.histogram("net.queue_depth"))
+                .record(depth as u64 + 1);
+        }
+        ConnEvent::Request(message)
+    }
+
+    /// Attributed to this connection, not to whatever peer string a thread last
+    /// logged — loudly, so an operator can trace a misbehaving client.
+    fn decode_error(&self, error: &NetError) -> ConnEvent {
+        let (conn, peer) = (self.conn, &self.peer);
+        self.metrics.counter("net.decode_errors").inc();
+        self.metrics
+            .counter(&format!("net.decode_errors.conn.{conn}"))
+            .inc();
+        let desynced = frame_desynced(error);
+        eprintln!(
+            "sfo serve: conn#{conn} ({peer}): request does not decode{}: {error}",
+            if desynced {
+                ", dropping connection"
+            } else {
+                ""
+            }
+        );
+        ConnEvent::DecodeError {
+            message: error.to_string(),
+            desynced,
+        }
+    }
+}
+
+/// The next event of the conversation. Whatever the executor has answered so far
+/// leaves before it sleeps: an empty backlog is what flushes an idle connection's
+/// reply immediately, and nothing is ever held across a blocking wait.
+fn next_event(queue: &ConnQueue, outbox: &mut Outbox<'_>) -> Result<ConnEvent, NetError> {
+    let (events, signal) = queue;
+    if let Some(event) = events.lock().expect("conn queue lock").pop_front() {
+        return Ok(event);
+    }
+    outbox.flush()?;
+    let mut events = events.lock().expect("conn queue lock");
+    loop {
+        if let Some(event) = events.pop_front() {
+            return Ok(event);
+        }
+        events = signal.wait(events).expect("conn queue lock");
+    }
+}
+
 /// One client conversation: `Hello`, then request/reply until the peer hangs up.
 ///
 /// The conversation runs as a thread pair over one duplicated socket: the *reader*
-/// decodes frames as fast as they arrive and admits batches against the pending-batch
-/// bound (shedding past it), while the *executor* — this thread — serves events
-/// strictly in arrival order, so a pipelining client reads replies in exactly the
-/// order it sent requests.
-fn handle_connection(mut stream: NetStream, state: &ServerState, conn: u64, peer: &str) {
+/// ([`ConnReader`]) decodes frames as fast as they arrive and admits batches against
+/// the pending-batch bound (shedding past it), while the *executor* — this thread —
+/// serves events strictly in arrival order and answers through one [`Outbox`], so a
+/// pipelining client reads replies in exactly the order it sent requests.
+fn handle_connection(stream: NetStream, state: &ServerState, conn: u64, peer: &str) {
     // The store is pinned per connection: every batch on this connection runs against
     // exactly the snapshot its Hello announced, even if another client swaps the
     // server's default with LoadSnapshot in between. The identity handshake is a
@@ -421,119 +672,78 @@ fn handle_connection(mut stream: NetStream, state: &ServerState, conn: u64, peer
     let mut pinned = state.store.read().expect("store lock").clone();
     // Per-connection traversal arena for placed frontiers, reused across requests.
     let mut scratch = SearchScratch::new();
-    let announce = Message::Hello(pinned.hello(state.pool.workers() as u32));
-    match send_message_counted(&mut stream, &announce) {
-        Ok(bytes) => record_sent(metrics, &announce, bytes),
-        Err(_) => return,
-    }
-    let mut read_stream = match stream.try_clone() {
-        Ok(clone) => clone,
+    let (frames, writer) = match stream.split() {
+        Ok(halves) => halves,
         Err(e) => {
             eprintln!("sfo serve: conn#{conn} ({peer}): cannot split the stream: {e}");
             return;
         }
     };
-    let queue: Arc<(Mutex<VecDeque<ConnEvent>>, Condvar)> =
-        Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
+    let mut outbox = Outbox {
+        writer,
+        held_since: None,
+        metrics,
+        frames_out: PerKind::new("net.frames_out."),
+        bytes_out: metrics.counter("net.bytes_out"),
+    };
+    let announce = Message::Hello(pinned.hello(state.pool.workers() as u32));
+    let now = Instant::now();
+    if outbox
+        .answer(&announce, now, now)
+        .and_then(|()| outbox.flush())
+        .is_err()
+    {
+        return;
+    }
+    let queue: Arc<ConnQueue> = Arc::new((Mutex::new(VecDeque::new()), Condvar::new()));
     let queue_bound = state.queue_bound;
     // Admitted-but-not-completed batches: the reader increments at admission, the
     // executor decrements after the reply is built, so the count *is* the pending
     // depth a new arrival competes with.
     let pending = Arc::new(AtomicUsize::new(0));
-    let reader = {
-        let queue = Arc::clone(&queue);
-        let pending = Arc::clone(&pending);
-        let metrics = Arc::clone(metrics);
-        let peer = peer.to_string();
-        std::thread::Builder::new()
-            .name("sfo-net-read".to_string())
-            .spawn(move || {
-                let push = |event: ConnEvent| {
-                    let (events, signal) = &*queue;
-                    events.lock().expect("conn queue lock").push_back(event);
-                    signal.notify_one();
-                };
-                loop {
-                    match recv_message_counted(&mut read_stream) {
-                        Ok((message, bytes)) => {
-                            metrics
-                                .counter(&format!("net.frames_in.{}", kind(&message)))
-                                .inc();
-                            metrics.counter("net.bytes_in").add(bytes);
-                            if matches!(message, Message::SubmitBatch(_)) {
-                                // Admission happens at arrival, not at execution, so
-                                // a saturated executor sheds instead of buffering
-                                // without bound.
-                                let depth = pending.load(Ordering::SeqCst);
-                                if depth >= queue_bound {
-                                    metrics.counter("net.shed_total").inc();
-                                    push(ConnEvent::Shed {
-                                        queued: depth as u32,
-                                    });
-                                    continue;
-                                }
-                                pending.fetch_add(1, Ordering::SeqCst);
-                                metrics
-                                    .histogram("net.queue_depth")
-                                    .record(depth as u64 + 1);
-                            }
-                            push(ConnEvent::Request(message));
-                        }
-                        // A clean hang-up between frames: the normal end.
-                        Err(NetError::Truncated { section: "header" }) => {
-                            push(ConnEvent::Hangup);
-                            return;
-                        }
-                        Err(e) => {
-                            // Attributed to this connection, not to whatever peer
-                            // string a thread last logged — loudly, so an operator
-                            // can trace a misbehaving client.
-                            metrics.counter("net.decode_errors").inc();
-                            metrics
-                                .counter(&format!("net.decode_errors.conn.{conn}"))
-                                .inc();
-                            let desynced = frame_desynced(&e);
-                            eprintln!(
-                                "sfo serve: conn#{conn} ({peer}): request does not decode{}: {e}",
-                                if desynced {
-                                    ", dropping connection"
-                                } else {
-                                    ""
-                                }
-                            );
-                            push(ConnEvent::DecodeError {
-                                message: e.to_string(),
-                                desynced,
-                            });
-                            if desynced {
-                                return;
-                            }
-                        }
-                    }
-                }
-            })
+    let reader = ConnReader {
+        frames,
+        queue: Arc::clone(&queue),
+        pending: Arc::clone(&pending),
+        queue_bound,
+        conn,
+        peer: peer.to_string(),
+        metrics: Arc::clone(metrics),
+        frames_in: PerKind::new("net.frames_in."),
+        bytes_in: None,
+        queue_depth: None,
+        shed_total: None,
     };
-    if reader.is_err() {
+    // The reader is deliberately not joined on exit: after an executor-side write
+    // failure it unblocks on its own the moment the peer hangs up or the socket dies,
+    // and an OS process exit reaps it regardless.
+    if std::thread::Builder::new()
+        .name("sfo-net-read".to_string())
+        .spawn(move || reader.run())
+        .is_err()
+    {
         eprintln!("sfo serve: conn#{conn} ({peer}): cannot spawn the reader thread");
         return;
     }
-    // The executor. The reader is deliberately not joined on exit: after an
-    // executor-side write failure it unblocks on its own the moment the peer hangs
-    // up or the socket dies, and an OS process exit reaps it regardless.
+    let mut request_micros = None;
+    let mut request_micros_by_kind = PerKind::new("net.request_micros.");
+    // The executor. A failed write means the peer is gone: drop the connection.
     loop {
-        let event = {
-            let (events, signal) = &*queue;
-            let mut events = events.lock().expect("conn queue lock");
-            while events.is_empty() {
-                events = signal.wait(events).expect("conn queue lock");
-            }
-            events.pop_front().expect("a non-empty event queue")
+        let Ok(event) = next_event(&queue, &mut outbox) else {
+            return;
         };
+        let began = Instant::now();
         let request = match event {
-            ConnEvent::Hangup => return,
+            ConnEvent::Request(request) => request,
+            ConnEvent::Hangup => {
+                let _ = outbox.flush();
+                return;
+            }
             ConnEvent::DecodeError { message, desynced } => {
-                let _ = send_message(&mut stream, &Message::Error { message });
-                if desynced {
+                // A desync is answered once, behind every earlier reply, then dropped.
+                let answered = outbox.answer(&Message::Error { message }, began, began);
+                if answered.is_err() || desynced {
+                    let _ = outbox.flush();
                     return;
                 }
                 continue;
@@ -545,17 +755,14 @@ fn handle_connection(mut stream: NetStream, state: &ServerState, conn: u64, peer
                     queued,
                     limit: queue_bound as u32,
                 };
-                match send_message_counted(&mut stream, &reply) {
-                    Ok(bytes) => record_sent(metrics, &reply, bytes),
-                    Err(_) => return,
+                if outbox.answer(&reply, began, began).is_err() {
+                    return;
                 }
                 continue;
             }
-            ConnEvent::Request(request) => request,
         };
         let request_kind = kind(&request);
         let was_batch = matches!(request, Message::SubmitBatch(_));
-        let timer = PhaseTimer::start();
         let reply = match request {
             Message::LoadSnapshot { path } => {
                 match Store::load(&path, state.shard_count, state.pinned_shard, state.mmap) {
@@ -608,47 +815,24 @@ fn handle_connection(mut stream: NetStream, state: &ServerState, conn: u64, peer
             other => Message::Error {
                 message: format!(
                     "unexpected message {:?} on a worker connection",
-                    kind(&other)
+                    KINDS[kind(&other)]
                 ),
             },
         };
         if was_batch {
             pending.fetch_sub(1, Ordering::SeqCst);
         }
-        let micros = timer.elapsed_micros();
-        metrics.histogram("net.request_micros").record(micros);
-        metrics
-            .histogram(&format!("net.request_micros.{request_kind}"))
+        let served = Instant::now();
+        let micros = u64::try_from(served.duration_since(began).as_micros()).unwrap_or(u64::MAX);
+        request_micros
+            .get_or_insert_with(|| metrics.histogram("net.request_micros"))
             .record(micros);
-        match send_message_counted(&mut stream, &reply) {
-            Ok(bytes) => record_sent(metrics, &reply, bytes),
-            Err(_) => return,
+        request_micros_by_kind
+            .get(request_kind, |name| metrics.histogram(name))
+            .record(micros);
+        if outbox.answer(&reply, began, served).is_err() {
+            return;
         }
-    }
-}
-
-/// Counts one sent frame: `net.frames_out.<Kind>` plus `net.bytes_out`.
-fn record_sent(metrics: &Registry, message: &Message, bytes: u64) {
-    metrics
-        .counter(&format!("net.frames_out.{}", kind(message)))
-        .inc();
-    metrics.counter("net.bytes_out").add(bytes);
-}
-
-fn kind(message: &Message) -> &'static str {
-    match message {
-        Message::Hello(_) => "Hello",
-        Message::LoadSnapshot { .. } => "LoadSnapshot",
-        Message::LoadShard(_) => "LoadShard",
-        Message::SubmitBatch(_) => "SubmitBatch",
-        Message::BatchResult { .. } => "BatchResult",
-        Message::ForwardFrontier { .. } => "ForwardFrontier",
-        Message::FrontierResult(_) => "FrontierResult",
-        Message::Error { .. } => "Error",
-        Message::Overlay(_) => "Overlay",
-        Message::StatsRequest => "StatsRequest",
-        Message::StatsReport(_) => "StatsReport",
-        Message::Overloaded { .. } => "Overloaded",
     }
 }
 
@@ -886,7 +1070,7 @@ fn execute_request(
 mod tests {
     use super::*;
     use crate::frame::encode_frame;
-    use crate::message::{recv_message, TYPE_LOAD_SHARD};
+    use crate::message::{recv_message, send_message, TYPE_LOAD_SHARD};
     use sfo_engine::{placed_start, PlacedAlgorithm};
     use sfo_graph::generators::ring_graph;
     use sfo_graph::NodeId;

@@ -4,7 +4,15 @@
 //! `unix:/path/to.sock` a Unix-domain socket (absent on non-Unix builds, where the
 //! prefix is a typed error). The daemon and the dispatcher both speak through
 //! [`NetStream`], so every protocol path is transport-agnostic.
+//!
+//! Every TCP socket, dialed or accepted, runs with `TCP_NODELAY`. The protocol is
+//! small request/reply frames, and with Nagle's algorithm a frame written while an
+//! earlier one is unacknowledged waits for the peer's delayed ACK — tens of
+//! milliseconds on a conversation that computes for microseconds. There is no switch:
+//! what leaves in one segment is decided above the socket, by the
+//! [`FrameWriter`] that owns the connection's outbox.
 
+use crate::frame::{FrameReader, FrameWriter};
 use crate::NetError;
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -48,13 +56,24 @@ impl NetStream {
             }
         }
         TcpStream::connect(addr)
+            .and_then(no_delay)
             .map(NetStream::Tcp)
             .map_err(|e| NetError::io(format!("connect {addr}"), &e))
     }
 
-    /// Clones the underlying socket handle, so one thread can read while another
-    /// writes — the worker daemon splits each connection into a reader and an
-    /// executor this way, and the loadtest driver pairs a sender with a receiver.
+    /// Splits the connection into its framed halves, each owning a handle of the
+    /// socket, so one thread can read while another writes.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetError::Io`] when the operating system refuses to duplicate the
+    /// handle.
+    pub fn split(self) -> Result<(FrameReader<NetStream>, FrameWriter<NetStream>), NetError> {
+        let write_half = self.try_clone()?;
+        Ok((FrameReader::new(self), FrameWriter::new(write_half)))
+    }
+
+    /// Clones the underlying socket handle ([`NetStream::split`] is the framed form).
     ///
     /// # Errors
     ///
@@ -96,6 +115,11 @@ impl Write for NetStream {
             NetStream::Unix(stream) => stream.flush(),
         }
     }
+}
+
+fn no_delay(stream: TcpStream) -> std::io::Result<TcpStream> {
+    stream.set_nodelay(true)?;
+    Ok(stream)
 }
 
 /// One bound listening socket, TCP or Unix.
@@ -176,7 +200,9 @@ impl NetListener {
         match self {
             NetListener::Tcp(listener) => listener
                 .accept()
-                .map(|(stream, peer)| (NetStream::Tcp(stream), peer.to_string()))
+                .and_then(|(stream, peer)| {
+                    Ok((NetStream::Tcp(no_delay(stream)?), peer.to_string()))
+                })
                 .map_err(|e| NetError::io("accept", &e)),
             #[cfg(unix)]
             NetListener::Unix(listener, path) => listener
@@ -254,6 +280,19 @@ mod tests {
             "peer address should be the client's ip:port, got {peer}"
         );
         client.join().unwrap();
+    }
+
+    #[test]
+    fn both_ends_of_a_tcp_connection_run_without_nagle() {
+        let listener = NetListener::bind("127.0.0.1:0").unwrap();
+        let dialed = NetStream::connect(&listener.local_addr()).unwrap();
+        let accepted = listener.accept().unwrap();
+        for end in [&dialed, &accepted] {
+            let NetStream::Tcp(tcp) = end else {
+                panic!("a host:port address is a TCP socket");
+            };
+            assert!(tcp.nodelay().unwrap());
+        }
     }
 
     #[test]

@@ -1,15 +1,18 @@
 //! Hot-path scratch arenas: per-query allocation (`SearchAlgorithm::search`, which
-//! builds a fresh `vec![false; N]` visited set and frontier per call) versus arena
-//! reuse (`search_with_scratch` over one dirty [`SearchScratch`], the epoch-stamped
-//! bitset whose reset is O(1)) — the mechanism every `sfo-engine` pool worker rides.
+//! builds fresh N-sized visited bitsets and a fresh frontier per call) versus arena
+//! reuse (`search_with_scratch` over one dirty [`SearchScratch`], whose reset costs
+//! O(previous hits) for flooding and O(1) for the walks' epoch-stamped bitset) — the
+//! mechanism every `sfo-engine` pool worker rides.
 //!
 //! One measurement unit is a run of `QUERIES` searches from rotating sources, because
 //! amortization is the point: the arena pays its allocation once across the run while
 //! the fresh path pays O(node_count) zeroing per query. Short-TTL searches on large
 //! graphs are where the paper's sweeps live (thousands of independent queries per
-//! frozen realization), so that is the regime the rows pin down. Outcomes are
-//! byte-identical between the two paths by the scratch contract
-//! (`tests/scratch_equivalence.rs`); the rows isolate pure allocation cost.
+//! frozen realization), so the `flooding` (TTL 3) and `random_walk` rows pin that regime
+//! down. The `flooding_full` rows (TTL 64) flood the whole component instead: their
+//! middle levels saturate the graph, so they time the kernel's bottom-up side, where the
+//! TTL-3 rows time its top-down side. Outcomes are byte-identical between the two paths
+//! by the scratch contract (`tests/scratch_equivalence.rs`).
 //!
 //! Results are written to `BENCH_hotpath.json` at the workspace root (tracked in git,
 //! regenerate with `cargo bench --bench hotpath`). Environment knobs for smoke runs:
@@ -27,6 +30,8 @@ use std::time::Duration;
 /// Searches per measured run.
 const QUERIES: usize = 32;
 const FLOOD_TTL: u32 = 3;
+/// Deeper than any capped-PA realization's diameter: every flood covers its component.
+const FULL_FLOOD_TTL: u32 = 64;
 const WALK_HOPS: u32 = 256;
 
 fn node_sizes() -> Vec<usize> {
@@ -88,18 +93,25 @@ fn bench_hotpath(c: &mut Criterion) {
         // pool worker's mid-shift arena; the fresh rows get one untimed warm pass so
         // both sides start with the graph's pages faulted in.
         let mut arena = SearchScratch::new();
-        let check = run_fresh(&csr, &flooding, FLOOD_TTL);
-        assert_eq!(
-            run_scratch(&csr, &flooding, FLOOD_TTL, &mut arena),
-            check,
-            "scratch contract broken at n{nodes}"
-        );
+        for ttl in [FLOOD_TTL, FULL_FLOOD_TTL] {
+            assert_eq!(
+                run_scratch(&csr, &flooding, ttl, &mut arena),
+                run_fresh(&csr, &flooding, ttl),
+                "scratch contract broken at n{nodes}, ttl {ttl}"
+            );
+        }
 
         group.bench_function(format!("n{nodes}/flooding/fresh"), |b| {
             b.iter(|| run_fresh(&csr, &flooding, FLOOD_TTL))
         });
         group.bench_function(format!("n{nodes}/flooding/scratch"), |b| {
             b.iter(|| run_scratch(&csr, &flooding, FLOOD_TTL, &mut arena))
+        });
+        group.bench_function(format!("n{nodes}/flooding_full/fresh"), |b| {
+            b.iter(|| run_fresh(&csr, &flooding, FULL_FLOOD_TTL))
+        });
+        group.bench_function(format!("n{nodes}/flooding_full/scratch"), |b| {
+            b.iter(|| run_scratch(&csr, &flooding, FULL_FLOOD_TTL, &mut arena))
         });
         group.bench_function(format!("n{nodes}/random_walk/fresh"), |b| {
             b.iter(|| run_fresh(&csr, &walk, WALK_HOPS))
@@ -135,7 +147,7 @@ fn main() {
             .expect("benchmark ran")
     };
     for nodes in node_sizes() {
-        for workload in ["flooding", "random_walk"] {
+        for workload in ["flooding", "flooding_full", "random_walk"] {
             let fresh = mean(&format!("hotpath/n{nodes}/{workload}/fresh"));
             let scratch = mean(&format!("hotpath/n{nodes}/{workload}/scratch"));
             println!(

@@ -26,6 +26,17 @@ pub enum ScenarioError {
         /// 1-based column of the offending character.
         column: usize,
     },
+    /// The JSON text nests arrays and objects deeper than the parser accepts
+    /// ([`MAX_NESTING`](crate::json::MAX_NESTING)); refused before the parser's
+    /// recursion can exhaust the thread's stack.
+    NestingTooDeep {
+        /// The nesting limit that was exceeded.
+        limit: usize,
+        /// 1-based line of the bracket that opened one level too many.
+        line: usize,
+        /// 1-based column of that bracket.
+        column: usize,
+    },
     /// A topology generator rejected its configuration or could not place a link.
     Topology(TopologyError),
     /// The churn simulator or trace runner rejected its configuration.
@@ -71,6 +82,15 @@ impl fmt::Display for ScenarioError {
             } => write!(
                 f,
                 "spec parse error at line {line}, column {column}: {message}"
+            ),
+            ScenarioError::NestingTooDeep {
+                limit,
+                line,
+                column,
+            } => write!(
+                f,
+                "spec parse error at line {line}, column {column}: \
+                 arrays and objects nest deeper than {limit} levels"
             ),
             ScenarioError::Topology(e) => write!(f, "topology generation failed: {e}"),
             ScenarioError::Sim(e) => write!(f, "simulation failed: {e}"),
@@ -133,6 +153,13 @@ mod tests {
             column: 9,
         };
         assert!(parse.to_string().contains("line 3"));
+        let deep = ScenarioError::NestingTooDeep {
+            limit: 64,
+            line: 1,
+            column: 65,
+        };
+        assert!(deep.to_string().contains("column 65"));
+        assert!(deep.to_string().contains("deeper than 64"));
 
         let topo = ScenarioError::from(TopologyError::InvalidConfig { reason: "m" });
         assert!(topo.source().is_some());

@@ -18,9 +18,18 @@
 //! As one extension over strict JSON, the parser skips `//` line comments, so the spec
 //! files shipped under `examples/` can carry the header comments tying them to the paper
 //! figures they reproduce.
+//!
+//! The parser recurses once per array or object level, and the same parser reads search
+//! specs off the wire (`sfo-net`), where a stack overflow would abort the whole daemon.
+//! So nesting is bounded: past [`MAX_NESTING`] levels the parse stops with
+//! [`ScenarioError::NestingTooDeep`] at the offending bracket. No spec, report or
+//! workload the workspace writes nests more than a handful of levels.
 
 use crate::ScenarioError;
 use std::fmt;
+
+/// The deepest nesting of arrays and objects [`JsonValue::parse`] accepts.
+pub const MAX_NESTING: usize = 64;
 
 /// A JSON number, kept in the narrowest faithful representation.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -172,11 +181,14 @@ impl JsonValue {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Parse`] with a line/column position on malformed input.
+    /// Returns [`ScenarioError::Parse`] with a line/column position on malformed input,
+    /// and [`ScenarioError::NestingTooDeep`] when arrays and objects nest deeper than
+    /// [`MAX_NESTING`] levels.
     pub fn parse(text: &str) -> Result<JsonValue, ScenarioError> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_ws()?;
         let value = parser.parse_value()?;
@@ -313,10 +325,22 @@ fn write_string(out: &mut String, s: &str) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn error(&self, message: &str) -> ScenarioError {
+        let (line, column) = self.position();
+        ScenarioError::Parse {
+            message: message.to_string(),
+            line,
+            column,
+        }
+    }
+
+    /// The 1-based line and column of `pos`.
+    fn position(&self) -> (usize, usize) {
         let mut line = 1usize;
         let mut column = 1usize;
         for &b in &self.bytes[..self.pos.min(self.bytes.len())] {
@@ -327,11 +351,7 @@ impl<'a> Parser<'a> {
                 column += 1;
             }
         }
-        ScenarioError::Parse {
-            message: message.to_string(),
-            line,
-            column,
-        }
+        (line, column)
     }
 
     fn peek(&self) -> Option<u8> {
@@ -370,8 +390,24 @@ impl<'a> Parser<'a> {
 
     fn parse_value(&mut self) -> Result<JsonValue, ScenarioError> {
         match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_NESTING {
+                    let (line, column) = self.position();
+                    return Err(ScenarioError::NestingTooDeep {
+                        limit: MAX_NESTING,
+                        line,
+                        column,
+                    });
+                }
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.parse_object()
+                } else {
+                    self.parse_array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(JsonValue::String(self.parse_string()?)),
             Some(b't') => self.parse_keyword("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_keyword("false", JsonValue::Bool(false)),
@@ -636,6 +672,23 @@ mod tests {
         );
         assert!(JsonValue::parse("[1, 2,]").is_err(), "trailing comma");
         assert!(JsonValue::parse("{} extra").is_err(), "trailing garbage");
+    }
+
+    #[test]
+    fn nesting_is_bounded_and_refused_at_the_bracket_past_the_limit() {
+        let nested = |depth: usize| "[".repeat(depth) + &"]".repeat(depth);
+        assert!(JsonValue::parse(&nested(MAX_NESTING)).is_ok());
+        let mixed = "{\"a\": ".repeat(MAX_NESTING / 2) + &"[".repeat(MAX_NESTING / 2);
+        let mixed = mixed + &"]".repeat(MAX_NESTING / 2) + &"}".repeat(MAX_NESTING / 2);
+        assert!(JsonValue::parse(&mixed).is_ok());
+        assert_eq!(
+            JsonValue::parse(&nested(MAX_NESTING + 1)),
+            Err(ScenarioError::NestingTooDeep {
+                limit: MAX_NESTING,
+                line: 1,
+                column: MAX_NESTING + 1,
+            })
+        );
     }
 
     #[test]

@@ -833,7 +833,8 @@ impl ScenarioReport {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Parse`] or [`ScenarioError::InvalidSpec`].
+    /// Returns [`ScenarioError::Parse`], [`ScenarioError::NestingTooDeep`] or
+    /// [`ScenarioError::InvalidSpec`].
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         ScenarioReport::from_json(&JsonValue::parse(text)?)
     }

@@ -1288,7 +1288,8 @@ impl ScenarioSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Parse`] for malformed JSON and
+    /// Returns [`ScenarioError::Parse`] for malformed JSON,
+    /// [`ScenarioError::NestingTooDeep`] for JSON nested past the parser's limit, and
     /// [`ScenarioError::InvalidSpec`] for well-formed JSON with wrong fields.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {
         ScenarioSpec::from_json(&JsonValue::parse(text)?)

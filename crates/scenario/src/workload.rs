@@ -265,7 +265,8 @@ impl WorkloadSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ScenarioError::Parse`] for malformed JSON and
+    /// Returns [`ScenarioError::Parse`] for malformed JSON,
+    /// [`ScenarioError::NestingTooDeep`] for JSON nested past the parser's limit, and
     /// [`ScenarioError::InvalidSpec`] for unknown fields, type errors, or bounds
     /// [`WorkloadSpec::validate`] refuses.
     pub fn parse(text: &str) -> Result<Self, ScenarioError> {

@@ -98,8 +98,7 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for ExpandingRing {
             graph.contains_node(source),
             "expanding-ring source {source} out of bounds"
         );
-        let mut scratch = SearchScratch::for_search(graph, source);
-        self.search_with_scratch(graph, source, ttl, rng, &mut scratch)
+        self.search_with_scratch(graph, source, ttl, rng, &mut SearchScratch::new())
     }
 
     fn search_with_scratch(
@@ -117,7 +116,8 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for ExpandingRing {
         let flood = Flooding::new();
         let mut total_messages = 0usize;
         let mut final_hits = 0usize;
-        // One arena serves every ring: each flood resets the visited epoch on entry.
+        // One arena serves every ring: each flood clears the previous ring's hits on
+        // entry, O(hits) per ring.
         for radius in self.schedule(ttl) {
             let outcome = flood.search_with_scratch(graph, source, radius, rng, scratch);
             total_messages += outcome.messages;

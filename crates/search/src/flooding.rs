@@ -5,10 +5,44 @@
 //! until the time-to-live `τ` is exhausted. Peers drop duplicate copies (Gnutella-style),
 //! but the duplicate transmissions still count as messages — this is exactly the "large
 //! number of messages" downside the paper attributes to FL.
+//!
+//! # The kernel
+//!
+//! FL draws no random numbers and its outcome depends only on *which* nodes lie at each
+//! depth, not on the order a level is expanded in. The kernel is therefore a
+//! level-synchronous BFS over one `Vec` of reached nodes in BFS order: the level being
+//! expanded is a contiguous run of it, and its discoveries are appended behind it.
+//!
+//! * **Messages by arithmetic.** On a simple graph a level's nodes send `Σ deg` messages
+//!   minus one per node (the link the query arrived on), the source's level `Σ deg`.
+//! * **One test-and-set per edge** on a one-array bitset of reached nodes, whose set bits
+//!   are exactly the nodes in the order — so the next search clears them in O(hits).
+//! * **Bottom-up levels.** Once a level saturates the graph, checking every unreached
+//!   node for a neighbour in the level is cheaper than pushing the level's edges, most
+//!   of which land on reached nodes. The switch is the direction-optimizing rule of
+//!   Beamer, Asanović & Patterson (SC'12), with α tuned to hard-cutoff topologies (see
+//!   [`BOTTOM_UP_EDGE_FACTOR`]): a level goes bottom-up when
+//!   `Σ deg(level) · BOTTOM_UP_EDGE_FACTOR > 2E − Σ deg(reached)` and
+//!   `|level| · BOTTOM_UP_WIDTH_FACTOR > N`. Either direction discovers the same next
+//!   level, so `(hits, messages)` do not depend on the switch.
 
+use crate::scratch::FloodLevels;
 use crate::{SearchAlgorithm, SearchInfo, SearchOutcome, SearchScratch};
 use rand::RngCore;
 use sfo_graph::{GraphView, NodeId};
+
+/// Beamer et al.'s α: a level goes bottom-up only when its edges outnumber the
+/// unreached nodes' edges divided by this factor.
+///
+/// Beamer et al. use 14 on graphs whose hubs put most unreached nodes next to a
+/// saturating level. Under a hard cutoff a level's edges spread thinner: on capped and
+/// uncapped PA with 10^4–10^5 nodes and TTLs 1–20, 14 switches one level early (a TTL-5
+/// flood on 10^4 nodes ran slower than a FIFO flood), while 2 was fastest at every TTL.
+pub const BOTTOM_UP_EDGE_FACTOR: usize = 2;
+
+/// Beamer et al.'s β: a level goes bottom-up only when it holds more than `N` divided
+/// by this factor nodes.
+pub const BOTTOM_UP_WIDTH_FACTOR: usize = 24;
 
 /// Flooding (broadcast) search.
 ///
@@ -46,10 +80,7 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for Flooding {
             graph.contains_node(source),
             "flood source {source} out of bounds"
         );
-        // Fresh-allocation path: the frontier starts at the first round's size
-        // instead of reallocating up the whole growth curve from empty.
-        let mut scratch = SearchScratch::for_search(graph, source);
-        self.search_with_scratch(graph, source, ttl, rng, &mut scratch)
+        self.search_with_scratch(graph, source, ttl, rng, &mut SearchScratch::new())
     }
 
     fn search_with_scratch(
@@ -64,32 +95,103 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for Flooding {
             graph.contains_node(source),
             "flood source {source} out of bounds"
         );
-        let visited = &mut scratch.visited;
-        visited.reset(graph.node_count());
-        visited.insert(source.index());
+        let node_count = graph.node_count();
+        let levels = &mut scratch.levels;
+        levels.begin(node_count, source);
         let mut messages = 0usize;
-        let mut hits = 0usize;
-        // Queue of peers that still have to forward the query: (peer, previous hop, depth).
-        let queue = &mut scratch.queue;
-        queue.clear();
-        queue.push_back((source, None, 0));
-
-        while let Some((node, from, depth)) = queue.pop_front() {
-            if depth >= ttl {
-                continue;
+        // Σ deg over every level expanded so far.
+        let mut reached_degree = 0usize;
+        let (mut lo, mut hi) = (0usize, 1usize);
+        for depth in 0..ttl {
+            if lo == hi {
+                break;
             }
-            for &next in graph.neighbors(node) {
-                if Some(next) == from {
-                    continue;
+            let width = hi - lo;
+            // Only a wide level pays for summing its degrees before it is expanded.
+            let wide_degree = (width * BOTTOM_UP_WIDTH_FACTOR > node_count)
+                .then(|| levels.order[lo..hi].iter().map(|&v| graph.degree(v)).sum());
+            let level_degree = match wide_degree {
+                Some(degree)
+                    if degree * BOTTOM_UP_EDGE_FACTOR
+                        > graph.total_degree().saturating_sub(reached_degree + degree) =>
+                {
+                    expand_bottom_up(graph, levels, lo..hi);
+                    degree
                 }
-                messages += 1;
-                if visited.insert(next.index()) {
-                    hits += 1;
-                    queue.push_back((next, Some(node), depth + 1));
-                }
+                _ => expand_top_down(graph, levels, lo..hi),
+            };
+            reached_degree += level_degree;
+            // Every node but the source leaves out the link the query arrived on.
+            messages += level_degree - if depth == 0 { 0 } else { width };
+            (lo, hi) = (hi, levels.order.len());
+        }
+        SearchOutcome {
+            hits: levels.order.len() - 1,
+            messages,
+        }
+    }
+}
+
+/// Appends every unreached neighbour of the level `order[range]` behind it; returns
+/// the level's degree sum.
+fn expand_top_down<G: GraphView + ?Sized>(
+    graph: &G,
+    levels: &mut FloodLevels,
+    range: std::ops::Range<usize>,
+) -> usize {
+    let mut level_degree = 0;
+    for i in range {
+        let neighbors = graph.neighbors(levels.order[i]);
+        level_degree += neighbors.len();
+        for &next in neighbors {
+            let index = next.index();
+            let word = &mut levels.reached[index / 64];
+            let bit = 1u64 << (index % 64);
+            if *word & bit == 0 {
+                *word |= bit;
+                levels.order.push(next);
             }
         }
-        SearchOutcome { hits, messages }
+    }
+    level_degree
+}
+
+/// Appends every unreached node with a neighbour in the level `order[range]`, in
+/// ascending id order: each one scans its own row and stops at the first neighbour
+/// marked in `levels.level`.
+///
+/// The marks stay set until the next search clears them: marks of an earlier level
+/// cannot make a later step find a false parent, because every neighbour of an earlier
+/// level is reached already.
+fn expand_bottom_up<G: GraphView + ?Sized>(
+    graph: &G,
+    levels: &mut FloodLevels,
+    range: std::ops::Range<usize>,
+) {
+    levels.level_marked = true;
+    for &node in &levels.order[range] {
+        let index = node.index();
+        levels.level[index / 64] |= 1 << (index % 64);
+    }
+    let node_count = graph.node_count();
+    for w in 0..node_count.div_ceil(64) {
+        let mut unreached = !levels.reached[w];
+        if (w + 1) * 64 > node_count {
+            unreached &= (1u64 << (node_count % 64)) - 1;
+        }
+        while unreached != 0 {
+            let bit = unreached.trailing_zeros() as usize;
+            unreached &= unreached - 1;
+            let node = NodeId::new(w * 64 + bit);
+            let in_level = |p: &NodeId| {
+                let index = p.index();
+                levels.level[index / 64] & (1 << (index % 64)) != 0
+            };
+            if graph.neighbors(node).iter().any(in_level) {
+                levels.reached[w] |= 1 << bit;
+                levels.order.push(node);
+            }
+        }
     }
 }
 

@@ -5,7 +5,13 @@
 //! `VecDeque` — costs a megabyte of zeroing per query at N=10^6 before the first
 //! neighbor read, and the sweeps run thousands of queries per frozen realization.
 //! [`SearchScratch`] amortizes that: one arena per worker thread, reused across jobs
-//! and batches, with an epoch-stamped bitset whose reset is O(1) instead of O(N).
+//! and batches, and no search pays O(N) to reset it:
+//!
+//! * plain flooding (FL) keeps its reached nodes in BFS order next to a one-array
+//!   bitset of the same set, so the next search clears exactly the words the last one
+//!   set — O(previous hits), however large the graph;
+//! * every other algorithm marks nodes in a [`VisitedSet`], an epoch-stamped bitset
+//!   whose reset is O(1).
 //!
 //! The arena is pure *memory* state: algorithms read and write exactly the same
 //! visited/frontier values they would with fresh allocations, in the same order, so a
@@ -17,7 +23,9 @@
 use sfo_graph::{GraphView, NodeId};
 use std::collections::VecDeque;
 
-/// A dense visited set over `u64` bitset words with epoch stamping.
+/// A dense visited set over `u64` bitset words with epoch stamping — the visited
+/// marks of normalized and probabilistic flooding, the walks, and placed execution
+/// (plain flooding keeps its own, see [`SearchScratch`]).
 ///
 /// Clearing a `vec![bool; N]` between searches costs O(N); the epoch trick makes it
 /// O(1): [`VisitedSet::reset`] bumps a generation counter, and each word lazily
@@ -134,25 +142,88 @@ impl VisitedSet {
     }
 }
 
-/// Reusable buffers for one search at a time: the visited bitset, the flooding
-/// frontier, and the fan-out candidate list.
+/// Reusable buffers for one search at a time: the visited bitset, the FIFO frontier,
+/// and the fan-out candidate list of the randomized floods and walks, plus plain
+/// flooding's level state.
 ///
 /// One arena serves one search at a time and any number of searches in sequence;
 /// every algorithm resets the state it uses on entry, so a *dirty* arena left by a
 /// previous job (even of a different algorithm, or on a different graph) is
 /// indistinguishable from a fresh one. `sfo-engine` keeps one per pool worker.
 ///
-/// The buffers are public so scratch-aware traversals outside this crate (the
-/// simulator's snapshot query batches) can reuse them under the same contract:
-/// reset what you use on entry, leave whatever you like behind.
+/// The shared buffers are public so scratch-aware traversals outside this crate (the
+/// simulator's snapshot query batches, placed execution) can reuse them under the
+/// same contract: reset what you use on entry, leave whatever you like behind. Plain
+/// flooding's level state is private, because its reset relies on an invariant
+/// between its parts: the reached bitset is cleared by walking the previous
+/// search's BFS order, so the next search pays O(previous hits), not O(N).
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
     /// Visited marks, reset per search.
     pub visited: VisitedSet,
-    /// Flooding frontier: (peer, previous hop, depth) entries still to forward.
+    /// FIFO flooding frontier: (peer, previous hop, depth) entries still to forward.
     pub queue: VecDeque<(NodeId, Option<NodeId>, u32)>,
     /// Per-round neighbor candidates for fan-out-limited forwarding (NF).
     pub candidates: Vec<NodeId>,
+    /// Plain flooding's BFS order and bitsets.
+    pub(crate) levels: FloodLevels,
+}
+
+/// Plain flooding's level state: every node the current search has reached, in BFS
+/// order, beside a one-array bitset of the same set.
+///
+/// Reset contract: the set bits of `reached` are exactly the nodes in `order`, and the
+/// set bits of `level` are a subset of them, set only by a search that took a bottom-up
+/// step (`level_marked`). So [`FloodLevels::begin`] clears the previous search by
+/// walking `order` — or, when that search hit at least one node per word, by zeroing
+/// every word — which costs O(previous hits) however large the graph: no O(N) fill, and
+/// no N-sized allocation once the bitsets have grown to the largest graph served. A
+/// search that never went bottom-up leaves `level` untouched, so its successor does not
+/// touch it either.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct FloodLevels {
+    /// The reached nodes in BFS order: `order[0]` is the source, and each level is a
+    /// contiguous run behind the level that discovered it.
+    pub(crate) order: Vec<NodeId>,
+    /// One bit per node, set exactly for the nodes in `order`.
+    pub(crate) reached: Vec<u64>,
+    /// One bit per node of every level a bottom-up step has expanded in this search.
+    pub(crate) level: Vec<u64>,
+    /// Whether this search has set any bit of `level`; set before the first mark, so a
+    /// search cut short inside a bottom-up step still has its marks cleared.
+    pub(crate) level_marked: bool,
+}
+
+impl FloodLevels {
+    /// Clears the previous search and starts one from `source` on a graph of
+    /// `node_count` nodes: `order` is `[source]` and only the source's bit is set.
+    pub(crate) fn begin(&mut self, node_count: usize, source: NodeId) {
+        clear_words(&mut self.reached, &self.order);
+        if std::mem::take(&mut self.level_marked) {
+            clear_words(&mut self.level, &self.order);
+        }
+        self.order.clear();
+        let words = node_count.div_ceil(64);
+        if words > self.reached.len() {
+            self.reached.resize(words, 0);
+            self.level.resize(words, 0);
+        }
+        let index = source.index();
+        self.reached[index / 64] |= 1 << (index % 64);
+        self.order.push(source);
+    }
+}
+
+/// Zeroes every word of `bits` that holds a bit of a node in `nodes`.
+fn clear_words(bits: &mut [u64], nodes: &[NodeId]) {
+    if nodes.len() >= bits.len() {
+        // At least one node per word: zeroing every word costs no more.
+        bits.fill(0);
+    } else {
+        for node in nodes {
+            bits[node.index() / 64] = 0;
+        }
+    }
 }
 
 impl SearchScratch {
@@ -172,6 +243,7 @@ impl SearchScratch {
             visited: VisitedSet::new(),
             queue: VecDeque::with_capacity(estimate),
             candidates: Vec::with_capacity(estimate),
+            levels: FloodLevels::default(),
         };
         scratch.visited.reset(graph.node_count());
         scratch

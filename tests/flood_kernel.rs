@@ -1,4 +1,4 @@
-//! An independent oracle for plain flooding's level-synchronous kernel.
+//! Independent oracles for the search kernels.
 //!
 //! Every other equivalence suite compares two paths through the *same* kernel — the
 //! serial oracle `run_queries_serial` runs it too — so a kernel bug that moves both
@@ -9,12 +9,19 @@
 //! capped PA, uncapped PA (hubs, so the bottom-up switch fires early), and HAPA / UCM,
 //! plus a few tiny graphs whose first level is already saturating.
 //!
-//! The kernel runs through one dirty arena for the whole file: graphs grow, shrink and
-//! grow again, and normalized-flooding and random-walk jobs run on the same arena in
-//! between, so the O(previous hits) reset is exercised against every kind of leftover.
+//! The randomized rules get the same treatment: normalized flooding (NF) and
+//! probabilistic flooding (pFL) as FIFO loops over a `bool` vector, and the random
+//! walks as one plain loop per walker. For those the outcome is not enough — the kernel
+//! must also consume its RNG stream exactly as the reference does, so every case
+//! compares the next word of both streams afterwards.
+//!
+//! The kernels run through one dirty arena per test: graphs grow, shrink and grow
+//! again, and other algorithms' jobs run on the same arena in between, so every reset
+//! is exercised against every kind of leftover.
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::seq::SliceRandom;
+use rand::{Rng, RngCore, SeedableRng};
 use sfoverlay::graph::generators::{complete_graph, ring_graph};
 use sfoverlay::graph::{CsrGraph, Graph, GraphView, NodeId};
 use sfoverlay::prelude::*;
@@ -222,4 +229,239 @@ fn tiny_and_regular_graphs_match_the_reference() {
         .map(|g| check_graph("small", g, &mut arena, &mut input))
         .sum();
     assert!(fired > 0, "no small graph went bottom-up");
+}
+
+/// The randomized flooding rules the FIFO reference below implements.
+#[derive(Debug, Clone, Copy)]
+enum Rule {
+    /// NF: forward to `k_min` neighbours drawn by `partial_shuffle` when more than
+    /// `k_min` remain after dropping the previous hop, else to all of them.
+    Normalized(usize),
+    /// pFL: the source forwards to every neighbour; a relay keeps each neighbour but the
+    /// previous hop with probability `p`, one `f64` draw per neighbour.
+    Probabilistic(f64),
+}
+
+/// NF or pFL as a FIFO queue over a `bool` vector, drawing from `rng` in queue order.
+fn fifo_rule(
+    graph: &CsrGraph,
+    source: NodeId,
+    ttl: u32,
+    rule: Rule,
+    rng: &mut StdRng,
+) -> SearchOutcome {
+    let mut visited = vec![false; graph.node_count()];
+    visited[source.index()] = true;
+    let (mut hits, mut messages) = (0, 0);
+    let mut queue = VecDeque::from([(source, None, 0u32)]);
+    while let Some((node, from, depth)) = queue.pop_front() {
+        if depth >= ttl {
+            continue;
+        }
+        let others = graph
+            .neighbors(node)
+            .iter()
+            .copied()
+            .filter(|&n| Some(n) != from);
+        let targets: Vec<NodeId> = match rule {
+            Rule::Normalized(k_min) => {
+                let mut candidates: Vec<NodeId> = others.collect();
+                if candidates.len() > k_min {
+                    candidates.partial_shuffle(rng, k_min).0.to_vec()
+                } else {
+                    candidates
+                }
+            }
+            Rule::Probabilistic(p) => others
+                .filter(|_| depth == 0 || rng.gen::<f64>() < p)
+                .collect(),
+        };
+        for next in targets {
+            messages += 1;
+            if !visited[next.index()] {
+                visited[next.index()] = true;
+                hits += 1;
+                queue.push_back((next, Some(node), depth + 1));
+            }
+        }
+    }
+    SearchOutcome::new(hits, messages)
+}
+
+/// `walkers` walks from `source` sharing a `budget` of hops and one `bool` vector: the
+/// budget splits as evenly as possible, earlier walkers taking the remainder. A walker
+/// at a dead end stops, one with a single neighbour bounces back without a draw, any
+/// other draws uniform neighbours until one is not the previous hop.
+fn reference_walks(
+    graph: &CsrGraph,
+    source: NodeId,
+    budget: u32,
+    walkers: usize,
+    rng: &mut StdRng,
+) -> SearchOutcome {
+    let mut visited = vec![false; graph.node_count()];
+    visited[source.index()] = true;
+    let (mut hits, mut messages) = (0, 0);
+    let budget = budget as usize;
+    for w in 0..walkers {
+        let steps = budget / walkers + usize::from(w < budget % walkers);
+        let (mut current, mut previous) = (source, None);
+        for _ in 0..steps {
+            let row = graph.neighbors(current);
+            let next = match row.len() {
+                0 => break,
+                1 => row[0],
+                len => loop {
+                    let candidate = row[rng.gen_range(0..len)];
+                    if Some(candidate) != previous {
+                        break candidate;
+                    }
+                },
+            };
+            messages += 1;
+            if !visited[next.index()] {
+                visited[next.index()] = true;
+                hits += 1;
+            }
+            previous = Some(current);
+            current = next;
+        }
+    }
+    SearchOutcome::new(hits, messages)
+}
+
+/// TTLs the randomized floods are checked at.
+const RULE_MAX_TTL: u32 = 12;
+
+/// A search's outcome and the next word of its stream afterwards.
+type Drawn = (SearchOutcome, u64);
+
+/// Runs `search` on a stream seeded with `seed`.
+fn drawn(seed: u64, search: impl FnOnce(&mut StdRng) -> SearchOutcome) -> Drawn {
+    let mut stream = rng(seed);
+    let outcome = search(&mut stream);
+    (outcome, stream.next_u64())
+}
+
+/// The kernel behind `rule`.
+fn rule_kernel<G: GraphView>(rule: Rule) -> Box<dyn SearchAlgorithm<G>> {
+    match rule {
+        Rule::Normalized(k_min) => Box::new(NormalizedFlooding::new(k_min)),
+        Rule::Probabilistic(p) => Box::new(ProbabilisticFlooding::new(p)),
+    }
+}
+
+/// Runs NF (`k_min` 1..=3) and pFL (`p` 0.3, 0.7, 1.0) from every source of `graph` at
+/// every TTL in `0..=RULE_MAX_TTL`, through the dirty `arena` and through a fresh
+/// adjacency search, against the FIFO reference.
+fn check_rules(label: &str, graph: &Graph, arena: &mut SearchScratch, input: &mut StdRng) {
+    let csr = graph.freeze();
+    let rules = [
+        Rule::Normalized(1),
+        Rule::Normalized(2),
+        Rule::Normalized(3),
+        Rule::Probabilistic(0.3),
+        Rule::Probabilistic(0.7),
+        Rule::Probabilistic(1.0),
+    ];
+    for source in sources(&csr, input) {
+        // Leave a full flood's level state and a walk's visited marks behind.
+        Flooding::new().search_with_scratch(&csr, source, MAX_TTL, &mut rng(0), arena);
+        RandomWalk::new().search_with_scratch(&csr, source, 64, &mut rng(1), arena);
+        for ttl in 0..=RULE_MAX_TTL {
+            for rule in rules {
+                let seed = input.gen::<u64>();
+                let case = format!(
+                    "{label}: {rule:?}, {} nodes, source {source}, ttl {ttl}",
+                    csr.node_count()
+                );
+                let reference = drawn(seed, |r| fifo_rule(&csr, source, ttl, rule, r));
+                let kernel = drawn(seed, |r| {
+                    rule_kernel(rule).search_with_scratch(&csr, source, ttl, r, arena)
+                });
+                assert_eq!(kernel, reference, "{case}: dirty arena");
+                let fresh = drawn(seed, |r| rule_kernel(rule).search(graph, source, ttl, r));
+                assert_eq!(fresh, reference, "{case}: fresh adjacency search");
+            }
+        }
+    }
+}
+
+/// Runs RW and multi-RW (2, 3 and 5 walkers) from every source of `graph` over a range
+/// of budgets, through the dirty `arena`, against the reference walks; RW must also
+/// equal a one-walker multi-RW.
+fn check_walks(label: &str, graph: &Graph, arena: &mut SearchScratch, input: &mut StdRng) {
+    let csr = graph.freeze();
+    for source in sources(&csr, input) {
+        Flooding::new().search_with_scratch(&csr, source, MAX_TTL, &mut rng(0), arena);
+        for budget in (0..=40).chain([63, 64, 97, 256]) {
+            let seed = input.gen::<u64>();
+            let case = format!(
+                "{label}: {} nodes, source {source}, budget {budget}",
+                csr.node_count()
+            );
+            let reference = drawn(seed, |r| reference_walks(&csr, source, budget, 1, r));
+            let rw = drawn(seed, |r| {
+                RandomWalk::new().search_with_scratch(&csr, source, budget, r, arena)
+            });
+            assert_eq!(rw, reference, "{case}: RW");
+            let one = drawn(seed, |r| {
+                MultipleRandomWalk::new(1).search(graph, source, budget, r)
+            });
+            assert_eq!(one, reference, "{case}: one-walker multi-RW");
+            for walkers in [2, 3, 5] {
+                let reference = drawn(seed, |r| reference_walks(&csr, source, budget, walkers, r));
+                let kernel = drawn(seed, |r| {
+                    MultipleRandomWalk::new(walkers)
+                        .search_with_scratch(&csr, source, budget, r, arena)
+                });
+                assert_eq!(kernel, reference, "{case}: {walkers} walkers");
+            }
+        }
+    }
+}
+
+/// Every family and size of the FL oracle, then the small graphs.
+fn oracle_graphs() -> Vec<(&'static str, Graph)> {
+    type Family = (&'static str, fn(usize, u64) -> Graph);
+    let families: [Family; 3] = [
+        ("capped PA", capped_pa),
+        ("uncapped PA", uncapped_pa),
+        ("HAPA/UCM", hapa_or_ucm),
+    ];
+    let mut graphs = Vec::new();
+    for (label, generate) in families {
+        for (i, &nodes) in SIZES.iter().enumerate() {
+            graphs.push((label, generate(nodes, 70 + i as u64)));
+        }
+    }
+    graphs.extend(
+        [
+            complete_graph(10).unwrap(),
+            ring_graph(40, 1).unwrap(),
+            complete_graph(3).unwrap(),
+            ring_graph(130, 3).unwrap(),
+            Graph::with_nodes(5),
+        ]
+        .map(|g| ("small", g)),
+    );
+    graphs
+}
+
+#[test]
+fn nf_and_pfl_match_the_fifo_reference_outcome_and_draws() {
+    let mut arena = grown_arena();
+    let mut input = rng(0x0F1D_2F1D);
+    for (label, graph) in oracle_graphs() {
+        check_rules(label, &graph, &mut arena, &mut input);
+    }
+}
+
+#[test]
+fn walks_match_the_reference_outcome_and_draws() {
+    let mut arena = grown_arena();
+    let mut input = rng(0x3A1C);
+    for (label, graph) in oracle_graphs() {
+        check_walks(label, &graph, &mut arena, &mut input);
+    }
 }

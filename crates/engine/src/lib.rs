@@ -65,6 +65,9 @@ pub use placed::{
 pub use scheduler::{execute, execute_with_scratch, EngineConfig, WorkerPool};
 pub use sharded::{BoundaryEdge, BoundaryTable, CsrShard, ShardedCsr};
 
-// Re-exported so scratch-aware consumers that do not depend on `sfo-search` directly
-// (notably `sfo-sim`'s snapshot query batches) can name the arena type.
+// Re-exported so consumers that do not depend on `sfo-search` directly (notably
+// `sfo-sim`'s item lookups) can name the arena type and run the shared forwarding
+// rules and walker step.
+pub use sfo_search::forwarding::Forwarding;
+pub use sfo_search::random_walk::next_hop;
 pub use sfo_search::SearchScratch;

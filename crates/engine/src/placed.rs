@@ -17,14 +17,19 @@
 //!
 //! * A frontier entry whose TTL is spent is popped *without* reading its neighbor
 //!   row, so expired entries never force a hop — only a genuine expansion does.
-//! * Walk algorithms draw from the RNG only inside `next_hop`, and flood algorithms
-//!   only at fan-out selection, mirroring `sfo-search` line for line; the RNG state
-//!   words travel with the frontier, so a hop is invisible to the stream.
+//! * Floods forward through `sfo-search`'s [`Forwarding::forward`] and walks step
+//!   through its [`next_hop`] — the functions the serial algorithms call — so they draw
+//!   from the RNG exactly where the serial run does; the RNG state words travel with
+//!   the frontier, so a hop is invisible to the stream.
+//!
+//! A flood keeps its frontier as a FIFO queue of `(node, previous hop, depth)` entries
+//! rather than the serial kernels' BFS order: the queue *is* the suspended state a
+//! hop ships, front first.
 
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::Rng;
 use sfo_graph::{NodeId, ShardView};
+use sfo_search::forwarding::Forwarding;
+use sfo_search::random_walk::next_hop;
 use sfo_search::{SearchOutcome, SearchScratch};
 
 /// Sentinel for "no node" in the wire-width node fields of [`PlacedState`]
@@ -69,12 +74,16 @@ pub enum PlacedAlgorithm {
 }
 
 impl PlacedAlgorithm {
-    /// Whether the algorithm starts in the walk phase (no frontier queue at all).
-    fn starts_walking(self) -> bool {
-        matches!(
-            self,
-            PlacedAlgorithm::RandomWalk | PlacedAlgorithm::MultipleRandomWalk { .. }
-        )
+    /// The rule of the flood phase; `None` for the walks, which start in the walk phase
+    /// (no frontier queue at all).
+    fn forwarding(self) -> Option<Forwarding> {
+        match self {
+            PlacedAlgorithm::Flooding => Some(Forwarding::All),
+            PlacedAlgorithm::NormalizedFlooding { k_min }
+            | PlacedAlgorithm::RwNormalizedToNf { k_min } => Some(Forwarding::Normalized { k_min }),
+            PlacedAlgorithm::ProbabilisticFlooding { p } => Some(Forwarding::Probabilistic { p }),
+            PlacedAlgorithm::RandomWalk | PlacedAlgorithm::MultipleRandomWalk { .. } => None,
+        }
     }
 }
 
@@ -157,10 +166,10 @@ impl StepStats {
     }
 }
 
-/// Builds the initial [`PlacedState`] of one job, mirroring the serial preludes of
-/// `sfo-search`: the source is marked visited (never counted as a hit), floods seed
-/// their queue with `(source, none, 0)`, walks stand at the source. `rng` is the
-/// job's stream *after* the source draw ([`crate::job_rng`] plus one `gen_range`).
+/// Builds the initial [`PlacedState`] of one job: the source is marked visited (never
+/// counted as a hit), floods seed their queue with `(source, none, 0)`, walks stand at
+/// the source. `rng` is the job's stream *after* the source draw ([`crate::job_rng`]
+/// plus one `gen_range`).
 pub fn placed_start(
     algorithm: PlacedAlgorithm,
     source: NodeId,
@@ -168,7 +177,7 @@ pub fn placed_start(
     rng: [u64; 4],
 ) -> PlacedState {
     let source = source.as_u32();
-    let walk_phase = algorithm.starts_walking();
+    let walk_phase = algorithm.forwarding().is_none();
     PlacedState {
         algorithm,
         walk_phase,
@@ -192,11 +201,11 @@ pub fn placed_start(
 
 /// Advances a placed search as far as this host's rows allow.
 ///
-/// Runs the exact expansion loop of the serial algorithm over `view`, pausing the
-/// moment it needs a row the view does not own. Returns [`PlacedStep::Done`] with
-/// the final outcome, or [`PlacedStep::Forward`] with the suspended state to resume
-/// on the owner of its [`PlacedState::cursor`]. `stats` accumulates row-scan
-/// tallies across calls.
+/// Expands nodes over `view` in the serial algorithm's order, by its forwarding rule or
+/// walker step, pausing the moment it needs a row the view does not own. Returns
+/// [`PlacedStep::Done`] with the final outcome, or [`PlacedStep::Forward`] with the
+/// suspended state to resume on the owner of its [`PlacedState::cursor`]. `stats`
+/// accumulates row-scan tallies across calls.
 ///
 /// # Panics
 ///
@@ -216,6 +225,10 @@ pub fn placed_advance<V: ShardView + ?Sized>(
     let mut messages = state.messages;
 
     if !state.walk_phase {
+        let rule = state
+            .algorithm
+            .forwarding()
+            .expect("walk algorithms never enter the flood phase");
         scratch.queue.clear();
         scratch.queue.extend(
             state
@@ -244,57 +257,20 @@ pub fn placed_advance<V: ShardView + ?Sized>(
             }
             let row = view.neighbors(node);
             stats.scan(view, row);
-            match state.algorithm {
-                PlacedAlgorithm::Flooding => {
-                    for &next in row {
-                        if Some(next) == from {
-                            continue;
-                        }
-                        messages += 1;
-                        if scratch.visited.insert(next.index()) {
-                            hits += 1;
-                            scratch.queue.push_back((next, Some(node), depth + 1));
-                        }
+            rule.forward(
+                row,
+                from,
+                depth,
+                &mut rng,
+                &mut scratch.candidates,
+                |next| {
+                    messages += 1;
+                    if scratch.visited.insert(next.index()) {
+                        hits += 1;
+                        scratch.queue.push_back((next, Some(node), depth + 1));
                     }
-                }
-                PlacedAlgorithm::NormalizedFlooding { k_min }
-                | PlacedAlgorithm::RwNormalizedToNf { k_min } => {
-                    scratch.candidates.clear();
-                    scratch
-                        .candidates
-                        .extend(row.iter().copied().filter(|&n| Some(n) != from));
-                    let targets: &[NodeId] = if scratch.candidates.len() > k_min {
-                        scratch.candidates.partial_shuffle(&mut rng, k_min).0
-                    } else {
-                        &scratch.candidates
-                    };
-                    for &next in targets {
-                        messages += 1;
-                        if scratch.visited.insert(next.index()) {
-                            hits += 1;
-                            scratch.queue.push_back((next, Some(node), depth + 1));
-                        }
-                    }
-                }
-                PlacedAlgorithm::ProbabilisticFlooding { p } => {
-                    for &next in row {
-                        if Some(next) == from {
-                            continue;
-                        }
-                        if depth > 0 && rng.gen::<f64>() >= p {
-                            continue;
-                        }
-                        messages += 1;
-                        if scratch.visited.insert(next.index()) {
-                            hits += 1;
-                            scratch.queue.push_back((next, Some(node), depth + 1));
-                        }
-                    }
-                }
-                PlacedAlgorithm::RandomWalk | PlacedAlgorithm::MultipleRandomWalk { .. } => {
-                    panic!("walk algorithms never enter the flood phase")
-                }
-            }
+                },
+            );
         }
         // The flood drained. For RW/NF its message count becomes the walk budget and
         // the walk restarts from the source with a fresh visited set (the outcome is
@@ -346,21 +322,7 @@ pub fn placed_advance<V: ShardView + ?Sized>(
         }
         let row = view.neighbors(NodeId::new(state.current as usize));
         stats.scan(view, row);
-        let previous = decode_from(state.previous);
-        // next_hop, line for line: degree 0 ends the walker, degree 1 bounces back
-        // RNG-free, otherwise rejection-sample a neighbor that is not the previous
-        // hop.
-        let next = match row.len() {
-            0 => None,
-            1 => Some(row[0]),
-            _ => loop {
-                let candidate = row[rng.gen_range(0..row.len())];
-                if Some(candidate) != previous {
-                    break Some(candidate);
-                }
-            },
-        };
-        let Some(next) = next else {
+        let Some(next) = next_hop(row, decode_from(state.previous), &mut rng) else {
             state.walker += 1;
             state.current = state.source;
             state.previous = NO_NODE;

@@ -13,8 +13,8 @@
 //! the cutoff takes away from hub-exploiting searches, complementing the paper's NF/RW
 //! comparison.
 
+use crate::random_walk::next_hop;
 use crate::{SearchAlgorithm, SearchInfo, SearchOutcome, SearchScratch};
-use rand::Rng;
 use rand::RngCore;
 use sfo_graph::{GraphView, NodeId};
 
@@ -90,16 +90,7 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for DegreeBiasedWalk {
                 .filter(|&n| !visited.contains(n.index()))
                 .max_by_key(|&n| (graph.degree(n), std::cmp::Reverse(n)))
                 .unwrap_or_else(|| {
-                    if neighbors.len() == 1 {
-                        neighbors[0]
-                    } else {
-                        loop {
-                            let candidate = neighbors[rng.gen_range(0..neighbors.len())];
-                            if Some(candidate) != previous {
-                                break candidate;
-                            }
-                        }
-                    }
+                    next_hop(neighbors, previous, rng).expect("the row is not empty")
                 });
             messages += 1;
             if visited.insert(next.index()) {

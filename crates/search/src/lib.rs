@@ -19,6 +19,10 @@
 //! * [`biased_walk`] — the high-degree-seeking walk of Adamic et al. (ref. \[62\]);
 //! * [`coverage`] — coverage-curve, granularity, and item-hit-probability metrics.
 //!
+//! [`forwarding`] holds the one copy of each flooding rule and the level loop that runs
+//! it; [`random_walk::next_hop`] is the one walker step. Placed execution and the item
+//! lookups call both, so every path runs a rule with the same RNG draws.
+//!
 //! The [`experiment`] module reproduces the paper's measurement methodology: hits
 //! (distinct peers reached) and messages per search, averaged over random sources and
 //! network realizations, with the RW time-to-live normalized to the message count of the
@@ -52,6 +56,7 @@ pub mod coverage;
 pub mod expanding_ring;
 pub mod experiment;
 pub mod flooding;
+pub mod forwarding;
 pub mod normalized;
 pub mod probabilistic;
 pub mod random_walk;

@@ -8,8 +8,8 @@
 //! stub count of the topology-generation mechanism, even when a few peers end up below `m`
 //! (CM after simplification, DAPA with short horizons).
 
+use crate::forwarding::Forwarding;
 use crate::{SearchAlgorithm, SearchInfo, SearchOutcome, SearchScratch};
-use rand::seq::SliceRandom;
 use rand::RngCore;
 use sfo_graph::{GraphView, NodeId};
 
@@ -56,12 +56,7 @@ impl NormalizedFlooding {
 
 impl<G: GraphView + ?Sized> SearchAlgorithm<G> for NormalizedFlooding {
     fn search(&self, graph: &G, source: NodeId, ttl: u32, rng: &mut dyn RngCore) -> SearchOutcome {
-        assert!(
-            graph.contains_node(source),
-            "nf source {source} out of bounds"
-        );
-        let mut scratch = SearchScratch::for_search(graph, source);
-        self.search_with_scratch(graph, source, ttl, rng, &mut scratch)
+        self.search_with_scratch(graph, source, ttl, rng, &mut SearchScratch::new())
     }
 
     fn search_with_scratch(
@@ -76,42 +71,8 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for NormalizedFlooding {
             graph.contains_node(source),
             "nf source {source} out of bounds"
         );
-        let visited = &mut scratch.visited;
-        visited.reset(graph.node_count());
-        visited.insert(source.index());
-        let mut hits = 0usize;
-        let mut messages = 0usize;
-        let queue = &mut scratch.queue;
-        queue.clear();
-        queue.push_back((source, None, 0));
-        let candidates = &mut scratch.candidates;
-
-        while let Some((node, from, depth)) = queue.pop_front() {
-            if depth >= ttl {
-                continue;
-            }
-            candidates.clear();
-            candidates.extend(
-                graph
-                    .neighbors(node)
-                    .iter()
-                    .copied()
-                    .filter(|&n| Some(n) != from),
-            );
-            let targets: &[NodeId] = if candidates.len() > self.k_min {
-                candidates.partial_shuffle(rng, self.k_min).0
-            } else {
-                candidates
-            };
-            for &next in targets {
-                messages += 1;
-                if visited.insert(next.index()) {
-                    hits += 1;
-                    queue.push_back((next, Some(node), depth + 1));
-                }
-            }
-        }
-        SearchOutcome { hits, messages }
+        let rule = Forwarding::Normalized { k_min: self.k_min };
+        rule.flood(graph, source, ttl, rng, scratch, |_, _| {})
     }
 }
 

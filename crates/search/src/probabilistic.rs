@@ -9,8 +9,8 @@
 //! many neighbors, each kept with probability `p`), so the coverage penalty is far smaller
 //! than the message saving — the same granularity argument the paper makes for NF.
 
+use crate::forwarding::Forwarding;
 use crate::{SearchAlgorithm, SearchInfo, SearchOutcome, SearchScratch};
-use rand::Rng;
 use rand::RngCore;
 use sfo_graph::{GraphView, NodeId};
 
@@ -61,12 +61,7 @@ impl ProbabilisticFlooding {
 
 impl<G: GraphView + ?Sized> SearchAlgorithm<G> for ProbabilisticFlooding {
     fn search(&self, graph: &G, source: NodeId, ttl: u32, rng: &mut dyn RngCore) -> SearchOutcome {
-        assert!(
-            graph.contains_node(source),
-            "probabilistic flood source {source} out of bounds"
-        );
-        let mut scratch = SearchScratch::for_search(graph, source);
-        self.search_with_scratch(graph, source, ttl, rng, &mut scratch)
+        self.search_with_scratch(graph, source, ttl, rng, &mut SearchScratch::new())
     }
 
     fn search_with_scratch(
@@ -81,37 +76,10 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for ProbabilisticFlooding {
             graph.contains_node(source),
             "probabilistic flood source {source} out of bounds"
         );
-        let visited = &mut scratch.visited;
-        visited.reset(graph.node_count());
-        visited.insert(source.index());
-        let mut hits = 0usize;
-        let mut messages = 0usize;
-        let queue = &mut scratch.queue;
-        queue.clear();
-        queue.push_back((source, None, 0));
-
-        while let Some((node, from, depth)) = queue.pop_front() {
-            if depth >= ttl {
-                continue;
-            }
-            for &next in graph.neighbors(node) {
-                if Some(next) == from {
-                    continue;
-                }
-                // The source always forwards (p applies to relayed copies only), matching
-                // the usual gossip formulation: without this the whole search dies at the
-                // first step with probability (1 - p)^degree.
-                if depth > 0 && rng.gen::<f64>() >= self.probability {
-                    continue;
-                }
-                messages += 1;
-                if visited.insert(next.index()) {
-                    hits += 1;
-                    queue.push_back((next, Some(node), depth + 1));
-                }
-            }
-        }
-        SearchOutcome { hits, messages }
+        let rule = Forwarding::Probabilistic {
+            p: self.probability,
+        };
+        rule.flood(graph, source, ttl, rng, scratch, |_, _| {})
     }
 }
 

@@ -43,20 +43,23 @@ impl RandomWalk {
     }
 }
 
-/// Picks the next hop: a uniformly random neighbor excluding the previous hop, falling back
-/// to the previous hop when it is the only neighbor. Returns `None` at a dead end.
-fn next_hop<G: GraphView + ?Sized, R: Rng + ?Sized>(
-    graph: &G,
-    node: NodeId,
-    previous: Option<NodeId>,
+/// One walker step from a node whose neighbours are `row`: a uniformly random
+/// neighbour other than the `previous` hop, drawn by rejection; the only neighbour,
+/// without a draw, when there is one (the walk bounces back); `None` at a dead end.
+///
+/// Every walk in the workspace steps through this function — the serial walks here,
+/// the biased walk's fallback, placed execution, and the item lookups over `PeerId`
+/// rows — so they consume their RNG streams identically.
+pub fn next_hop<T: Copy + PartialEq, R: Rng + ?Sized>(
+    row: &[T],
+    previous: Option<T>,
     rng: &mut R,
-) -> Option<NodeId> {
-    let neighbors = graph.neighbors(node);
-    match neighbors.len() {
+) -> Option<T> {
+    match row.len() {
         0 => None,
-        1 => Some(neighbors[0]),
-        _ => loop {
-            let candidate = neighbors[rng.gen_range(0..neighbors.len())];
+        1 => Some(row[0]),
+        len => loop {
+            let candidate = row[rng.gen_range(0..len)];
             if Some(candidate) != previous {
                 break Some(candidate);
             }
@@ -66,10 +69,10 @@ fn next_hop<G: GraphView + ?Sized, R: Rng + ?Sized>(
 
 impl<G: GraphView + ?Sized> SearchAlgorithm<G> for RandomWalk {
     fn search(&self, graph: &G, source: NodeId, ttl: u32, rng: &mut dyn RngCore) -> SearchOutcome {
-        let mut scratch = SearchScratch::new();
-        self.search_with_scratch(graph, source, ttl, rng, &mut scratch)
+        self.search_with_scratch(graph, source, ttl, rng, &mut SearchScratch::new())
     }
 
+    /// One walker spending the whole budget: [`MultipleRandomWalk`] with one walker.
     fn search_with_scratch(
         &self,
         graph: &G,
@@ -78,29 +81,7 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for RandomWalk {
         rng: &mut dyn RngCore,
         scratch: &mut SearchScratch,
     ) -> SearchOutcome {
-        assert!(
-            graph.contains_node(source),
-            "rw source {source} out of bounds"
-        );
-        let visited = &mut scratch.visited;
-        visited.reset(graph.node_count());
-        visited.insert(source.index());
-        let mut hits = 0usize;
-        let mut messages = 0usize;
-        let mut current = source;
-        let mut previous: Option<NodeId> = None;
-        for _ in 0..ttl {
-            let Some(next) = next_hop(graph, current, previous, rng) else {
-                break;
-            };
-            messages += 1;
-            if visited.insert(next.index()) {
-                hits += 1;
-            }
-            previous = Some(current);
-            current = next;
-        }
-        SearchOutcome { hits, messages }
+        MultipleRandomWalk::new(1).search_with_scratch(graph, source, ttl, rng, scratch)
     }
 }
 
@@ -139,8 +120,7 @@ impl MultipleRandomWalk {
 
 impl<G: GraphView + ?Sized> SearchAlgorithm<G> for MultipleRandomWalk {
     fn search(&self, graph: &G, source: NodeId, ttl: u32, rng: &mut dyn RngCore) -> SearchOutcome {
-        let mut scratch = SearchScratch::new();
-        self.search_with_scratch(graph, source, ttl, rng, &mut scratch)
+        self.search_with_scratch(graph, source, ttl, rng, &mut SearchScratch::new())
     }
 
     fn search_with_scratch(
@@ -168,7 +148,7 @@ impl<G: GraphView + ?Sized> SearchAlgorithm<G> for MultipleRandomWalk {
             let mut current = source;
             let mut previous: Option<NodeId> = None;
             for _ in 0..steps {
-                let Some(next) = next_hop(graph, current, previous, rng) else {
+                let Some(next) = next_hop(graph.neighbors(current), previous, rng) else {
                     break;
                 };
                 messages += 1;

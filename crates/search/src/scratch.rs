@@ -1,17 +1,19 @@
 //! Reusable per-worker scratch space for the search hot path.
 //!
-//! Every search marks visited peers and (for the flooding family) queues a frontier.
-//! Allocating those structures fresh per query — `vec![false; N]` plus an empty
-//! `VecDeque` — costs a megabyte of zeroing per query at N=10^6 before the first
-//! neighbor read, and the sweeps run thousands of queries per frozen realization.
-//! [`SearchScratch`] amortizes that: one arena per worker thread, reused across jobs
-//! and batches, and no search pays O(N) to reset it:
+//! Every search marks visited peers and (for the flooding family) keeps a frontier.
+//! Allocating those structures fresh per query — `vec![false; N]` plus a queue —
+//! costs a megabyte of zeroing per query at N=10^6 before the first neighbor read, and
+//! the sweeps run thousands of queries per frozen realization. [`SearchScratch`]
+//! amortizes that: one arena per worker thread, reused across jobs and batches, and no
+//! search pays O(N) to reset it:
 //!
-//! * plain flooding (FL) keeps its reached nodes in BFS order next to a one-array
-//!   bitset of the same set, so the next search clears exactly the words the last one
-//!   set — O(previous hits), however large the graph;
-//! * every other algorithm marks nodes in a [`VisitedSet`], an epoch-stamped bitset
-//!   whose reset is O(1).
+//! * the floods (FL, NF, probabilistic flooding, and the item lookups built on
+//!   [`Forwarding::flood`](crate::forwarding::Forwarding::flood)) keep their reached
+//!   nodes in BFS order next to a one-array bitset of the same set, so the next search
+//!   clears exactly the words the last one set — O(previous hits), however large the
+//!   graph;
+//! * the walks and placed execution mark nodes in a [`VisitedSet`], an epoch-stamped
+//!   bitset whose reset is O(1).
 //!
 //! The arena is pure *memory* state: algorithms read and write exactly the same
 //! visited/frontier values they would with fresh allocations, in the same order, so a
@@ -20,12 +22,12 @@
 //! lets `sfo-engine` hand every pool worker a private arena without disturbing the
 //! per-job RNG streams (`tests/scratch_equivalence.rs` enforces it).
 
-use sfo_graph::{GraphView, NodeId};
+use sfo_graph::NodeId;
 use std::collections::VecDeque;
 
 /// A dense visited set over `u64` bitset words with epoch stamping — the visited
-/// marks of normalized and probabilistic flooding, the walks, and placed execution
-/// (plain flooding keeps its own, see [`SearchScratch`]).
+/// marks of the walks and placed execution (the floods keep their own, see
+/// [`SearchScratch`]).
 ///
 /// Clearing a `vec![bool; N]` between searches costs O(N); the epoch trick makes it
 /// O(1): [`VisitedSet::reset`] bumps a generation counter, and each word lazily
@@ -142,9 +144,8 @@ impl VisitedSet {
     }
 }
 
-/// Reusable buffers for one search at a time: the visited bitset, the FIFO frontier,
-/// and the fan-out candidate list of the randomized floods and walks, plus plain
-/// flooding's level state.
+/// Reusable buffers for one search at a time: the floods' level state, the walks'
+/// visited bitset, NF's fan-out candidate list, and placed execution's FIFO frontier.
 ///
 /// One arena serves one search at a time and any number of searches in sequence;
 /// every algorithm resets the state it uses on entry, so a *dirty* arena left by a
@@ -153,24 +154,27 @@ impl VisitedSet {
 ///
 /// The shared buffers are public so scratch-aware traversals outside this crate (the
 /// simulator's snapshot query batches, placed execution) can reuse them under the
-/// same contract: reset what you use on entry, leave whatever you like behind. Plain
-/// flooding's level state is private, because its reset relies on an invariant
-/// between its parts: the reached bitset is cleared by walking the previous
-/// search's BFS order, so the next search pays O(previous hits), not O(N).
+/// same contract: reset what you use on entry, leave whatever you like behind. The
+/// floods' level state is private, because its reset relies on an invariant between
+/// its parts: the reached bitset is cleared by walking the previous search's BFS
+/// order, so the next search pays O(previous hits), not O(N).
 #[derive(Debug, Clone, Default)]
 pub struct SearchScratch {
-    /// Visited marks, reset per search.
+    /// Visited marks of the walks and placed execution, reset per search.
     pub visited: VisitedSet,
-    /// FIFO flooding frontier: (peer, previous hop, depth) entries still to forward.
+    /// Placed execution's FIFO frontier, `(peer, previous hop, depth)` entries still to
+    /// forward — the shape its suspended state travels in. No serial search uses it.
     pub queue: VecDeque<(NodeId, Option<NodeId>, u32)>,
-    /// Per-round neighbor candidates for fan-out-limited forwarding (NF).
+    /// NF's per-node candidate list (the neighbours besides the previous hop) for
+    /// [`Forwarding::forward`](crate::forwarding::Forwarding::forward), in the serial
+    /// floods, placed execution and the snapshot item lookups.
     pub candidates: Vec<NodeId>,
-    /// Plain flooding's BFS order and bitsets.
+    /// The floods' BFS order and bitsets.
     pub(crate) levels: FloodLevels,
 }
 
-/// Plain flooding's level state: every node the current search has reached, in BFS
-/// order, beside a one-array bitset of the same set.
+/// The floods' level state: every node the current search has reached, in BFS order,
+/// beside a one-array bitset of the same set.
 ///
 /// Reset contract: the set bits of `reached` are exactly the nodes in `order`, and the
 /// set bits of `level` are a subset of them, set only by a search that took a bottom-up
@@ -185,6 +189,10 @@ pub(crate) struct FloodLevels {
     /// The reached nodes in BFS order: `order[0]` is the source, and each level is a
     /// contiguous run behind the level that discovered it.
     pub(crate) order: Vec<NodeId>,
+    /// The previous hop of each node in `order`, `None` for the source. Only
+    /// [`Forwarding::flood`](crate::forwarding::Forwarding::flood) keeps it in step with
+    /// `order`; plain flooding's kernel never reads it and leaves it stale.
+    pub(crate) from: Vec<Option<NodeId>>,
     /// One bit per node, set exactly for the nodes in `order`.
     pub(crate) reached: Vec<u64>,
     /// One bit per node of every level a bottom-up step has expanded in this search.
@@ -212,6 +220,21 @@ impl FloodLevels {
         self.reached[index / 64] |= 1 << (index % 64);
         self.order.push(source);
     }
+
+    /// Appends `node` to `order` and sets its bit unless it is reached already;
+    /// returns whether it was new.
+    #[inline]
+    pub(crate) fn reach(&mut self, node: NodeId) -> bool {
+        let index = node.index();
+        let word = &mut self.reached[index / 64];
+        let bit = 1u64 << (index % 64);
+        let fresh = *word & bit == 0;
+        if fresh {
+            *word |= bit;
+            self.order.push(node);
+        }
+        fresh
+    }
 }
 
 /// Zeroes every word of `bits` that holds a bit of a node in `nodes`.
@@ -231,29 +254,11 @@ impl SearchScratch {
     pub fn new() -> Self {
         SearchScratch::default()
     }
-
-    /// Creates an arena pre-sized for one search from `source` on `graph`: the
-    /// frontier and candidate buffers start at the first forwarding round's size
-    /// (the source's degree, floored by the graph's average degree) instead of
-    /// reallocating up the whole growth curve from zero.
-    pub fn for_search<G: GraphView + ?Sized>(graph: &G, source: NodeId) -> Self {
-        let average = (2 * graph.edge_count()) / graph.node_count().max(1);
-        let estimate = graph.degree(source).max(average) + 1;
-        let mut scratch = SearchScratch {
-            visited: VisitedSet::new(),
-            queue: VecDeque::with_capacity(estimate),
-            candidates: Vec::with_capacity(estimate),
-            levels: FloodLevels::default(),
-        };
-        scratch.visited.reset(graph.node_count());
-        scratch
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfo_graph::generators::ring_graph;
 
     #[test]
     fn insert_reports_first_marks_only() {
@@ -355,21 +360,5 @@ mod tests {
     fn importing_an_out_of_range_word_panics() {
         let mut v = VisitedSet::new();
         v.import_sparse(100, &[(2, 1)]);
-    }
-
-    #[test]
-    fn for_search_seeds_capacity_from_degrees() {
-        let g = ring_graph(100, 3).unwrap();
-        let scratch = SearchScratch::for_search(&g, NodeId::new(0));
-        assert!(scratch.queue.capacity() >= 6);
-        assert!(scratch.candidates.capacity() >= 6);
-        assert!(!scratch.visited.contains(0));
-    }
-
-    #[test]
-    fn empty_graph_does_not_divide_by_zero() {
-        let g = sfo_graph::Graph::with_nodes(1);
-        let scratch = SearchScratch::for_search(&g, NodeId::new(0));
-        assert_eq!(scratch.queue.len(), 0);
     }
 }

@@ -10,14 +10,15 @@
 //! adjacency, right for one-off lookups), while [`QuerySnapshot`] freezes the overlay
 //! into a CSR [`CsrGraph`] once and serves a whole batch of queries from the flat
 //! snapshot — the build-once/query-many split the simulation uses between churn events.
+//! Both forward with `sfo-search`'s [`Forwarding`] rules and step walks with its
+//! [`next_hop`], so they draw the RNG exactly as the coverage searches do.
 
 use crate::catalog::ItemId;
 use crate::overlay::{OverlayNetwork, PeerId};
 use crate::{Result, SimError};
-use rand::seq::SliceRandom;
 use rand::Rng;
 use serde::{Deserialize, Serialize};
-use sfo_engine::SearchScratch;
+use sfo_engine::{next_hop, Forwarding, SearchScratch};
 use sfo_graph::{CsrGraph, NodeId};
 use std::collections::{HashMap, HashSet, VecDeque};
 
@@ -59,6 +60,35 @@ pub struct QueryOutcome {
     pub peers_probed: usize,
 }
 
+impl QueryMethod {
+    /// The forwarding rule of a flooding method; `None` for the walk.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::InvalidConfig`] for a normalized flood with a zero fan-out.
+    fn forwarding(self) -> Result<Option<Forwarding>> {
+        match self {
+            QueryMethod::Flooding => Ok(Some(Forwarding::All)),
+            QueryMethod::NormalizedFlooding { k_min: 0 } => Err(SimError::InvalidConfig {
+                reason: "normalized flooding fan-out must be positive",
+            }),
+            QueryMethod::NormalizedFlooding { k_min } => Ok(Some(Forwarding::Normalized { k_min })),
+            QueryMethod::RandomWalk => Ok(None),
+        }
+    }
+}
+
+impl QueryOutcome {
+    /// The lookup of a source holding the item itself: it checks its own store first,
+    /// which costs no messages.
+    const AT_SOURCE: QueryOutcome = QueryOutcome {
+        found: true,
+        hops_to_find: Some(0),
+        messages: 0,
+        peers_probed: 0,
+    };
+}
+
 /// Runs one item lookup from `source`.
 ///
 /// # Errors
@@ -76,109 +106,75 @@ pub fn run_query<R: Rng + ?Sized>(
     if !overlay.contains(source) {
         return Err(SimError::UnknownPeer { peer: source.raw() });
     }
-    match method {
-        QueryMethod::Flooding => Ok(flood_query(overlay, source, item, ttl, None, rng)),
-        QueryMethod::NormalizedFlooding { k_min } => {
-            if k_min == 0 {
-                return Err(SimError::InvalidConfig {
-                    reason: "normalized flooding fan-out must be positive",
-                });
-            }
-            Ok(flood_query(overlay, source, item, ttl, Some(k_min), rng))
-        }
-        QueryMethod::RandomWalk => Ok(walk_query(overlay, source, item, ttl, rng)),
+    let rule = method.forwarding()?;
+    if overlay.holds_item(source, item) {
+        return Ok(QueryOutcome::AT_SOURCE);
     }
+    let row = |peer| overlay.neighbors(peer).expect("lookups stay on live peers");
+    let holds = |peer| overlay.holds_item(peer, item);
+    let mut visited = HashSet::new();
+    Ok(match rule {
+        Some(rule) => flood_query(source, ttl, rule, row, holds, rng),
+        None => walk_lookup(source, ttl, row, |peer| visited.insert(peer), holds, rng),
+    })
 }
 
-/// Flooding (optionally fan-out-limited) lookup.
-fn flood_query<R: Rng + ?Sized>(
-    overlay: &OverlayNetwork,
+/// The flooding lookup over the live overlay: a FIFO queue of `(peer, previous hop,
+/// depth)` entries, forwarding by `rule`.
+fn flood_query<'a, R: Rng + ?Sized>(
     source: PeerId,
-    item: ItemId,
     ttl: u32,
-    fan_out: Option<usize>,
+    rule: Forwarding,
+    row: impl Fn(PeerId) -> &'a [PeerId],
+    holds: impl Fn(PeerId) -> bool,
     rng: &mut R,
 ) -> QueryOutcome {
-    // The source checks its own store first; that costs no messages.
-    if overlay.holds_item(source, item) {
-        return QueryOutcome {
-            found: true,
-            hops_to_find: Some(0),
-            messages: 0,
-            peers_probed: 0,
-        };
-    }
     let mut outcome = QueryOutcome::default();
-    let mut visited: HashSet<PeerId> = HashSet::from([source]);
-    let mut queue: VecDeque<(PeerId, Option<PeerId>, u32)> = VecDeque::new();
-    queue.push_back((source, None, 0));
-    let mut scratch: Vec<PeerId> = Vec::new();
-
+    let mut visited = HashSet::from([source]);
+    let mut queue = VecDeque::from([(source, None, 0)]);
+    let mut candidates = Vec::new();
     while let Some((peer, from, depth)) = queue.pop_front() {
         if depth >= ttl {
             continue;
         }
-        let neighbors = overlay.neighbors(peer).expect("queued peers are alive");
-        scratch.clear();
-        scratch.extend(neighbors.iter().copied().filter(|&n| Some(n) != from));
-        let targets: &[PeerId] = match fan_out {
-            Some(k) if scratch.len() > k => scratch.partial_shuffle(rng, k).0,
-            _ => &scratch,
-        };
-        for &next in targets {
+        rule.forward(row(peer), from, depth, rng, &mut candidates, |next| {
             outcome.messages += 1;
             if visited.insert(next) {
                 outcome.peers_probed += 1;
-                if overlay.holds_item(next, item) && !outcome.found {
+                if !outcome.found && holds(next) {
                     outcome.found = true;
                     outcome.hops_to_find = Some(depth + 1);
                 }
                 queue.push_back((next, Some(peer), depth + 1));
             }
-        }
+        });
     }
     outcome
 }
 
-/// Random-walk lookup that terminates on the first replica found.
-fn walk_query<R: Rng + ?Sized>(
-    overlay: &OverlayNetwork,
-    source: PeerId,
-    item: ItemId,
+/// The random-walk lookup, live or frozen: one walker from `source` (which does not
+/// hold the item) that stops at the first replica or after `ttl` hops. `visit` marks a
+/// node and says whether it was new.
+fn walk_lookup<'a, T: Copy + PartialEq + 'a, R: Rng + ?Sized>(
+    source: T,
     ttl: u32,
+    row: impl Fn(T) -> &'a [T],
+    mut visit: impl FnMut(T) -> bool,
+    holds: impl Fn(T) -> bool,
     rng: &mut R,
 ) -> QueryOutcome {
-    if overlay.holds_item(source, item) {
-        return QueryOutcome {
-            found: true,
-            hops_to_find: Some(0),
-            messages: 0,
-            peers_probed: 0,
-        };
-    }
     let mut outcome = QueryOutcome::default();
-    let mut visited: HashSet<PeerId> = HashSet::from([source]);
-    let mut current = source;
-    let mut previous: Option<PeerId> = None;
+    visit(source);
+    let (mut current, mut previous) = (source, None);
     for hop in 1..=ttl {
-        let neighbors = overlay
-            .neighbors(current)
-            .expect("walk stays on live peers");
-        let next = match neighbors.len() {
-            0 => break,
-            1 => neighbors[0],
-            _ => loop {
-                let candidate = neighbors[rng.gen_range(0..neighbors.len())];
-                if Some(candidate) != previous {
-                    break candidate;
-                }
-            },
+        let Some(next) = next_hop(row(current), previous, rng) else {
+            break;
         };
         outcome.messages += 1;
-        if visited.insert(next) {
+        if visit(next) {
             outcome.peers_probed += 1;
         }
-        if overlay.holds_item(next, item) {
+        if holds(next) {
             outcome.found = true;
             outcome.hops_to_find = Some(hop);
             break;
@@ -254,9 +250,10 @@ impl QuerySnapshot {
     /// Runs one item lookup from `source` over the frozen topology; item placement is
     /// read live from `overlay`.
     ///
-    /// For a fixed RNG state this returns the same outcome as [`run_query`] up to
-    /// neighbor enumeration order (the snapshot lists each peer's links in roster order
-    /// rather than link-creation order).
+    /// While the overlay is unchanged since [`QuerySnapshot::capture`], this returns
+    /// exactly what [`run_query`] returns on it for the same RNG state, and leaves the
+    /// RNG in the same state: the capture keeps every peer's neighbor order, and both
+    /// run the same forwarding rules and walker step.
     ///
     /// # Errors
     ///
@@ -276,19 +273,9 @@ impl QuerySnapshot {
             .index
             .get(&source)
             .ok_or(SimError::UnknownPeer { peer: source.raw() })?;
+        let rule = method.forwarding()?;
         let holds = |node: NodeId| overlay.holds_item(self.peers[node.index()], item);
-        match method {
-            QueryMethod::Flooding => Ok(self.flood(source, ttl, None, holds, rng)),
-            QueryMethod::NormalizedFlooding { k_min } => {
-                if k_min == 0 {
-                    return Err(SimError::InvalidConfig {
-                        reason: "normalized flooding fan-out must be positive",
-                    });
-                }
-                Ok(self.flood(source, ttl, Some(k_min), holds, rng))
-            }
-            QueryMethod::RandomWalk => Ok(self.walk(source, ttl, holds, rng)),
-        }
+        Ok(self.lookup(source, ttl, rule, holds, rng, &mut SearchScratch::new()))
     }
 
     /// Runs a whole batch of independent lookups over the frozen topology, fanned across
@@ -315,11 +302,7 @@ impl QuerySnapshot {
         seed: u64,
         workers: usize,
     ) -> Result<Vec<QueryOutcome>> {
-        if let QueryMethod::NormalizedFlooding { k_min: 0 } = method {
-            return Err(SimError::InvalidConfig {
-                reason: "normalized flooding fan-out must be positive",
-            });
-        }
+        let rule = method.forwarding()?;
         let sources: Vec<NodeId> = queries
             .iter()
             .map(|q| {
@@ -343,22 +326,7 @@ impl QuerySnapshot {
             |i, rng, scratch| {
                 let query = &queries[i];
                 let holds = |node: NodeId| overlay.holds_item(self.peers[node.index()], query.item);
-                match method {
-                    QueryMethod::Flooding => {
-                        self.flood_with_scratch(sources[i], query.ttl, None, holds, rng, scratch)
-                    }
-                    QueryMethod::NormalizedFlooding { k_min } => self.flood_with_scratch(
-                        sources[i],
-                        query.ttl,
-                        Some(k_min),
-                        holds,
-                        rng,
-                        scratch,
-                    ),
-                    QueryMethod::RandomWalk => {
-                        self.walk_with_scratch(sources[i], query.ttl, holds, rng, scratch)
-                    }
-                }
+                self.lookup(sources[i], query.ttl, rule, holds, rng, scratch)
             },
         ))
     }
@@ -367,135 +335,45 @@ impl QuerySnapshot {
     /// scoped worker threads costs more than a handful of lookups.
     pub const PARALLEL_BATCH_MIN: usize = 16;
 
-    fn flood<R: Rng + ?Sized>(
+    /// One lookup over the frozen topology through a caller-owned arena: a flood by
+    /// `rule` on the arena's level loop, or the walk when `rule` is `None`.
+    fn lookup<R: Rng + ?Sized>(
         &self,
         source: NodeId,
         ttl: u32,
-        fan_out: Option<usize>,
-        holds: impl Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> QueryOutcome {
-        let mut scratch = SearchScratch::for_search(&self.graph, source);
-        self.flood_with_scratch(source, ttl, fan_out, holds, rng, &mut scratch)
-    }
-
-    /// The flooding lookup loop over a caller-owned arena. The arena is pure memory
-    /// state — visited marks and frontier values are identical to fresh allocations,
-    /// in the same order, so a dirty reused arena consumes the RNG stream identically.
-    fn flood_with_scratch<R: Rng + ?Sized>(
-        &self,
-        source: NodeId,
-        ttl: u32,
-        fan_out: Option<usize>,
+        rule: Option<Forwarding>,
         holds: impl Fn(NodeId) -> bool,
         rng: &mut R,
         scratch: &mut SearchScratch,
     ) -> QueryOutcome {
         if holds(source) {
-            return QueryOutcome {
-                found: true,
-                hops_to_find: Some(0),
-                messages: 0,
-                peers_probed: 0,
-            };
+            return QueryOutcome::AT_SOURCE;
         }
-        let mut outcome = QueryOutcome::default();
-        scratch.visited.reset(self.graph.node_count());
-        scratch.visited.insert(source.index());
-        scratch.queue.clear();
-        scratch.queue.push_back((source, None, 0));
-
-        while let Some((node, from, depth)) = scratch.queue.pop_front() {
-            if depth >= ttl {
-                continue;
-            }
-            scratch.candidates.clear();
-            scratch.candidates.extend(
-                self.graph
-                    .neighbors(node)
-                    .iter()
-                    .copied()
-                    .filter(|&n| Some(n) != from),
+        let Some(rule) = rule else {
+            let visited = &mut scratch.visited;
+            visited.reset(self.graph.node_count());
+            let row = |node| self.graph.neighbors(node);
+            return walk_lookup(
+                source,
+                ttl,
+                row,
+                |node| visited.insert(node.index()),
+                holds,
+                rng,
             );
-            let targets: &[NodeId] = match fan_out {
-                Some(k) if scratch.candidates.len() > k => {
-                    scratch.candidates.partial_shuffle(rng, k).0
-                }
-                _ => &scratch.candidates,
-            };
-            for &next in targets {
-                outcome.messages += 1;
-                if scratch.visited.insert(next.index()) {
-                    outcome.peers_probed += 1;
-                    if holds(next) && !outcome.found {
-                        outcome.found = true;
-                        outcome.hops_to_find = Some(depth + 1);
-                    }
-                    scratch.queue.push_back((next, Some(node), depth + 1));
-                }
+        };
+        let mut hops_to_find = None;
+        let flood = rule.flood(&self.graph, source, ttl, rng, scratch, |node, depth| {
+            if hops_to_find.is_none() && holds(node) {
+                hops_to_find = Some(depth);
             }
+        });
+        QueryOutcome {
+            found: hops_to_find.is_some(),
+            hops_to_find,
+            messages: flood.messages,
+            peers_probed: flood.hits,
         }
-        outcome
-    }
-
-    fn walk<R: Rng + ?Sized>(
-        &self,
-        source: NodeId,
-        ttl: u32,
-        holds: impl Fn(NodeId) -> bool,
-        rng: &mut R,
-    ) -> QueryOutcome {
-        let mut scratch = SearchScratch::new();
-        self.walk_with_scratch(source, ttl, holds, rng, &mut scratch)
-    }
-
-    /// The random-walk lookup loop over a caller-owned arena (visited set only).
-    fn walk_with_scratch<R: Rng + ?Sized>(
-        &self,
-        source: NodeId,
-        ttl: u32,
-        holds: impl Fn(NodeId) -> bool,
-        rng: &mut R,
-        scratch: &mut SearchScratch,
-    ) -> QueryOutcome {
-        if holds(source) {
-            return QueryOutcome {
-                found: true,
-                hops_to_find: Some(0),
-                messages: 0,
-                peers_probed: 0,
-            };
-        }
-        let mut outcome = QueryOutcome::default();
-        scratch.visited.reset(self.graph.node_count());
-        scratch.visited.insert(source.index());
-        let mut current = source;
-        let mut previous: Option<NodeId> = None;
-        for hop in 1..=ttl {
-            let neighbors = self.graph.neighbors(current);
-            let next = match neighbors.len() {
-                0 => break,
-                1 => neighbors[0],
-                _ => loop {
-                    let candidate = neighbors[rng.gen_range(0..neighbors.len())];
-                    if Some(candidate) != previous {
-                        break candidate;
-                    }
-                },
-            };
-            outcome.messages += 1;
-            if scratch.visited.insert(next.index()) {
-                outcome.peers_probed += 1;
-            }
-            if holds(next) {
-                outcome.found = true;
-                outcome.hops_to_find = Some(hop);
-                break;
-            }
-            previous = Some(current);
-            current = next;
-        }
-        outcome
     }
 }
 

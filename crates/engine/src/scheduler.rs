@@ -19,11 +19,14 @@
 //!   simulator's query batches borrow the live overlay, which cannot be `Arc`'d away).
 //!
 //! Both frontends come in a `_with_scratch` flavor ([`WorkerPool::run_with_scratch`],
-//! [`execute_with_scratch`]) that hands every job a per-worker [`SearchScratch`] arena:
-//! each worker thread owns exactly one arena for its whole lifetime and reuses it across
-//! jobs and batches, so the hot path allocates nothing per query. The arena is pure
-//! workspace memory — it never feeds the job's RNG stream — so outcomes stay
-//! byte-identical to the allocate-fresh paths.
+//! [`execute_with_scratch`]) that hands every job a per-thread [`SearchScratch`] arena:
+//! each pool worker owns exactly one arena for its whole lifetime, and a batch small
+//! enough to run inline on the calling thread borrows that thread's arena, kept in a
+//! thread-local slot between batches. Either way the arena is reused across jobs and
+//! batches, so the hot path allocates nothing per query — a one-job request on a
+//! 10^6-node graph costs its search, not two N-bit bitsets. The arena is pure workspace
+//! memory — it never feeds the job's RNG stream — so outcomes stay byte-identical to
+//! the allocate-fresh paths.
 //!
 //! The persistent pool carries telemetry (an `sfo-obs` [`Registry`], see
 //! [`WorkerPool::with_metrics`]): jobs executed, steals, per-worker queue depths, and
@@ -33,6 +36,7 @@
 
 use sfo_obs::{Counter, Histogram, PhaseTimer, Registry};
 use sfo_search::SearchScratch;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -65,6 +69,22 @@ pub(crate) fn resolve_workers(requested: usize) -> usize {
     } else {
         requested
     }
+}
+
+thread_local! {
+    /// The arena of the searches this thread runs inline, between batches.
+    static THREAD_SCRATCH: Cell<Option<SearchScratch>> = const { Cell::new(None) };
+}
+
+/// Runs `f` with the calling thread's inline-search arena and keeps the arena for the
+/// thread's next inline batch, so its buffers grow once to the largest graph the thread
+/// serves instead of once per batch. A nested call finds the slot empty and works on a
+/// fresh arena; a panicking `f` drops the arena it held.
+fn with_thread_scratch<R>(f: impl FnOnce(&mut SearchScratch) -> R) -> R {
+    let mut scratch = THREAD_SCRATCH.take().unwrap_or_default();
+    let out = f(&mut scratch);
+    THREAD_SCRATCH.set(Some(scratch));
+    out
 }
 
 // ---------------------------------------------------------------------------------------
@@ -151,10 +171,11 @@ where
 
 /// [`execute`] with a per-worker [`SearchScratch`] arena.
 ///
-/// Each worker thread (and the inline single-worker path) owns exactly one arena, reused
-/// for every job it claims or steals. The arena is a pure workspace — jobs must not let
-/// it influence their RNG draws — so results remain independent of the worker count and
-/// byte-identical to a run that allocates fresh scratch per job.
+/// Each worker thread owns exactly one arena, reused for every job it claims or steals;
+/// the inline single-worker path uses the calling thread's arena, which outlives the
+/// call and serves the thread's next inline batch too. The arena is a pure workspace —
+/// jobs must not let it influence their RNG draws — so results remain independent of
+/// the worker count and byte-identical to a run that allocates fresh scratch per job.
 ///
 /// # Panics
 ///
@@ -166,8 +187,7 @@ where
 {
     let workers = resolve_workers(workers).min(jobs.max(1));
     if workers <= 1 {
-        let mut scratch = SearchScratch::new();
-        return (0..jobs).map(|i| job(i, &mut scratch)).collect();
+        return with_thread_scratch(|scratch| (0..jobs).map(|i| job(i, scratch)).collect());
     }
     let queues = split_ranges(jobs, workers);
     let mut chunks: Vec<Vec<(usize, T)>> = std::thread::scope(|scope| {
@@ -388,10 +408,13 @@ impl WorkerPool {
     /// [`WorkerPool::run`] with a per-worker [`SearchScratch`] arena.
     ///
     /// Every pool thread owns exactly one arena for its whole lifetime and hands it to
-    /// each job it runs, across jobs *and* across batches — the hot path of a long-lived
-    /// query-serving process allocates no per-query scratch. Jobs must treat the arena
-    /// as a pure workspace (reset before use, never feeding RNG draws), which keeps
-    /// results byte-identical to [`WorkerPool::run`] and to a serial loop.
+    /// each job it runs, across jobs *and* across batches. A batch that runs inline (at
+    /// most one job, or a one-worker pool) uses the calling thread's arena instead, kept
+    /// between batches the same way: a `sfo serve` connection's one-job requests share
+    /// one arena for the life of the connection. So the hot path of a long-lived
+    /// query-serving process allocates no per-query scratch on either path. Jobs must
+    /// treat the arena as a pure workspace (reset before use, never feeding RNG draws),
+    /// which keeps results byte-identical to [`WorkerPool::run`] and to a serial loop.
     ///
     /// # Panics
     ///
@@ -406,8 +429,8 @@ impl WorkerPool {
         metrics.batches.inc();
         if jobs <= 1 || self.workers <= 1 {
             metrics.queue_depth.record(jobs as u64);
-            let mut scratch = SearchScratch::new();
-            let out: Vec<T> = (0..jobs).map(|i| job(i, &mut scratch)).collect();
+            let out: Vec<T> =
+                with_thread_scratch(|scratch| (0..jobs).map(|i| job(i, scratch)).collect());
             metrics.jobs.add(jobs as u64);
             timer.observe(&metrics.batch_micros);
             return out;
@@ -619,6 +642,23 @@ mod tests {
         let pool = WorkerPool::new(EngineConfig::with_workers(4));
         assert_eq!(pool.run(0, |i| i), Vec::<usize>::new());
         assert_eq!(pool.run(1, |_| 42), vec![42]);
+    }
+
+    #[test]
+    fn inline_batches_keep_the_thread_arena_and_nest_on_a_fresh_one() {
+        let pool = WorkerPool::new(EngineConfig::with_workers(2));
+        pool.run_with_scratch(1, |_, scratch| scratch.candidates.reserve(1000));
+        // The next inline batch on this thread finds the grown arena; a batch nested
+        // inside it finds the slot empty and works on a fresh one.
+        let seen = pool.run_with_scratch(1, |_, scratch| {
+            let nested = execute_with_scratch(1, 1, |_, inner| inner.candidates.capacity());
+            (scratch.candidates.capacity(), nested[0])
+        });
+        assert!(seen[0].0 >= 1000);
+        assert_eq!(seen[0].1, 0);
+        // The outer arena, not the nested one, is what the thread keeps.
+        let kept = execute_with_scratch(1, 1, |_, scratch| scratch.candidates.capacity());
+        assert!(kept[0] >= 1000);
     }
 
     #[test]

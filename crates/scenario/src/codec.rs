@@ -1,20 +1,21 @@
-//! JSON codecs for the configuration types owned by `sfo-core`, `sfo-sim`, and
+//! JSON tables for the configuration types owned by `sfo-core`, `sfo-sim`, and
 //! `sfo-overlay`.
 //!
 //! The spec layer embeds the simulator's own configuration structs
 //! ([`SimulationConfig`], [`TraceRunConfig`], [`ChurnTraceConfig`], [`LiveConfig`], ...)
 //! rather than mirroring them, so a scenario file configures exactly what runs. This
-//! module gives those foreign types [`ToJson`]/[`FromJson`] implementations; every codec
-//! writes a fixed field order so serialization stays deterministic.
+//! module gives those foreign types their [`ToJson`]/[`FromJson`] tables (see
+//! [`crate::table`]); every table fixes its members' order, so serialization stays
+//! deterministic.
 
 use crate::json::{FromJson, JsonValue, ToJson};
+use crate::table::{json_enum, json_record};
 use crate::ScenarioError;
 use sfo_core::fitness::FitnessDistribution;
+use sfo_core::DegreeCutoff;
 use sfo_overlay::protocol::ProtocolConfig;
 use sfo_overlay::sim::LiveConfig;
-use sfo_sim::catalog::ItemId;
 use sfo_sim::churn::{ChurnTraceConfig, SessionModel};
-use sfo_sim::events::Tick;
 use sfo_sim::overlay::{JoinStrategy, OverlayConfig};
 use sfo_sim::query::QueryMethod;
 use sfo_sim::replication::ReplicationStrategy;
@@ -23,463 +24,66 @@ use sfo_sim::trace_runner::TraceRunConfig;
 use sfo_sim::workload::Workload;
 
 // ---------------------------------------------------------------------------------------
-// Field-access helpers shared by every codec in the crate.
-
-/// Rejects unknown object members, so a typo in a hand-written spec file ("kmin",
-/// "thread", ...) fails loudly instead of silently running a different experiment.
-pub(crate) fn check_fields(
-    value: &JsonValue,
-    ctx: &str,
-    allowed: &[&str],
-) -> Result<(), ScenarioError> {
-    if let Some(members) = value.as_object() {
-        for (key, _) in members {
-            if !allowed.contains(&key.as_str()) {
-                return Err(ScenarioError::invalid(format!(
-                    "{ctx}: unknown field \"{key}\" (allowed: {})",
-                    allowed.join(", ")
-                )));
-            }
-        }
-    }
-    Ok(())
-}
-
-pub(crate) fn req<'a>(
-    value: &'a JsonValue,
-    key: &str,
-    ctx: &str,
-) -> Result<&'a JsonValue, ScenarioError> {
-    value
-        .get(key)
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: missing field \"{key}\"")))
-}
-
-pub(crate) fn req_str<'a>(
-    value: &'a JsonValue,
-    key: &str,
-    ctx: &str,
-) -> Result<&'a str, ScenarioError> {
-    req(value, key, ctx)?
-        .as_str()
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: field \"{key}\" must be a string")))
-}
-
-pub(crate) fn req_bool(value: &JsonValue, key: &str, ctx: &str) -> Result<bool, ScenarioError> {
-    req(value, key, ctx)?
-        .as_bool()
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: field \"{key}\" must be a boolean")))
-}
-
-pub(crate) fn req_usize(value: &JsonValue, key: &str, ctx: &str) -> Result<usize, ScenarioError> {
-    req(value, key, ctx)?.as_usize().ok_or_else(|| {
-        ScenarioError::invalid(format!(
-            "{ctx}: field \"{key}\" must be a non-negative integer"
-        ))
-    })
-}
-
-pub(crate) fn req_u64(value: &JsonValue, key: &str, ctx: &str) -> Result<u64, ScenarioError> {
-    req(value, key, ctx)?.as_u64().ok_or_else(|| {
-        ScenarioError::invalid(format!(
-            "{ctx}: field \"{key}\" must be a non-negative integer"
-        ))
-    })
-}
-
-pub(crate) fn req_u32(value: &JsonValue, key: &str, ctx: &str) -> Result<u32, ScenarioError> {
-    u32::try_from(req_u64(value, key, ctx)?).map_err(|_| {
-        ScenarioError::invalid(format!("{ctx}: field \"{key}\" exceeds the 32-bit range"))
-    })
-}
-
-pub(crate) fn req_f64(value: &JsonValue, key: &str, ctx: &str) -> Result<f64, ScenarioError> {
-    req(value, key, ctx)?
-        .as_f64()
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: field \"{key}\" must be a number")))
-}
-
-/// Reads an optional `usize` field: absent or `null` mean `None`.
-pub(crate) fn opt_usize(
-    value: &JsonValue,
-    key: &str,
-    ctx: &str,
-) -> Result<Option<usize>, ScenarioError> {
-    match value.get(key) {
-        None => Ok(None),
-        Some(v) if v.is_null() => Ok(None),
-        Some(v) => v.as_usize().map(Some).ok_or_else(|| {
-            ScenarioError::invalid(format!(
-                "{ctx}: field \"{key}\" must be a non-negative integer or null"
-            ))
-        }),
-    }
-}
-
-// ---------------------------------------------------------------------------------------
 // sfo-core types.
 
-impl ToJson for FitnessDistribution {
-    fn to_json(&self) -> JsonValue {
-        match *self {
-            FitnessDistribution::Uniform => JsonValue::Object(vec![(
-                "kind".to_string(),
-                JsonValue::from_str_value("uniform"),
-            )]),
-            FitnessDistribution::UniformRange { min, max } => JsonValue::Object(vec![
-                (
-                    "kind".to_string(),
-                    JsonValue::from_str_value("uniform_range"),
-                ),
-                ("min".to_string(), JsonValue::from_f64(min)),
-                ("max".to_string(), JsonValue::from_f64(max)),
-            ]),
-            FitnessDistribution::Exponential { rate } => JsonValue::Object(vec![
-                ("kind".to_string(), JsonValue::from_str_value("exponential")),
-                ("rate".to_string(), JsonValue::from_f64(rate)),
-            ]),
-        }
-    }
-}
-
-impl FromJson for FitnessDistribution {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "fitness distribution";
-        match req_str(value, "kind", CTX)? {
-            "uniform" => {
-                check_fields(value, CTX, &["kind"])?;
-                Ok(FitnessDistribution::Uniform)
-            }
-            "uniform_range" => {
-                check_fields(value, CTX, &["kind", "min", "max"])?;
-                Ok(FitnessDistribution::UniformRange {
-                    min: req_f64(value, "min", CTX)?,
-                    max: req_f64(value, "max", CTX)?,
-                })
-            }
-            "exponential" => {
-                check_fields(value, CTX, &["kind", "rate"])?;
-                Ok(FitnessDistribution::Exponential {
-                    rate: req_f64(value, "rate", CTX)?,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown kind \"{other}\" (expected uniform, uniform_range, or exponential)"
-            ))),
-        }
-    }
-}
+json_enum!(FitnessDistribution, "fitness distribution", "kind", {
+    Uniform = "uniform" {},
+    UniformRange = "uniform_range" { min, max },
+    Exponential = "exponential" { rate },
+});
 
 // ---------------------------------------------------------------------------------------
 // sfo-sim types.
 
-impl ToJson for JoinStrategy {
-    fn to_json(&self) -> JsonValue {
-        match *self {
-            JoinStrategy::UniformRandom => JsonValue::Object(vec![(
-                "strategy".to_string(),
-                JsonValue::from_str_value("uniform_random"),
-            )]),
-            JoinStrategy::DegreePreferential => JsonValue::Object(vec![(
-                "strategy".to_string(),
-                JsonValue::from_str_value("degree_preferential"),
-            )]),
-            JoinStrategy::HopAndAttempt { max_hops_per_link } => JsonValue::Object(vec![
-                (
-                    "strategy".to_string(),
-                    JsonValue::from_str_value("hop_and_attempt"),
-                ),
-                (
-                    "max_hops_per_link".to_string(),
-                    JsonValue::from_usize(max_hops_per_link),
-                ),
-            ]),
-        }
-    }
-}
+json_enum!(JoinStrategy, "join strategy", "strategy", {
+    UniformRandom = "uniform_random" {},
+    DegreePreferential = "degree_preferential" {},
+    HopAndAttempt = "hop_and_attempt" { max_hops_per_link },
+});
 
-impl FromJson for JoinStrategy {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "join strategy";
-        match req_str(value, "strategy", CTX)? {
-            "uniform_random" => {
-                check_fields(value, CTX, &["strategy"])?;
-                Ok(JoinStrategy::UniformRandom)
-            }
-            "degree_preferential" => {
-                check_fields(value, CTX, &["strategy"])?;
-                Ok(JoinStrategy::DegreePreferential)
-            }
-            "hop_and_attempt" => {
-                check_fields(value, CTX, &["strategy", "max_hops_per_link"])?;
-                Ok(JoinStrategy::HopAndAttempt {
-                    max_hops_per_link: req_usize(value, "max_hops_per_link", CTX)?,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown strategy \"{other}\" \
-                 (expected uniform_random, degree_preferential, or hop_and_attempt)"
-            ))),
-        }
-    }
-}
+json_record!(OverlayConfig, "overlay config", {
+    stubs,
+    cutoff = DegreeCutoff::Unbounded,
+    join_strategy,
+    repair_on_leave,
+});
 
-impl ToJson for OverlayConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("stubs".to_string(), JsonValue::from_usize(self.stubs)),
-            (
-                "cutoff".to_string(),
-                JsonValue::from_opt_usize(self.cutoff.value()),
-            ),
-            ("join_strategy".to_string(), self.join_strategy.to_json()),
-            (
-                "repair_on_leave".to_string(),
-                JsonValue::Bool(self.repair_on_leave),
-            ),
-        ])
-    }
-}
+json_enum!(QueryMethod, "query method", "method", {
+    Flooding = "flooding" {},
+    NormalizedFlooding = "normalized_flooding" { k_min },
+    RandomWalk = "random_walk" {},
+});
 
-impl FromJson for OverlayConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "overlay config";
-        check_fields(
-            value,
-            CTX,
-            &["stubs", "cutoff", "join_strategy", "repair_on_leave"],
-        )?;
-        Ok(OverlayConfig {
-            stubs: req_usize(value, "stubs", CTX)?,
-            cutoff: opt_usize(value, "cutoff", CTX)?.into(),
-            join_strategy: JoinStrategy::from_json(req(value, "join_strategy", CTX)?)?,
-            repair_on_leave: req_bool(value, "repair_on_leave", CTX)?,
-        })
-    }
-}
+json_record!(SimulationConfig, "churn simulation config", {
+    initial_peers,
+    duration,
+    join_rate,
+    leave_rate,
+    crash_rate,
+    query_rate,
+    query_ttl,
+    query_method,
+    overlay,
+    catalog_items,
+    catalog_skew,
+    base_replicas,
+    snapshot_interval,
+});
 
-impl ToJson for QueryMethod {
-    fn to_json(&self) -> JsonValue {
-        match *self {
-            QueryMethod::Flooding => JsonValue::Object(vec![(
-                "method".to_string(),
-                JsonValue::from_str_value("flooding"),
-            )]),
-            QueryMethod::NormalizedFlooding { k_min } => JsonValue::Object(vec![
-                (
-                    "method".to_string(),
-                    JsonValue::from_str_value("normalized_flooding"),
-                ),
-                ("k_min".to_string(), JsonValue::from_usize(k_min)),
-            ]),
-            QueryMethod::RandomWalk => JsonValue::Object(vec![(
-                "method".to_string(),
-                JsonValue::from_str_value("random_walk"),
-            )]),
-        }
-    }
-}
+json_enum!(SessionModel, "session model", "model", {
+    Exponential = "exponential" { mean },
+    Pareto = "pareto" { shape, minimum },
+    Fixed = "fixed" { length },
+});
 
-impl FromJson for QueryMethod {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "query method";
-        match req_str(value, "method", CTX)? {
-            "flooding" => {
-                check_fields(value, CTX, &["method"])?;
-                Ok(QueryMethod::Flooding)
-            }
-            "normalized_flooding" => {
-                check_fields(value, CTX, &["method", "k_min"])?;
-                Ok(QueryMethod::NormalizedFlooding {
-                    k_min: req_usize(value, "k_min", CTX)?,
-                })
-            }
-            "random_walk" => {
-                check_fields(value, CTX, &["method"])?;
-                Ok(QueryMethod::RandomWalk)
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown method \"{other}\" \
-                 (expected flooding, normalized_flooding, or random_walk)"
-            ))),
-        }
-    }
-}
+json_record!(ChurnTraceConfig, "churn trace config", {
+    duration,
+    arrival_rate,
+    sessions,
+    crash_fraction,
+});
 
-impl ToJson for SimulationConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "initial_peers".to_string(),
-                JsonValue::from_usize(self.initial_peers),
-            ),
-            ("duration".to_string(), JsonValue::from_u64(self.duration)),
-            ("join_rate".to_string(), JsonValue::from_f64(self.join_rate)),
-            (
-                "leave_rate".to_string(),
-                JsonValue::from_f64(self.leave_rate),
-            ),
-            (
-                "crash_rate".to_string(),
-                JsonValue::from_f64(self.crash_rate),
-            ),
-            (
-                "query_rate".to_string(),
-                JsonValue::from_f64(self.query_rate),
-            ),
-            (
-                "query_ttl".to_string(),
-                JsonValue::from_u64(u64::from(self.query_ttl)),
-            ),
-            ("query_method".to_string(), self.query_method.to_json()),
-            ("overlay".to_string(), self.overlay.to_json()),
-            (
-                "catalog_items".to_string(),
-                JsonValue::from_usize(self.catalog_items),
-            ),
-            (
-                "catalog_skew".to_string(),
-                JsonValue::from_f64(self.catalog_skew),
-            ),
-            (
-                "base_replicas".to_string(),
-                JsonValue::from_usize(self.base_replicas),
-            ),
-            (
-                "snapshot_interval".to_string(),
-                JsonValue::from_u64(self.snapshot_interval),
-            ),
-        ])
-    }
-}
-
-impl FromJson for SimulationConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "churn simulation config";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "initial_peers",
-                "duration",
-                "join_rate",
-                "leave_rate",
-                "crash_rate",
-                "query_rate",
-                "query_ttl",
-                "query_method",
-                "overlay",
-                "catalog_items",
-                "catalog_skew",
-                "base_replicas",
-                "snapshot_interval",
-            ],
-        )?;
-        Ok(SimulationConfig {
-            initial_peers: req_usize(value, "initial_peers", CTX)?,
-            duration: req_u64(value, "duration", CTX)? as Tick,
-            join_rate: req_f64(value, "join_rate", CTX)?,
-            leave_rate: req_f64(value, "leave_rate", CTX)?,
-            crash_rate: req_f64(value, "crash_rate", CTX)?,
-            query_rate: req_f64(value, "query_rate", CTX)?,
-            query_ttl: req_u32(value, "query_ttl", CTX)?,
-            query_method: QueryMethod::from_json(req(value, "query_method", CTX)?)?,
-            overlay: OverlayConfig::from_json(req(value, "overlay", CTX)?)?,
-            catalog_items: req_usize(value, "catalog_items", CTX)?,
-            catalog_skew: req_f64(value, "catalog_skew", CTX)?,
-            base_replicas: req_usize(value, "base_replicas", CTX)?,
-            snapshot_interval: req_u64(value, "snapshot_interval", CTX)? as Tick,
-        })
-    }
-}
-
-impl ToJson for SessionModel {
-    fn to_json(&self) -> JsonValue {
-        match *self {
-            SessionModel::Exponential { mean } => JsonValue::Object(vec![
-                (
-                    "model".to_string(),
-                    JsonValue::from_str_value("exponential"),
-                ),
-                ("mean".to_string(), JsonValue::from_f64(mean)),
-            ]),
-            SessionModel::Pareto { shape, minimum } => JsonValue::Object(vec![
-                ("model".to_string(), JsonValue::from_str_value("pareto")),
-                ("shape".to_string(), JsonValue::from_f64(shape)),
-                ("minimum".to_string(), JsonValue::from_f64(minimum)),
-            ]),
-            SessionModel::Fixed { length } => JsonValue::Object(vec![
-                ("model".to_string(), JsonValue::from_str_value("fixed")),
-                ("length".to_string(), JsonValue::from_f64(length)),
-            ]),
-        }
-    }
-}
-
-impl FromJson for SessionModel {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "session model";
-        match req_str(value, "model", CTX)? {
-            "exponential" => {
-                check_fields(value, CTX, &["model", "mean"])?;
-                Ok(SessionModel::Exponential {
-                    mean: req_f64(value, "mean", CTX)?,
-                })
-            }
-            "pareto" => {
-                check_fields(value, CTX, &["model", "shape", "minimum"])?;
-                Ok(SessionModel::Pareto {
-                    shape: req_f64(value, "shape", CTX)?,
-                    minimum: req_f64(value, "minimum", CTX)?,
-                })
-            }
-            "fixed" => {
-                check_fields(value, CTX, &["model", "length"])?;
-                Ok(SessionModel::Fixed {
-                    length: req_f64(value, "length", CTX)?,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown model \"{other}\" (expected exponential, pareto, or fixed)"
-            ))),
-        }
-    }
-}
-
-impl ToJson for ChurnTraceConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("duration".to_string(), JsonValue::from_u64(self.duration)),
-            (
-                "arrival_rate".to_string(),
-                JsonValue::from_f64(self.arrival_rate),
-            ),
-            ("sessions".to_string(), self.sessions.to_json()),
-            (
-                "crash_fraction".to_string(),
-                JsonValue::from_f64(self.crash_fraction),
-            ),
-        ])
-    }
-}
-
-impl FromJson for ChurnTraceConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "churn trace config";
-        check_fields(
-            value,
-            CTX,
-            &["duration", "arrival_rate", "sessions", "crash_fraction"],
-        )?;
-        Ok(ChurnTraceConfig {
-            duration: req_u64(value, "duration", CTX)? as Tick,
-            arrival_rate: req_f64(value, "arrival_rate", CTX)?,
-            sessions: SessionModel::from_json(req(value, "sessions", CTX)?)?,
-            crash_fraction: req_f64(value, "crash_fraction", CTX)?,
-        })
-    }
-}
-
+// A bare string rather than an object: it has no members for a table to name.
 impl ToJson for ReplicationStrategy {
     fn to_json(&self) -> JsonValue {
         JsonValue::from_str_value(match self {
@@ -503,307 +107,62 @@ impl FromJson for ReplicationStrategy {
     }
 }
 
-impl ToJson for Workload {
-    fn to_json(&self) -> JsonValue {
-        match *self {
-            Workload::Stationary => JsonValue::Object(vec![(
-                "kind".to_string(),
-                JsonValue::from_str_value("stationary"),
-            )]),
-            Workload::FlashCrowd {
-                hot_item,
-                start,
-                end,
-                intensity,
-            } => JsonValue::Object(vec![
-                ("kind".to_string(), JsonValue::from_str_value("flash_crowd")),
-                ("hot_item".to_string(), JsonValue::from_u64(hot_item.rank())),
-                ("start".to_string(), JsonValue::from_u64(start)),
-                ("end".to_string(), JsonValue::from_u64(end)),
-                ("intensity".to_string(), JsonValue::from_f64(intensity)),
-            ]),
-        }
-    }
-}
+json_enum!(Workload, "workload", "kind", {
+    Stationary = "stationary" {},
+    FlashCrowd = "flash_crowd" { hot_item, start, end, intensity },
+});
 
-impl FromJson for Workload {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "workload";
-        match req_str(value, "kind", CTX)? {
-            "stationary" => {
-                check_fields(value, CTX, &["kind"])?;
-                Ok(Workload::Stationary)
-            }
-            "flash_crowd" => {
-                check_fields(
-                    value,
-                    CTX,
-                    &["kind", "hot_item", "start", "end", "intensity"],
-                )?;
-                Ok(Workload::FlashCrowd {
-                    hot_item: ItemId::new(req_u64(value, "hot_item", CTX)?),
-                    start: req_u64(value, "start", CTX)? as Tick,
-                    end: req_u64(value, "end", CTX)? as Tick,
-                    intensity: req_f64(value, "intensity", CTX)?,
-                })
-            }
-            other => Err(ScenarioError::invalid(format!(
-                "{CTX}: unknown kind \"{other}\" (expected stationary or flash_crowd)"
-            ))),
-        }
-    }
-}
+json_record!(TraceRunConfig, "trace run config", {
+    overlay,
+    bootstrap_peers,
+    catalog_items,
+    catalog_skew,
+    replication,
+    replica_budget,
+    workload,
+    queries_per_tick,
+    query_ttl,
+    query_method,
+    snapshot_interval,
+});
 
-impl ToJson for TraceRunConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("overlay".to_string(), self.overlay.to_json()),
-            (
-                "bootstrap_peers".to_string(),
-                JsonValue::from_usize(self.bootstrap_peers),
-            ),
-            (
-                "catalog_items".to_string(),
-                JsonValue::from_usize(self.catalog_items),
-            ),
-            (
-                "catalog_skew".to_string(),
-                JsonValue::from_f64(self.catalog_skew),
-            ),
-            ("replication".to_string(), self.replication.to_json()),
-            (
-                "replica_budget".to_string(),
-                JsonValue::from_usize(self.replica_budget),
-            ),
-            ("workload".to_string(), self.workload.to_json()),
-            (
-                "queries_per_tick".to_string(),
-                JsonValue::from_f64(self.queries_per_tick),
-            ),
-            (
-                "query_ttl".to_string(),
-                JsonValue::from_u64(u64::from(self.query_ttl)),
-            ),
-            ("query_method".to_string(), self.query_method.to_json()),
-            (
-                "snapshot_interval".to_string(),
-                JsonValue::from_u64(self.snapshot_interval),
-            ),
-        ])
-    }
-}
-
-impl FromJson for TraceRunConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "trace run config";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "overlay",
-                "bootstrap_peers",
-                "catalog_items",
-                "catalog_skew",
-                "replication",
-                "replica_budget",
-                "workload",
-                "queries_per_tick",
-                "query_ttl",
-                "query_method",
-                "snapshot_interval",
-            ],
-        )?;
-        Ok(TraceRunConfig {
-            overlay: OverlayConfig::from_json(req(value, "overlay", CTX)?)?,
-            bootstrap_peers: req_usize(value, "bootstrap_peers", CTX)?,
-            catalog_items: req_usize(value, "catalog_items", CTX)?,
-            catalog_skew: req_f64(value, "catalog_skew", CTX)?,
-            replication: ReplicationStrategy::from_json(req(value, "replication", CTX)?)?,
-            replica_budget: req_usize(value, "replica_budget", CTX)?,
-            workload: Workload::from_json(req(value, "workload", CTX)?)?,
-            queries_per_tick: req_f64(value, "queries_per_tick", CTX)?,
-            query_ttl: req_u32(value, "query_ttl", CTX)?,
-            query_method: QueryMethod::from_json(req(value, "query_method", CTX)?)?,
-            snapshot_interval: req_u64(value, "snapshot_interval", CTX)? as Tick,
-        })
-    }
-}
-
-impl ToJson for OverlaySample {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("time".to_string(), JsonValue::from_u64(self.time)),
-            ("peers".to_string(), JsonValue::from_usize(self.peers)),
-            ("edges".to_string(), JsonValue::from_usize(self.edges)),
-            (
-                "mean_degree".to_string(),
-                JsonValue::from_f64(self.mean_degree),
-            ),
-            (
-                "max_degree".to_string(),
-                JsonValue::from_usize(self.max_degree),
-            ),
-            (
-                "giant_component_fraction".to_string(),
-                JsonValue::from_f64(self.giant_component_fraction),
-            ),
-        ])
-    }
-}
-
-impl FromJson for OverlaySample {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "overlay sample";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "time",
-                "peers",
-                "edges",
-                "mean_degree",
-                "max_degree",
-                "giant_component_fraction",
-            ],
-        )?;
-        Ok(OverlaySample {
-            time: req_u64(value, "time", CTX)? as Tick,
-            peers: req_usize(value, "peers", CTX)?,
-            edges: req_usize(value, "edges", CTX)?,
-            mean_degree: req_f64(value, "mean_degree", CTX)?,
-            max_degree: req_usize(value, "max_degree", CTX)?,
-            giant_component_fraction: req_f64(value, "giant_component_fraction", CTX)?,
-        })
-    }
-}
+json_record!(OverlaySample, "overlay sample", {
+    time,
+    peers,
+    edges,
+    mean_degree,
+    max_degree,
+    giant_component_fraction,
+});
 
 // ---------------------------------------------------------------------------------------
 // sfo-overlay types.
 
-impl ToJson for ProtocolConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            (
-                "active_cap".to_string(),
-                JsonValue::from_usize(self.active_cap),
-            ),
-            (
-                "passive_cap".to_string(),
-                JsonValue::from_usize(self.passive_cap),
-            ),
-            (
-                "attach_walks".to_string(),
-                JsonValue::from_u64(u64::from(self.attach_walks)),
-            ),
-            (
-                "forward_ttl".to_string(),
-                JsonValue::from_u64(u64::from(self.forward_ttl)),
-            ),
-            (
-                "shuffle_interval".to_string(),
-                JsonValue::from_u64(self.shuffle_interval),
-            ),
-            (
-                "shuffle_size".to_string(),
-                JsonValue::from_usize(self.shuffle_size),
-            ),
-            (
-                "probe_interval".to_string(),
-                JsonValue::from_u64(self.probe_interval),
-            ),
-            (
-                "probe_timeout".to_string(),
-                JsonValue::from_u64(self.probe_timeout),
-            ),
-            (
-                "suspect_grace".to_string(),
-                JsonValue::from_u64(self.suspect_grace),
-            ),
-        ])
-    }
-}
+json_record!(ProtocolConfig, "overlay protocol config", {
+    active_cap,
+    passive_cap,
+    attach_walks,
+    forward_ttl,
+    shuffle_interval,
+    shuffle_size,
+    probe_interval,
+    probe_timeout,
+    suspect_grace,
+});
 
-impl FromJson for ProtocolConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "overlay protocol config";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "active_cap",
-                "passive_cap",
-                "attach_walks",
-                "forward_ttl",
-                "shuffle_interval",
-                "shuffle_size",
-                "probe_interval",
-                "probe_timeout",
-                "suspect_grace",
-            ],
-        )?;
-        Ok(ProtocolConfig {
-            active_cap: req_usize(value, "active_cap", CTX)?,
-            passive_cap: req_usize(value, "passive_cap", CTX)?,
-            attach_walks: req_u32(value, "attach_walks", CTX)?,
-            forward_ttl: req_u32(value, "forward_ttl", CTX)?,
-            shuffle_interval: req_u64(value, "shuffle_interval", CTX)?,
-            shuffle_size: req_usize(value, "shuffle_size", CTX)?,
-            probe_interval: req_u64(value, "probe_interval", CTX)?,
-            probe_timeout: req_u64(value, "probe_timeout", CTX)?,
-            suspect_grace: req_u64(value, "suspect_grace", CTX)?,
-        })
-    }
-}
-
-impl ToJson for LiveConfig {
-    fn to_json(&self) -> JsonValue {
-        JsonValue::Object(vec![
-            ("peers".to_string(), JsonValue::from_usize(self.peers)),
-            (
-                "arrival_spacing".to_string(),
-                JsonValue::from_u64(self.arrival_spacing),
-            ),
-            ("sessions".to_string(), self.sessions.to_json()),
-            (
-                "crash_fraction".to_string(),
-                JsonValue::from_f64(self.crash_fraction),
-            ),
-            ("settle".to_string(), JsonValue::from_u64(self.settle)),
-            ("protocol".to_string(), self.protocol.to_json()),
-        ])
-    }
-}
-
-impl FromJson for LiveConfig {
-    fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
-        const CTX: &str = "live overlay config";
-        check_fields(
-            value,
-            CTX,
-            &[
-                "peers",
-                "arrival_spacing",
-                "sessions",
-                "crash_fraction",
-                "settle",
-                "protocol",
-            ],
-        )?;
-        Ok(LiveConfig {
-            peers: req_usize(value, "peers", CTX)?,
-            arrival_spacing: req_u64(value, "arrival_spacing", CTX)?,
-            sessions: SessionModel::from_json(req(value, "sessions", CTX)?)?,
-            crash_fraction: req_f64(value, "crash_fraction", CTX)?,
-            settle: req_u64(value, "settle", CTX)?,
-            protocol: ProtocolConfig::from_json(req(value, "protocol", CTX)?)?,
-        })
-    }
-}
+json_record!(LiveConfig, "live overlay config", {
+    peers,
+    arrival_spacing,
+    sessions,
+    crash_fraction,
+    settle,
+    protocol,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sfo_core::DegreeCutoff;
+    use sfo_sim::catalog::ItemId;
 
     fn roundtrip<T: ToJson + FromJson + PartialEq + std::fmt::Debug>(value: T) {
         let json = value.to_json();

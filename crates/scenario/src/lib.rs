@@ -62,6 +62,7 @@
 
 mod codec;
 mod error;
+mod table;
 
 pub mod json;
 pub mod metrics_json;

@@ -24,8 +24,8 @@
 //! ascending order are errors, so a canonical snapshot round-trips and a corrupted one
 //! is refused, never silently reinterpreted.
 
-use crate::codec::{check_fields, req, req_u64};
 use crate::json::{FromJson, JsonValue, ToJson};
+use crate::table::{member, members, required};
 use crate::ScenarioError;
 use sfo_obs::{HistogramSnapshot, MetricsSnapshot, BUCKET_COUNT};
 
@@ -73,27 +73,24 @@ fn histogram_to_json(histogram: &HistogramSnapshot) -> JsonValue {
 impl FromJson for MetricsSnapshot {
     fn from_json(value: &JsonValue) -> Result<Self, ScenarioError> {
         const CTX: &str = "metrics snapshot";
-        check_fields(value, CTX, &["counters", "histograms"])?;
-        let counters = req(value, "counters", CTX)?
-            .as_object()
-            .ok_or_else(|| {
-                ScenarioError::invalid("metrics snapshot: \"counters\" must be an object")
-            })?
+        let members = members(value, CTX, None, &["counters", "histograms"])?;
+        let named = |key: &str| {
+            required(members, CTX, key)?.as_object().ok_or_else(|| {
+                ScenarioError::invalid(format!("{CTX}: \"{key}\" must be an object"))
+            })
+        };
+        let counters = named("counters")?
             .iter()
             .map(|(name, v)| {
                 let value = v.as_u64().ok_or_else(|| {
                     ScenarioError::invalid(format!(
-                        "metrics snapshot: counter \"{name}\" must be a non-negative integer"
+                        "{CTX}: counter \"{name}\" must be a non-negative integer"
                     ))
                 })?;
                 Ok((name.clone(), value))
             })
             .collect::<Result<Vec<(String, u64)>, ScenarioError>>()?;
-        let histograms = req(value, "histograms", CTX)?
-            .as_object()
-            .ok_or_else(|| {
-                ScenarioError::invalid("metrics snapshot: \"histograms\" must be an object")
-            })?
+        let histograms = named("histograms")?
             .iter()
             .map(|(name, v)| Ok((name.clone(), histogram_from_json(name, v)?)))
             .collect::<Result<Vec<(String, HistogramSnapshot)>, ScenarioError>>()?;
@@ -107,13 +104,14 @@ impl FromJson for MetricsSnapshot {
 fn histogram_from_json(name: &str, value: &JsonValue) -> Result<HistogramSnapshot, ScenarioError> {
     let ctx = format!("histogram \"{name}\"");
     // p50/p95/p99 are derived from the buckets; accepted for round-tripping, ignored.
-    check_fields(
+    let members = members(
         value,
         &ctx,
+        None,
         &["count", "sum", "max", "p50", "p95", "p99", "buckets"],
     )?;
     let mut buckets = Vec::new();
-    for entry in req(value, "buckets", &ctx)?
+    for entry in required(members, &ctx, "buckets")?
         .as_array()
         .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: \"buckets\" must be an array")))?
     {
@@ -144,9 +142,9 @@ fn histogram_from_json(name: &str, value: &JsonValue) -> Result<HistogramSnapsho
         buckets.push((bucket, samples));
     }
     Ok(HistogramSnapshot {
-        count: req_u64(value, "count", &ctx)?,
-        sum: req_u64(value, "sum", &ctx)?,
-        max: req_u64(value, "max", &ctx)?,
+        count: member(members, &ctx, "count", false, None)?,
+        sum: member(members, &ctx, "sum", false, None)?,
+        max: member(members, &ctx, "max", false, None)?,
         buckets,
     })
 }

@@ -23,7 +23,9 @@
 //! specs off the wire (`sfo-net`), where a stack overflow would abort the whole daemon.
 //! So nesting is bounded: past [`MAX_NESTING`] levels the parse stops with
 //! [`ScenarioError::NestingTooDeep`] at the offending bracket. No spec, report or
-//! workload the workspace writes nests more than a handful of levels.
+//! workload the workspace writes nests more than a handful of levels. For the same
+//! reason the parser's cost stays near linear in the text: an object that names a key
+//! twice is refused by sorting its keys once, not by comparing every pair.
 
 use crate::ScenarioError;
 use std::fmt;
@@ -186,6 +188,7 @@ impl JsonValue {
     /// [`MAX_NESTING`] levels.
     pub fn parse(text: &str) -> Result<JsonValue, ScenarioError> {
         let mut parser = Parser {
+            text,
             bytes: text.as_bytes(),
             pos: 0,
             depth: 0,
@@ -323,6 +326,7 @@ fn write_string(out: &mut String, s: &str) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
     /// Arrays and objects open around `pos`.
@@ -446,14 +450,14 @@ impl<'a> Parser<'a> {
             self.expect(b':')?;
             self.skip_ws()?;
             let value = self.parse_value()?;
-            if members.iter().any(|(k, _)| *k == key) {
-                return Err(self.error(&format!("duplicate object key \"{key}\"")));
-            }
             members.push((key, value));
             self.skip_ws()?;
             match self.peek() {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
+                    if let Some(key) = duplicate_key(&members) {
+                        return Err(self.error(&format!("duplicate object key \"{key}\"")));
+                    }
                     self.pos += 1;
                     return Ok(JsonValue::Object(members));
                 }
@@ -529,11 +533,14 @@ impl<'a> Parser<'a> {
                 }
                 _ => {
                     // Re-synchronize on UTF-8 boundaries: walk back one byte and take the
-                    // full character from the source text.
+                    // full character from the source text. The text is a `str`, so this
+                    // costs the character, not the rest of the document.
                     let start = self.pos - 1;
-                    let text = std::str::from_utf8(&self.bytes[start..])
-                        .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                    let c = text.chars().next().expect("non-empty by construction");
+                    let c = self
+                        .text
+                        .get(start..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid UTF-8 in string"))?;
                     if (c as u32) < 0x20 {
                         return Err(self.error("unescaped control character in string"));
                     }
@@ -581,6 +588,19 @@ impl<'a> Parser<'a> {
         };
         Ok(JsonValue::Number(number))
     }
+}
+
+/// A key that occurs twice among `members`, found in O(k log k): a wire frame may carry
+/// an object with millions of members, so the check must not compare every pair.
+fn duplicate_key(members: &[(String, JsonValue)]) -> Option<&str> {
+    if members.len() < 2 {
+        return None;
+    }
+    let mut keys: Vec<&str> = members.iter().map(|(key, _)| key.as_str()).collect();
+    keys.sort_unstable();
+    keys.windows(2)
+        .find(|pair| pair[0] == pair[1])
+        .map(|pair| pair[0])
 }
 
 /// Conversion of a spec/report type into its JSON form.

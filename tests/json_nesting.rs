@@ -17,7 +17,7 @@ use sfoverlay::prelude::{
     Flooding, NodeId, QueryBatch, ScenarioError, ScenarioReport, ScenarioSpec, SearchAlgorithm,
     SearchSpec, WorkloadSpec,
 };
-use sfoverlay::scenario::json::{ToJson, MAX_NESTING};
+use sfoverlay::scenario::json::{JsonValue, ToJson, MAX_NESTING};
 use std::io::Write;
 use std::path::PathBuf;
 use std::process::Command;
@@ -189,6 +189,105 @@ fn a_search_spec_nested_past_the_limit_is_refused_and_the_connection_survives() 
     assert!(matches!(
         recv_message(&mut second).unwrap(),
         Message::StatsReport(_)
+    ));
+    handle.stop();
+    std::fs::remove_file(&path).unwrap();
+}
+
+/// An object with `width` distinct members `"k0": 0, "k1": 0, ...` after `head`.
+fn wide_object(head: &str, width: usize) -> String {
+    let mut text = format!("{{{head}");
+    for i in 0..width {
+        if i > 0 || !head.is_empty() {
+            text.push_str(", ");
+        }
+        text.push_str(&format!("\"k{i}\": 0"));
+    }
+    text.push('}');
+    text
+}
+
+#[test]
+fn wide_objects_parse_in_near_linear_time_and_duplicates_are_still_refused() {
+    // 2·10^5 distinct keys: a quadratic duplicate check would take minutes here.
+    let width = 200_000;
+    let started = std::time::Instant::now();
+    let value = JsonValue::parse(&wide_object("", width)).unwrap();
+    assert_eq!(value.as_object().unwrap().len(), width);
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_secs(20),
+        "{width} keys took {elapsed:?}"
+    );
+
+    // The same key first and last, with 2·10^5 others between them.
+    let text = wide_object("\"dup\": 1", width).replace('}', ", \"dup\": 2}");
+    match JsonValue::parse(&text) {
+        Err(ScenarioError::Parse { message, .. }) => {
+            assert_eq!(message, "duplicate object key \"dup\"")
+        }
+        other => panic!("a duplicate key must be a parse error, got {other:?}"),
+    }
+    assert!(JsonValue::parse("{\"a\": 1, \"b\": {\"c\": 2, \"c\": 3}}").is_err());
+    assert!(JsonValue::parse("{\"a\": {\"c\": 2}, \"b\": {\"c\": 3}}").is_ok());
+}
+
+#[test]
+fn a_search_spec_with_a_hundred_thousand_members_is_refused_promptly() {
+    let dir = temp_dir("wide");
+    let path = dir.join("ring.sfos");
+    SnapshotFile {
+        csr: ring_graph(40, 2).unwrap().freeze(),
+        shards: None,
+        provenance: Some(Provenance {
+            label: "json-wide".to_string(),
+            m: 2,
+            cutoff: None,
+            seed: 7,
+            realization: 0,
+            sweep_seed: 11,
+            origin: None,
+        }),
+    }
+    .save(&path)
+    .unwrap();
+    let handle = WorkerServer::bind(&ServeConfig {
+        snapshot_path: path.display().to_string(),
+        listen: "127.0.0.1:0".to_string(),
+        engine_workers: 1,
+        shard_count: 1,
+        shard_index: None,
+        mmap: false,
+        queue_bound: 2,
+    })
+    .unwrap()
+    .spawn();
+
+    let mut stream = NetStream::connect(handle.addr()).unwrap();
+    let NetStream::Tcp(tcp) = &stream else {
+        panic!("the daemon listens on TCP");
+    };
+    tcp.set_read_timeout(Some(std::time::Duration::from_secs(5)))
+        .unwrap();
+    assert!(matches!(
+        recv_message(&mut stream).unwrap(),
+        Message::Hello(_)
+    ));
+    let [queries, _] = flooding_requests();
+    let text = wide_object("\"algorithm\": \"flooding\"", 100_000);
+    stream.write_all(&with_spec_text(&queries, &text)).unwrap();
+    let reply = recv_message(&mut stream)
+        .expect("a typed reply within the read timeout, not a thread parsing for minutes");
+    let Message::Error { message } = reply else {
+        panic!("a search spec with unknown members must be answered with an Error frame");
+    };
+    assert!(message.contains("unknown field \"k0\""), "{message}");
+
+    // The same connection still serves a request.
+    send_message(&mut stream, &queries).unwrap();
+    assert!(matches!(
+        recv_message(&mut stream).unwrap(),
+        Message::BatchResult { .. }
     ));
     handle.stop();
     std::fs::remove_file(&path).unwrap();

@@ -1,4 +1,4 @@
-//! Ablation benchmarks for the design choices called out in DESIGN.md §4:
+//! Ablation benchmarks for four design choices:
 //!
 //! 1. hard-cutoff enforcement inside PA: efficient stub-list sampling versus the paper's
 //!    literal rejection sampling;

@@ -1,6 +1,6 @@
 //! Generation cost of the four topology-construction mechanisms, with and without a hard
-//! cutoff (supports the DESIGN.md discussion of PA/CM being global but cheap and DAPA
-//! paying for its locality with substrate BFS work).
+//! cutoff: PA/CM are global but cheap, and DAPA pays for its locality with substrate BFS
+//! work.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfo_bench::{bench_rng, BENCH_NODES};

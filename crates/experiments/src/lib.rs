@@ -3,10 +3,9 @@
 //! Harness reproducing every figure and table of *"Scale-Free Overlay Topologies with Hard
 //! Cutoffs for Unstructured Peer-to-Peer Networks"* (Guclu & Yuksel, ICDCS 2007).
 //!
-//! Each experiment is registered in [`all_experiments`] under the identifier used in
-//! `DESIGN.md` (`fig1a` ... `fig12`, `table1`, `table2`, `msg-complexity`,
-//! `ablation-minlinks`, `churn`) and can be run either through the library API or the
-//! `reproduce` binary:
+//! Each experiment is registered in [`all_experiments`] under its identifier (`fig1a`
+//! ... `fig12`, `table1`, `table2`, `msg-complexity`, `ablation-minlinks`, `churn`) and
+//! can be run either through the library API or the `reproduce` binary:
 //!
 //! ```text
 //! cargo run --release -p sfo-experiments --bin reproduce -- --scale reduced fig9
@@ -141,7 +140,7 @@ impl fmt::Display for ExperimentOutput {
 /// A registered experiment.
 #[derive(Clone, Copy)]
 pub struct ExperimentSpec {
-    /// Identifier used in `DESIGN.md` and on the `reproduce` command line.
+    /// Identifier used on the `reproduce` command line.
     pub id: &'static str,
     /// What the experiment reproduces.
     pub title: &'static str,

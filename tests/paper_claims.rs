@@ -2,7 +2,7 @@
 //! topology, search, and analysis crates at a reduced (but not toy) scale.
 //!
 //! These tests pin the *direction* of every effect the paper reports; absolute values are
-//! scale-dependent and are checked against the paper in `EXPERIMENTS.md` instead.
+//! scale-dependent, and the `reproduce` binary of `sfo-experiments` prints them per scale.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

@@ -24,6 +24,12 @@ use sfo_sim::catalog::ItemId;
 /// The members of a JSON object.
 pub(crate) type Members = [(String, JsonValue)];
 
+fn object<'a>(value: &'a JsonValue, ctx: &str) -> Result<&'a Members, ScenarioError> {
+    value
+        .as_object()
+        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: must be an object")))
+}
+
 /// The members of `value`, refusing a non-object and any key that is neither `tag` nor
 /// one of `names`.
 pub(crate) fn members<'a>(
@@ -32,9 +38,7 @@ pub(crate) fn members<'a>(
     tag: Option<&str>,
     names: &[&str],
 ) -> Result<&'a Members, ScenarioError> {
-    let members = value
-        .as_object()
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: must be an object")))?;
+    let members = object(value, ctx)?;
     let known = |key: &str| tag == Some(key) || names.contains(&key);
     if let Some((key, _)) = members.iter().find(|(key, _)| !known(key)) {
         let allowed: Vec<&str> = tag.into_iter().chain(names.iter().copied()).collect();
@@ -84,10 +88,7 @@ pub(crate) fn tag<'a>(
     ctx: &str,
     key: &str,
 ) -> Result<&'a str, ScenarioError> {
-    let members = value
-        .as_object()
-        .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: must be an object")))?;
-    required(members, ctx, key)?
+    required(object(value, ctx)?, ctx, key)?
         .as_str()
         .ok_or_else(|| ScenarioError::invalid(format!("{ctx}: field \"{key}\" must be a string")))
 }
@@ -105,7 +106,8 @@ pub(crate) fn unknown_tag(ctx: &str, key: &str, value: &str, tags: &[&str]) -> S
     ))
 }
 
-/// Leaf decoders leave out the context; a reason without one is still bare.
+/// The reason of an error that names no context yet: a leaf decoder's "must be ...".
+/// Every context is written as `"{ctx}: ..."`.
 fn bare(error: &ScenarioError) -> Option<&str> {
     match error {
         ScenarioError::InvalidSpec { reason } if !reason.contains(": ") => Some(reason),

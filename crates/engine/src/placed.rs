@@ -6,9 +6,10 @@
 //! lives elsewhere, the whole suspended search — visited-bitset delta, frontier queue,
 //! walker position, and raw RNG state — is exported as a [`PlacedState`] and resumed
 //! on the owner. Exactly one host works on a job at any moment, so the placed run is
-//! a pure partition of the serial oracle's work: the same expansions in the same
-//! order consuming the same RNG stream, and therefore a byte-identical
-//! [`SearchOutcome`].
+//! a pure partition of the serial oracle's work, and therefore a byte-identical
+//! [`SearchOutcome`]: NF, probabilistic flooding and the walks perform the same
+//! expansions in the same order consuming the same RNG stream; plain flooding (FL)
+//! performs the same expansions, level by level.
 //!
 //! The state machine here is transport-agnostic; `sfo-net` wraps [`PlacedState`] in
 //! `ForwardFrontier`/`FrontierResult` frames and routes by [`PlacedState::cursor`].
@@ -25,6 +26,13 @@
 //! A flood keeps its frontier as a FIFO queue of `(node, previous hop, depth)` entries
 //! rather than the serial kernels' BFS order: the queue *is* the suspended state a
 //! hop ships, front first.
+//!
+//! FL alone expands every entry of the current BFS level it owns before hopping and
+//! ships the entries it deferred first, so a job hops at most `shards - 1` times per
+//! level. That is exact: FL draws nothing, each expansion sends one copy to every
+//! neighbor but the previous hop, and every node is still reached at its BFS depth.
+//! A shipped queue never decreases in depth, spans one level at most, and never
+//! passes the TTL.
 
 use rand::rngs::StdRng;
 use sfo_graph::{NodeId, ShardView};
@@ -201,8 +209,9 @@ pub fn placed_start(
 
 /// Advances a placed search as far as this host's rows allow.
 ///
-/// Expands nodes over `view` in the serial algorithm's order, by its forwarding rule or
-/// walker step, pausing the moment it needs a row the view does not own. Returns
+/// Expands nodes over `view` by the algorithm's forwarding rule or walker step, in the
+/// serial order (FL: level by level, see the module docs), pausing the moment it needs
+/// a row the view does not own (FL: the moment the current level needs one). Returns
 /// [`PlacedStep::Done`] with the final outcome, or [`PlacedStep::Forward`] with the
 /// suspended state to resume on the owner of its [`PlacedState::cursor`]. `stats`
 /// accumulates row-scan tallies across calls.
@@ -237,23 +246,33 @@ pub fn placed_advance<V: ShardView + ?Sized>(
                 .map(|&(node, from, depth)| (NodeId::new(node as usize), decode_from(from), depth)),
         );
         let ttl = state.ttl;
-        while let Some((node, from, depth)) = scratch.queue.pop_front() {
-            if depth >= ttl {
+        // FL only: an unowned entry of the level being drained waits in `deferred`
+        // while this host expands the rest of that level (see the module docs).
+        let mut deferred: Vec<QueueEntry> = Vec::new();
+        loop {
+            let next = scratch.queue.pop_front();
+            if matches!(next, Some((_, _, depth)) if depth >= ttl) {
                 // Spent entries pop anywhere: no row read, no RNG, no hop.
                 continue;
             }
+            if let Some(&(_, _, level)) = deferred.first() {
+                if next.is_none_or(|(_, _, depth)| depth > level) {
+                    // The level cannot finish here: ship the deferred entries first.
+                    let rest = next.iter().chain(&scratch.queue);
+                    let queue = deferred.iter().chain(rest);
+                    return suspend(state, hits, messages, &rng, scratch, queue);
+                }
+            }
+            let Some((node, from, depth)) = next else {
+                break;
+            };
             if !view.owns(node.index()) {
+                if rule == Forwarding::All {
+                    deferred.push((node, from, depth));
+                    continue;
+                }
                 scratch.queue.push_front((node, from, depth));
-                state.hits = hits;
-                state.messages = messages;
-                state.rng = rng.state_words();
-                state.visited = scratch.visited.export_sparse();
-                state.queue = scratch
-                    .queue
-                    .iter()
-                    .map(|&(n, f, d)| (n.as_u32(), encode_from(f), d))
-                    .collect();
-                return PlacedStep::Forward(state);
+                return suspend(state, hits, messages, &rng, scratch, scratch.queue.iter());
             }
             let row = view.neighbors(node);
             stats.scan(view, row);
@@ -313,12 +332,7 @@ pub fn placed_advance<V: ShardView + ?Sized>(
             continue;
         }
         if !view.owns(state.current as usize) {
-            state.hits = hits;
-            state.messages = messages;
-            state.rng = rng.state_words();
-            state.visited = scratch.visited.export_sparse();
-            state.queue = Vec::new();
-            return PlacedStep::Forward(state);
+            return suspend(state, hits, messages, &rng, scratch, [].iter());
         }
         let row = view.neighbors(NodeId::new(state.current as usize));
         stats.scan(view, row);
@@ -339,6 +353,29 @@ pub fn placed_advance<V: ShardView + ?Sized>(
     }
 }
 
+/// One frontier queue entry: `(node, previous hop, depth)`.
+type QueueEntry = (NodeId, Option<NodeId>, u32);
+
+/// Exports the suspended search — counts, RNG words, visited delta, and `queue`, front
+/// first — as the [`PlacedStep::Forward`] to resume on the owner of its cursor.
+fn suspend<'a>(
+    mut state: PlacedState,
+    hits: u64,
+    messages: u64,
+    rng: &StdRng,
+    scratch: &SearchScratch,
+    queue: impl Iterator<Item = &'a QueueEntry>,
+) -> PlacedStep {
+    state.hits = hits;
+    state.messages = messages;
+    state.rng = rng.state_words();
+    state.visited = scratch.visited.export_sparse();
+    state.queue = queue
+        .map(|&(node, from, depth)| (node.as_u32(), encode_from(from), depth))
+        .collect();
+    PlacedStep::Forward(state)
+}
+
 #[inline]
 fn decode_from(from: u32) -> Option<NodeId> {
     (from != NO_NODE).then(|| NodeId::new(from as usize))
@@ -354,6 +391,8 @@ mod tests {
     use super::*;
     use crate::ShardedCsr;
     use rand::SeedableRng;
+    use sfo_core::pa::PreferentialAttachment;
+    use sfo_core::DegreeCutoff;
     use sfo_graph::generators::ring_graph;
     use sfo_graph::{CsrGraph, CsrSlice, Graph};
     use sfo_search::flooding::Flooding;
@@ -492,6 +531,93 @@ mod tests {
                     }
                 }
             }
+        }
+    }
+
+    /// `(seed, source, ttl)` cases the hop tests run on the fixture.
+    const HOP_CASES: [(u64, usize, u32); 5] = [
+        (11, 3, 4),
+        (12, 42, 6),
+        (13, 58, 1),
+        (14, 17, 12),
+        (15, 30, 20),
+    ];
+
+    #[test]
+    fn flooding_hops_at_most_once_per_level_and_host() {
+        let pa = PreferentialAttachment::new(10_000, 2)
+            .unwrap()
+            .with_cutoff(DegreeCutoff::hard(40))
+            .generate(&mut rand::rngs::StdRng::seed_from_u64(1207))
+            .unwrap()
+            .freeze();
+        let pa_cases = [
+            (21u64, 0usize, 3u32),
+            (22, 5_000, 5),
+            (23, 9_999, 8),
+            (24, 777, 30),
+        ];
+        for (csr, cases) in [(fixture(), &HOP_CASES[..]), (pa, &pa_cases[..])] {
+            for shards in [2usize, 3, 5, 7] {
+                for &(seed, source, ttl) in cases {
+                    let algorithm = PlacedAlgorithm::Flooding;
+                    let serial = oracle(&csr, algorithm, NodeId::new(source), ttl, seed);
+                    let (placed, hops, _) =
+                        run_over_slices(&csr, shards, algorithm, NodeId::new(source), ttl, seed);
+                    assert_eq!(placed, serial, "{shards} shards, source {source}");
+                    assert!(
+                        hops <= (shards - 1) * ttl as usize,
+                        "{hops} hops at {shards} shards and ttl {ttl} (source {source})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn randomized_shapes_keep_their_exact_state_hop_counts() {
+        // Hops per (shards 2, 3, 5, 7) x HOP_CASES: these algorithms draw the RNG in
+        // FIFO order, so they suspend at the first foreign row, exactly as before FL
+        // took the level rule.
+        let pinned: [(PlacedAlgorithm, [usize; 20]); 5] = [
+            (
+                PlacedAlgorithm::NormalizedFlooding { k_min: 2 },
+                [
+                    3, 0, 0, 24, 24, 5, 0, 0, 34, 28, 6, 1, 0, 35, 34, 7, 2, 0, 39, 41,
+                ],
+            ),
+            (
+                PlacedAlgorithm::ProbabilisticFlooding { p: 0.6 },
+                [
+                    5, 15, 0, 13, 23, 6, 21, 0, 24, 26, 8, 19, 0, 27, 34, 8, 25, 0, 35, 38,
+                ],
+            ),
+            (
+                PlacedAlgorithm::RandomWalk,
+                [1, 0, 0, 0, 5, 2, 0, 0, 2, 5, 2, 1, 0, 3, 3, 2, 1, 0, 4, 5],
+            ),
+            (
+                PlacedAlgorithm::MultipleRandomWalk { walkers: 3 },
+                [0, 0, 0, 2, 7, 0, 0, 0, 4, 6, 0, 0, 0, 4, 6, 0, 0, 0, 8, 7],
+            ),
+            (
+                PlacedAlgorithm::RwNormalizedToNf { k_min: 2 },
+                [
+                    7, 1, 0, 33, 34, 8, 1, 0, 45, 40, 13, 5, 0, 57, 59, 14, 7, 0, 64, 81,
+                ],
+            ),
+        ];
+        let csr = fixture();
+        for (algorithm, expected) in pinned {
+            let mut hops = Vec::new();
+            for shards in [2usize, 3, 5, 7] {
+                for (seed, source, ttl) in HOP_CASES {
+                    hops.push(
+                        run_over_slices(&csr, shards, algorithm, NodeId::new(source), ttl, seed).1,
+                    );
+                }
+            }
+            assert_eq!(hops, expected, "{algorithm:?}");
         }
     }
 

@@ -53,8 +53,9 @@
 //! to send work to one serving the wrong realization. Placed runs keep the same
 //! invariant by a stronger mechanism: a forwarded frontier carries the search's exact
 //! serial state (visited delta, queue, raw RNG words), so cross-host traversal is a
-//! pure partition of the serial oracle's work — byte-identical for any shard count,
-//! placement, and interleaving.
+//! pure partition of the serial oracle's work — the same expansions, in the same order
+//! for the randomized searches and level by level for plain flooding — byte-identical
+//! for any shard count, placement, and interleaving.
 //!
 //! # Example
 //!

@@ -90,11 +90,14 @@ pub fn placed_algorithm(search: &SearchSpec, m: usize) -> Result<PlacedAlgorithm
 
 /// Checks a decoded frontier against the id space of the snapshot it claims to run
 /// on — every node reference in bounds and every visited word inside the bitset —
-/// so resuming it can never panic the host.
+/// so resuming it can never panic the host, and its queue against the shape every
+/// honest flood ships: depths never decrease, span at most one BFS level, and never
+/// exceed the TTL.
 ///
 /// # Errors
 ///
-/// Returns [`NetError::Protocol`] naming the out-of-range field.
+/// Returns [`NetError::Protocol`] naming the out-of-range field or the broken queue
+/// invariant.
 pub fn validate_state(state: &PlacedState, node_count: usize) -> Result<(), NetError> {
     let node_ok = |node: u32| (node as usize) < node_count;
     let from_ok = |node: u32| node == NO_NODE || node_ok(node);
@@ -118,6 +121,25 @@ pub fn validate_state(state: &PlacedState, node_count: usize) -> Result<(), NetE
         return Err(NetError::protocol(format!(
             "frontier queue entry ({node}, {from}) out of bounds for {node_count} nodes"
         )));
+    }
+    if let Some(pair) = state.queue.windows(2).find(|pair| pair[1].2 < pair[0].2) {
+        return Err(NetError::protocol(format!(
+            "frontier queue depths decrease ({} then {})",
+            pair[0].2, pair[1].2
+        )));
+    }
+    if let (Some(&(_, _, low)), Some(&(_, _, high))) = (state.queue.first(), state.queue.last()) {
+        if high - low > 1 {
+            return Err(NetError::protocol(format!(
+                "frontier queue spans depths {low}..={high}, more than one BFS level"
+            )));
+        }
+        if high > state.ttl {
+            return Err(NetError::protocol(format!(
+                "frontier queue depth {high} exceeds the ttl {}",
+                state.ttl
+            )));
+        }
     }
     let words = node_count.div_ceil(64);
     if let Some(&(word, _)) = state
@@ -245,5 +267,25 @@ mod tests {
         assert!(validate_state(&bad, 10).is_err());
         assert!(validate_state(&base, 4).is_ok());
         assert!(validate_state(&base, 3).is_err());
+        // The queue shape: a FIFO level or a deferred-first one passes; depths that
+        // decrease, span two levels, or pass the ttl do not.
+        let with_queue = |queue: Vec<(u32, u32, u32)>| PlacedState {
+            queue,
+            ..base.clone()
+        };
+        assert!(validate_state(&with_queue(vec![(4, 3, 1), (5, 3, 1), (6, 4, 2)]), 10).is_ok());
+        for hostile in [
+            vec![(4, 3, 1), (5, 3, 0)],
+            vec![(3, NO_NODE, 0), (4, 3, 2)],
+            vec![(4, 3, 2), (5, 4, 3)],
+        ] {
+            assert!(
+                matches!(
+                    validate_state(&with_queue(hostile.clone()), 10),
+                    Err(NetError::Protocol { .. })
+                ),
+                "{hostile:?}"
+            );
+        }
     }
 }

@@ -4,11 +4,14 @@
 //! than the job grid, and searches hop between hosts as `ForwardFrontier` frames
 //! whenever their frontier leaves the rows the current host owns. Because a forwarded
 //! frontier carries the search's exact serial state — visited delta, queue, raw RNG
-//! words — cross-host traversal is a pure partition of the serial oracle's work, and
-//! the `ScenarioReport.result` must be byte-identical to the single-host run *and* to
-//! the whole-snapshot remote path, for any shard count, placement, and interleaving.
-//! These tests pin that, plus the failure path when a shard host dies mid-batch and
-//! the `sfo-obs` accounting identity tying forwarded traffic to `boundary_fraction()`.
+//! words — cross-host traversal is a pure partition of the serial oracle's work (the
+//! same expansions: in the same order for the randomized searches, level by level for
+//! plain flooding), and the `ScenarioReport.result` must be byte-identical to the
+//! single-host run *and* to the whole-snapshot remote path, for any shard count,
+//! placement, and interleaving. These tests pin that, plus the failure path when a
+//! shard host dies mid-batch, the refusal of a malformed frontier queue, the
+//! flooding hop bound, and the `sfo-obs` accounting identity tying forwarded traffic
+//! to `boundary_fraction()`.
 
 use sfoverlay::net::frame::encode_frame;
 use sfoverlay::net::message::{recv_message, send_message, Hello, Message, WHOLE_SNAPSHOT};
@@ -438,6 +441,89 @@ fn boundary_fraction_equals_the_forwarded_frontier_traffic_fraction() {
     std::fs::remove_dir_all(&dir).unwrap();
 }
 
+/// The engine tests' ring-with-chords graph, saved with a hand-written provenance so a
+/// snapshot sweep can run on it.
+fn ring_with_chords_fixture(dir: &std::path::Path) -> (String, ScenarioSpec) {
+    let mut g = sfoverlay::graph::generators::ring_graph(60, 2).unwrap();
+    for i in 0..12 {
+        let a = NodeId::new(i * 5);
+        let b = NodeId::new((i * 7 + 13) % 60);
+        if a != b {
+            let _ = g.add_edge(a, b);
+        }
+    }
+    let mut file = SnapshotFile::plain(g.freeze());
+    file.provenance = Some(Provenance {
+        label: "ring-with-chords".to_string(),
+        m: 2,
+        cutoff: None,
+        seed: 17,
+        realization: 0,
+        sweep_seed: 0x5eed_0fc4_04d5,
+        origin: None,
+    });
+    let path = dir.join("ring.sfos");
+    file.save(&path).unwrap();
+    let mut spec = ScenarioSpec::sweep(
+        "placed-eq-ring",
+        TopologySpec::Snapshot {
+            path: path.display().to_string(),
+        },
+        SearchSpec::Flooding,
+        SweepSpec::single(vec![1, 4, 6, 12, 20], 4),
+        17,
+        1,
+    );
+    spec.sweep.as_mut().unwrap().batch = true;
+    (path.display().to_string(), spec)
+}
+
+#[test]
+fn placed_floods_hop_at_most_once_per_level_and_host() {
+    // FL expands a whole BFS level on each host before it moves, so a job is forwarded
+    // at most `shards - 1` times per level: `frontiers_sent` (one first dispatch per
+    // job plus one per hop) stays within `jobs + (shards - 1) * sum of the jobs' ttls`.
+    let dir = scratch("hops");
+    let (pa_path, mut pa_spec) = build_fixture(
+        &dir,
+        "pa10k",
+        TopologySpec::Pa {
+            nodes: 10_000,
+            m: 2,
+            cutoff: Some(40),
+        },
+        1207,
+    );
+    pa_spec.sweep.as_mut().unwrap().ttls = vec![3, 5, 8];
+    pa_spec.sweep.as_mut().unwrap().searches_per_point = 3;
+    for (path, base) in [ring_with_chords_fixture(&dir), (pa_path, pa_spec)] {
+        let sweep = base.sweep.as_ref().unwrap();
+        let jobs = (sweep.ttls.len() * sweep.searches_per_point) as u64;
+        let ttl_sum = sweep.searches_per_point as u64 * sweep.ttls.iter().sum::<u32>() as u64;
+        let local = remote_runner()
+            .run(&snapshot_spec(&base, &path, Vec::new(), false))
+            .unwrap();
+        for shard_count in [2usize, 3, 5, 7] {
+            let (handles, addrs) = spawn_placed_workers(&path, shard_count, true);
+            let registry = Arc::new(Registry::new());
+            let report = remote_runner_with_metrics(Arc::clone(&registry))
+                .run(&snapshot_spec(&base, &path, addrs, true))
+                .unwrap();
+            assert_eq!(report.result, local.result, "{path}: {shard_count} shards");
+            let sent = registry.counter("placed.frontiers_sent").get();
+            let bound = jobs + (shard_count as u64 - 1) * ttl_sum;
+            assert!(
+                jobs < sent && sent <= bound,
+                "{path}: {shard_count} shards sent {sent} frontiers for {jobs} jobs (bound {bound})"
+            );
+            for handle in handles {
+                handle.stop();
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
 #[test]
 fn placed_specs_validate_their_worker_list() {
     // `"placed": true` with no workers is a spec error, caught before any dialing.
@@ -490,6 +576,46 @@ fn whole_snapshot_workers_on_odd_frames_stay_typed() {
     assert!(matches!(
         recv_message(&mut stream).unwrap(),
         Message::Error { .. }
+    ));
+    for handle in handles {
+        handle.stop();
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_frontier_with_a_malformed_queue_is_refused_and_the_connection_lives() {
+    // Depths that decrease are refused at admission with a typed `Error`, before any
+    // row is read; the connection keeps its framing and still answers `StatsRequest`.
+    let dir = scratch("queue-shape");
+    let (path, _) = build_fixture(
+        &dir,
+        "queue-shape",
+        TopologySpec::Pa {
+            nodes: 120,
+            m: 2,
+            cutoff: Some(10),
+        },
+        5,
+    );
+    let identity = sfoverlay::graph::snapshot::read_identity(&path).unwrap();
+    let (handles, addrs) = spawn_placed_workers(&path, 2, true);
+    let mut stream = sfoverlay::net::NetStream::connect(&addrs[0]).unwrap();
+    assert!(matches!(
+        recv_message(&mut stream).unwrap(),
+        Message::Hello(_)
+    ));
+    let mut state = placed_start(PlacedAlgorithm::Flooding, NodeId::new(3), 4, [1, 2, 3, 4]);
+    state.queue = vec![(3, u32::MAX, 2), (4, 3, 1)];
+    send_message(&mut stream, &Message::ForwardFrontier { identity, state }).unwrap();
+    match recv_message(&mut stream).unwrap() {
+        Message::Error { message } => assert!(message.contains("depths"), "{message}"),
+        other => panic!("expected a typed Error, got {other:?}"),
+    }
+    send_message(&mut stream, &Message::StatsRequest).unwrap();
+    assert!(matches!(
+        recv_message(&mut stream).unwrap(),
+        Message::StatsReport(_)
     ));
     for handle in handles {
         handle.stop();

@@ -16,7 +16,8 @@ use crate::message::{BatchRequest, FrontierResult, WHOLE_SNAPSHOT};
 use crate::placed::{placed_algorithm, shard_of, shard_payload, sweep_job_state};
 use crate::NetError;
 use sfo_engine::QueryBatch;
-use sfo_graph::snapshot::SnapshotFile;
+use sfo_graph::snapshot::{self, SnapshotError, SnapshotFile};
+use sfo_graph::CsrGraph;
 use sfo_obs::{PhaseTimer, Registry};
 use sfo_scenario::{
     RemoteSweepExecutor, RemoteSweepRequest, ScenarioError, ScenarioRunner, SearchSpec,
@@ -149,21 +150,28 @@ fn dispatch_sweep_metered(
 /// `workers.len()`, every job is injected at the worker owning its source node, and
 /// a traversal needing a foreign row hops between workers as a forwarded frontier.
 ///
-/// Setup first ships each worker exactly its [`crate::placed::shard_range`] slice
-/// (cut from the locally-read snapshot file) — or, for a worker already announcing a
-/// shard index (`sfo serve --shard`), verifies the announced coordinates and refuses
-/// a worker holding the wrong shard. The job loop then routes each suspended state
-/// to the owner of its cursor until the search completes. Because a frontier carries
-/// the exact serial traversal state (RNG words included), the merged outcomes are
-/// byte-identical to the serial oracle for any shard count and any interleaving.
+/// The dispatcher reads only what it uses of the snapshot file: its header
+/// (`node_count`, the routing modulus) and its trailer identity. Every worker's
+/// `Hello` must echo that identity and the header's node and edge counts — the
+/// workers verified their own copies at load, so routing runs only on a count a
+/// verified source confirms. A worker already announcing a shard index
+/// (`sfo serve --shard`) must announce exactly the coordinates this placement
+/// assigns it; a whole-snapshot worker is shipped its
+/// [`crate::placed::shard_range`] slice, cut from the local file, which is then
+/// read and fully verified — once, and only when some worker needs a shipment.
+/// The job loop then routes each suspended state to the owner of its cursor until
+/// the search completes. Because a frontier carries the exact serial traversal
+/// state (RNG words included), the merged outcomes are byte-identical to the serial
+/// oracle for any shard count and any interleaving.
 fn dispatch_placed(
     request: &RemoteSweepRequest,
     metrics: Option<&Registry>,
 ) -> Result<Vec<SearchOutcome>, NetError> {
+    let setup = PhaseTimer::start();
     let algorithm = placed_algorithm(&request.search, request.m)?;
     let path = &request.snapshot_path;
-    let identity = sfo_graph::snapshot::read_identity(path)
-        .map_err(|e| NetError::protocol(format!("cannot read {path}: {e}")))?;
+    let unreadable = |e: SnapshotError| NetError::protocol(format!("cannot read {path}: {e}"));
+    let identity = snapshot::read_identity(path).map_err(unreadable)?;
     if identity != request.identity {
         return Err(NetError::protocol(format!(
             "{path} hashes to {identity:#018x}, but the scenario names \
@@ -171,24 +179,39 @@ fn dispatch_placed(
             request.identity
         )));
     }
-    let csr = SnapshotFile::load(path)
-        .map_err(|e| NetError::protocol(format!("cannot read {path}: {e}")))?
-        .csr;
-    let node_count = csr.node_count();
-    if node_count == 0 {
+    let (header, _) = snapshot::read_meta(path).map_err(unreadable)?;
+    if header.node_count == 0 {
         return Err(NetError::protocol(format!(
             "{path} holds an empty topology"
         )));
     }
+    let node_count = header.node_count as usize;
     let shard_count = request.workers.len();
+    let shipped = metrics.map(|registry| registry.counter("placed.shards_shipped"));
+    // Read and verified only when a whole-snapshot worker needs its slice shipped.
+    let mut csr: Option<CsrGraph> = None;
 
     // Placement handshake: every worker must end up holding exactly its shard of
     // this snapshot before any frontier moves.
     for (w, addr) in request.workers.iter().enumerate() {
         let mut client = connect_verified(addr, request.identity)?;
         let hello = *client.hello();
+        if (hello.node_count, hello.edge_count) != (header.node_count, header.edge_count) {
+            return Err(NetError::protocol(format!(
+                "worker {addr} serves {} nodes and {} edges, but {path}'s header \
+                 declares {} nodes and {} edges",
+                hello.node_count, hello.edge_count, header.node_count, header.edge_count
+            )));
+        }
         let confirmed = if hello.shard_index == WHOLE_SNAPSHOT {
-            client.load_shard(shard_payload(&csr, request.identity, shard_count, w))?
+            let csr = match &mut csr {
+                Some(csr) => csr,
+                slot => slot.insert(SnapshotFile::load(path).map_err(unreadable)?.csr),
+            };
+            if let Some(shipped) = &shipped {
+                shipped.inc();
+            }
+            client.load_shard(shard_payload(csr, request.identity, shard_count, w))?
         } else {
             hello
         };
@@ -199,6 +222,9 @@ fn dispatch_placed(
                 confirmed.shard_index, confirmed.shard_count
             )));
         }
+    }
+    if let Some(registry) = metrics {
+        setup.observe(&registry.histogram("placed.setup_micros"));
     }
 
     let total = request.job_count();

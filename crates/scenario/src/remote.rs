@@ -50,8 +50,9 @@ pub struct RemoteSweepRequest {
     /// between workers as a forwarded frontier — still byte-identical to the local
     /// run.
     pub placed: bool,
-    /// The `.sfos` file the sweep runs on, as named by the spec — a placed dispatcher
-    /// reads it to cut the per-worker shard shipments.
+    /// The `.sfos` file the sweep runs on, as named by the spec. A placed dispatcher
+    /// reads its header and trailer identity, and loads the arrays only to cut a shard
+    /// shipment for a worker serving the whole snapshot.
     pub snapshot_path: String,
 }
 

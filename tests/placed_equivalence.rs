@@ -622,3 +622,143 @@ fn a_frontier_with_a_malformed_queue_is_refused_and_the_connection_lives() {
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }
+
+/// A copy of the snapshot at `path` with `edit` applied to its bytes, for the
+/// dispatcher alone: the workers keep serving the intact file.
+fn edited_copy(path: &str, tag: &str, edit: impl FnOnce(&mut [u8])) -> String {
+    let mut bytes = std::fs::read(path).unwrap();
+    edit(&mut bytes);
+    let copy = format!("{path}.{tag}");
+    std::fs::write(&copy, bytes).unwrap();
+    copy
+}
+
+#[test]
+fn pinned_placements_never_read_the_dispatchers_arrays() {
+    // The dispatcher's own copy has garbled `offsets`/`targets` bytes behind an intact
+    // header, provenance and trailer. Pinned workers need nothing cut from it, so the
+    // dispatch reads only the header and trailer: the same bytes as the serial oracle,
+    // nothing shipped. Whole-snapshot workers need their slices cut from it, so the
+    // full load runs and refuses the copy.
+    let dir = scratch("lazy");
+    let (path, base) = build_fixture(
+        &dir,
+        "lazy",
+        TopologySpec::Pa {
+            nodes: 300,
+            m: 2,
+            cutoff: Some(12),
+        },
+        23,
+    );
+    let layout = sfoverlay::graph::snapshot::section_layout(&path).unwrap();
+    let garbled = edited_copy(&path, "garbled", |bytes| {
+        let arrays = layout.offsets_bytes.start as usize..layout.targets_bytes.end as usize;
+        for byte in &mut bytes[arrays] {
+            *byte ^= 0x5a;
+        }
+    });
+    assert_eq!(
+        sfoverlay::graph::snapshot::read_identity(&garbled).unwrap(),
+        sfoverlay::graph::snapshot::read_identity(&path).unwrap()
+    );
+    let local = remote_runner()
+        .run(&snapshot_spec(&base, &path, Vec::new(), false))
+        .unwrap();
+    for shard_count in [2usize, 3] {
+        let (handles, addrs) = spawn_placed_workers(&path, shard_count, true);
+        let registry = Arc::new(Registry::new());
+        let report = remote_runner_with_metrics(Arc::clone(&registry))
+            .run(&snapshot_spec(&base, &garbled, addrs, true))
+            .unwrap();
+        assert_eq!(report.result, local.result, "{shard_count} pinned shards");
+        let metrics = registry.snapshot();
+        assert_eq!(metrics.counter("placed.shards_shipped"), Some(0));
+        assert!(metrics.counter("placed.frontiers_sent").unwrap() > 0);
+        assert_eq!(metrics.histogram("placed.setup_micros").unwrap().count, 1);
+        for handle in handles {
+            handle.stop();
+        }
+
+        let (handles, addrs) = spawn_placed_workers(&path, shard_count, false);
+        let err = remote_runner()
+            .run(&snapshot_spec(&base, &garbled, addrs.clone(), true))
+            .unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch"), "{err}");
+        // The intact file ships each whole-snapshot worker its slice, once.
+        let registry = Arc::new(Registry::new());
+        let report = remote_runner_with_metrics(Arc::clone(&registry))
+            .run(&snapshot_spec(&base, &path, addrs, true))
+            .unwrap();
+        assert_eq!(report.result, local.result, "{shard_count} shipped shards");
+        assert_eq!(
+            registry.snapshot().counter("placed.shards_shipped"),
+            Some(shard_count as u64)
+        );
+        for handle in handles {
+            handle.stop();
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn a_header_the_workers_contradict_is_refused_before_any_frontier_moves() {
+    // The dispatcher's copy declares one node more than it holds, its trailer kept, so
+    // its identity still matches. Routing on that count would send cursors to the
+    // wrong owners; the dispatch must refuse with a typed error instead, and no worker
+    // may have served a frontier.
+    let dir = scratch("header");
+    let (path, _) = build_fixture(
+        &dir,
+        "header",
+        TopologySpec::Pa {
+            nodes: 300,
+            m: 2,
+            cutoff: Some(12),
+        },
+        29,
+    );
+    let (header, provenance) = sfoverlay::graph::snapshot::read_meta(&path).unwrap();
+    let provenance = provenance.unwrap();
+    let altered = edited_copy(&path, "altered", |bytes| {
+        // `node_count` is header bytes 8..16 (docs/FORMATS.md).
+        bytes[8..16].copy_from_slice(&(header.node_count + 1).to_le_bytes());
+    });
+    let identity = sfoverlay::graph::snapshot::read_identity(&altered).unwrap();
+    assert_eq!(
+        identity,
+        sfoverlay::graph::snapshot::read_identity(&path).unwrap()
+    );
+    for pinned in [true, false] {
+        let (handles, addrs) = spawn_placed_workers(&path, 2, pinned);
+        let request = RemoteSweepRequest {
+            workers: addrs.clone(),
+            identity,
+            seed: provenance.sweep_seed,
+            ttls: vec![2, 4],
+            searches_per_point: 3,
+            search: SearchSpec::Flooding,
+            m: provenance.m as usize,
+            placed: true,
+            snapshot_path: altered.clone(),
+        };
+        let err = sfoverlay::net::dispatch_sweep(&request).unwrap_err();
+        assert!(
+            matches!(err, sfoverlay::net::NetError::Protocol { .. }),
+            "pinned {pinned}: {err}"
+        );
+        for addr in &addrs {
+            let stats = WorkerClient::connect(addr).unwrap().stats().unwrap();
+            assert_eq!(
+                stats.counter("placed.frontiers_served").unwrap_or(0),
+                0,
+                "pinned {pinned}: {addr} served a frontier"
+            );
+        }
+        for handle in handles {
+            handle.stop();
+        }
+    }
+    std::fs::remove_dir_all(&dir).unwrap();
+}

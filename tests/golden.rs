@@ -14,6 +14,8 @@
 //!   and live examples;
 //! * one `MetricsSnapshot`;
 //! * the encoded `SubmitBatch` frame for each search algorithm;
+//! * the `SFOS` bytes `sfo snapshot build --shards 4` writes for
+//!   `examples/scenario_snapshot_build.json` and the `pa30k` benchmark snapshot;
 //! * the message of every malformed-input case: for each JSON type, an unknown member,
 //!   a missing required member, a wrong-typed member and, for tagged types, an unknown
 //!   tag.
@@ -214,6 +216,20 @@ fn frames(digests: &mut Digests) {
             format!("frame/submit_batch/{name}"),
             encode_frame(frame_type, &payload),
         );
+    }
+}
+
+/// The snapshot files `sfo snapshot build --shards 4` writes for two checked-in build
+/// specs: topology, shard manifest and provenance, byte for byte.
+fn snapshots(digests: &mut Digests) {
+    for name in [
+        "examples/scenario_snapshot_build.json",
+        "benchmark/workloads/snapshots/pa30k.json",
+    ] {
+        let text = std::fs::read_to_string(root().join(name)).unwrap();
+        let spec = ScenarioSpec::parse(&text).unwrap();
+        let file = build_snapshot(&spec, 4).unwrap_or_else(|e| panic!("{name}: {e}"));
+        digests.add(format!("sfos/{name}"), file.to_bytes());
     }
 }
 
@@ -446,6 +462,7 @@ fn json_bytes_match_the_golden_digests() {
     let reports = reports(&mut digests);
     metrics(&mut digests);
     frames(&mut digests);
+    snapshots(&mut digests);
     malformed_matrix(&mut digests, &reports);
     let rendered = digests.render();
 

@@ -1,47 +1,19 @@
-//! Ablation benchmarks for four design choices:
+//! Ablation benchmarks for three design choices:
 //!
-//! 1. hard-cutoff enforcement inside PA: efficient stub-list sampling versus the paper's
-//!    literal rejection sampling;
-//! 2. CM discrepancy handling: how much work the post-wiring simplification step does as
+//! 1. CM discrepancy handling: how much work the post-wiring simplification step does as
 //!    the cutoff varies;
-//! 3. DAPA horizon recomputation: the substrate-BFS cost as `τ_sub` grows;
-//! 4. RW normalization: message-normalized walks versus raw fixed-budget walks.
+//! 2. DAPA horizon recomputation: the substrate-BFS cost as `τ_sub` grows;
+//! 3. RW normalization: message-normalized walks versus raw fixed-budget walks.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sfo_bench::{bench_rng, capped_pa_graph};
 use sfo_core::cm::ConfigurationModel;
 use sfo_core::dapa::DiscoverAndAttempt;
-use sfo_core::pa::{PaVariant, PreferentialAttachment};
 use sfo_core::DegreeCutoff;
 use sfo_graph::generators::GeometricRandomNetwork;
 use sfo_search::experiment::{rw_normalized_to_nf, ttl_sweep};
 use sfo_search::random_walk::RandomWalk;
 use std::time::Duration;
-
-fn bench_pa_cutoff_enforcement(c: &mut Criterion) {
-    let mut group = c.benchmark_group("ablation_cutoff_enforcement");
-    group
-        .sample_size(10)
-        .measurement_time(Duration::from_secs(2))
-        .warm_up_time(Duration::from_millis(300));
-    for (label, variant) in [
-        ("stub_list", PaVariant::StubList),
-        ("literal_rejection", PaVariant::LiteralRejection),
-    ] {
-        group.bench_function(label, |b| {
-            let generator = PreferentialAttachment::new(800, 2)
-                .unwrap()
-                .with_cutoff(DegreeCutoff::hard(20))
-                .with_variant(variant);
-            let mut seed = 0u64;
-            b.iter(|| {
-                seed += 1;
-                generator.generate(&mut bench_rng(seed)).unwrap()
-            });
-        });
-    }
-    group.finish();
-}
 
 fn bench_cm_rewire(c: &mut Criterion) {
     let mut group = c.benchmark_group("ablation_cm_rewire");
@@ -121,7 +93,6 @@ fn bench_rw_normalization(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_pa_cutoff_enforcement,
     bench_cm_rewire,
     bench_dapa_bfs,
     bench_rw_normalization

@@ -3,7 +3,7 @@
 use crate::Result;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use sfo_graph::Graph;
+use sfo_graph::{CsrGraph, Graph};
 use std::fmt;
 
 /// How much information about the current overlay a construction mechanism needs when a
@@ -61,6 +61,21 @@ pub trait TopologyGenerator {
     /// Returns [`crate::TopologyError`] if the configuration is invalid or if hard cutoffs
     /// make it impossible to attach a node within the generator's attempt budget.
     fn generate(&self, rng: &mut dyn RngCore) -> Result<Graph>;
+
+    /// Generates one realization straight into its frozen form.
+    ///
+    /// The result equals `self.generate(rng)?.freeze()` — same topology, same neighbor
+    /// order, same stream position afterwards — and that is the default. Generators
+    /// that can build the CSR arrays without a mutable [`Graph`] override it;
+    /// preferential attachment does. Callers that only read the realization (sweeps,
+    /// snapshot builds, degree statistics) should call this.
+    ///
+    /// # Errors
+    ///
+    /// Returns the errors of [`TopologyGenerator::generate`].
+    fn generate_frozen(&self, rng: &mut dyn RngCore) -> Result<CsrGraph> {
+        Ok(self.generate(rng)?.freeze())
+    }
 
     /// Returns how much global information the mechanism requires (Table II).
     fn locality(&self) -> Locality;

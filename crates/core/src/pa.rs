@@ -12,26 +12,11 @@ use crate::{DegreeCutoff, Locality, Result, StubCount, TopologyError, TopologyGe
 use rand::Rng;
 use rand::RngCore;
 use serde::{Deserialize, Serialize};
-use sfo_graph::{generators::complete_graph, Graph, NodeId};
+use sfo_graph::{CsrGraph, Graph, NodeId};
 
 /// Default number of candidate draws per stub before the generator falls back to scanning
 /// for an eligible node directly.
 pub const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
-
-/// Which sampling procedure the generator uses to realize preferential attachment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
-pub enum PaVariant {
-    /// Draw candidates from a stub list in which every node appears once per unit of
-    /// degree, so a uniform draw is already degree-proportional. This is the standard
-    /// efficient realization of preferential attachment and the default.
-    #[default]
-    StubList,
-    /// The literal procedure of the paper's Alg. 1: draw a uniformly random existing node
-    /// and accept it with probability `k_node / k_total`. Statistically equivalent to
-    /// [`PaVariant::StubList`] but needs `O(N)` draws per edge; retained for the
-    /// cutoff-enforcement ablation and for small-scale validation.
-    LiteralRejection,
-}
 
 /// Builder/configuration for the preferential-attachment generator.
 ///
@@ -57,7 +42,6 @@ pub struct PreferentialAttachment {
     nodes: usize,
     stubs: StubCount,
     cutoff: DegreeCutoff,
-    variant: PaVariant,
     max_attempts: usize,
 }
 
@@ -80,7 +64,6 @@ impl PreferentialAttachment {
             nodes,
             stubs,
             cutoff: DegreeCutoff::Unbounded,
-            variant: PaVariant::default(),
             max_attempts: DEFAULT_MAX_ATTEMPTS,
         })
     }
@@ -88,12 +71,6 @@ impl PreferentialAttachment {
     /// Sets the hard cutoff `k_c`.
     pub fn with_cutoff(mut self, cutoff: DegreeCutoff) -> Self {
         self.cutoff = cutoff;
-        self
-    }
-
-    /// Selects the sampling variant (stub list by default).
-    pub fn with_variant(mut self, variant: PaVariant) -> Self {
-        self.variant = variant;
         self
     }
 
@@ -125,132 +102,115 @@ impl PreferentialAttachment {
         Ok(())
     }
 
-    /// Generates one PA topology.
+    /// Generates one PA topology as a mutable graph: [`Self::generate_frozen`], thawed.
     ///
     /// # Errors
     ///
     /// Returns [`TopologyError::InvalidConfig`] for inconsistent configurations (for
     /// example a cutoff below `m`).
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<Graph> {
+        Ok(self.generate_frozen(rng)?.thaw())
+    }
+
+    /// Generates one PA topology straight into CSR form.
+    ///
+    /// The draw loop keeps only compact state: a degree per node, the joining node's
+    /// row (at most `m` entries, and all of its neighbors while it joins), a stub list
+    /// and the edges in insertion order, seed clique first. [`CsrGraph::from_edges`]
+    /// turns the edges into exactly the rows adding them to a [`Graph`] would grow.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::InvalidConfig`] for inconsistent configurations (for
+    /// example a cutoff below `m`).
+    pub fn generate_frozen<R: Rng + ?Sized>(&self, rng: &mut R) -> Result<CsrGraph> {
         self.validate()?;
         let m = self.stubs.get();
         let seed_size = m + 1;
-        let mut graph = complete_graph(seed_size)?;
-        graph.add_nodes(self.nodes - seed_size);
-
-        // Stub list: node id repeated once per unit of degree. Kept in sync with the graph
-        // so that a uniform draw is degree-proportional (used by the StubList variant and by
-        // the literal variant's k_total bookkeeping).
-        let mut stub_list: Vec<NodeId> = Vec::with_capacity(2 * m * self.nodes);
-        for node in 0..seed_size {
-            for _ in 0..m {
-                stub_list.push(NodeId::new(node));
+        let mut degree = vec![0u32; self.nodes];
+        degree[..seed_size].fill(m as u32);
+        let mut edges: Vec<(u32, u32)> = Vec::with_capacity(m * self.nodes);
+        for a in 0..seed_size as u32 {
+            for b in a + 1..seed_size as u32 {
+                edges.push((a, b));
             }
         }
 
+        // Stub list: node id repeated once per unit of degree, so a uniform draw is
+        // degree-proportional.
+        let mut stub_list: Vec<u32> = Vec::with_capacity(2 * m * self.nodes);
+        for node in 0..seed_size as u32 {
+            stub_list.extend(std::iter::repeat_n(node, m));
+        }
+
+        let mut row: Vec<u32> = Vec::with_capacity(m);
         for i in seed_size..self.nodes {
-            let new_node = NodeId::new(i);
+            let new_node = NodeId::new(i).as_u32();
+            row.clear();
             for _ in 0..m {
-                let target = match self.variant {
-                    PaVariant::StubList => {
-                        self.pick_via_stub_list(&graph, &stub_list, new_node, i, rng)
-                    }
-                    PaVariant::LiteralRejection => {
-                        self.pick_via_literal_rejection(&graph, stub_list.len(), new_node, i, rng)
-                    }
-                };
-                let target = match target {
+                let target = match self
+                    .pick_via_stub_list(&stub_list, &degree, &row, new_node, rng)
+                    .or_else(|| self.fallback_eligible_target(&degree[..i], &row, rng))
+                {
                     Some(t) => t,
-                    None => match self.fallback_eligible_target(&graph, new_node, i, rng) {
-                        Some(t) => t,
-                        None => break, // every existing node is saturated or already linked
-                    },
+                    None => break, // every existing node is saturated or already linked
                 };
-                graph.add_edge(new_node, target)?;
+                row.push(target);
+                degree[i] += 1;
+                degree[target as usize] += 1;
+                edges.push((new_node, target));
                 stub_list.push(new_node);
                 stub_list.push(target);
             }
         }
-        Ok(graph)
+        Ok(CsrGraph::from_edges(self.nodes, &edges))
     }
 
-    /// Degree-proportional draw from the stub list, rejecting ineligible candidates.
+    /// Degree-proportional draw from the stub list, rejecting the joining node itself,
+    /// saturated nodes and nodes already in its `row`.
     fn pick_via_stub_list<R: Rng + ?Sized>(
         &self,
-        graph: &Graph,
-        stub_list: &[NodeId],
-        new_node: NodeId,
-        existing: usize,
+        stub_list: &[u32],
+        degree: &[u32],
+        row: &[u32],
+        new_node: u32,
         rng: &mut R,
-    ) -> Option<NodeId> {
-        debug_assert!(existing > 0 && !stub_list.is_empty());
+    ) -> Option<u32> {
+        debug_assert!(!stub_list.is_empty());
         for _ in 0..self.max_attempts {
             let candidate = stub_list[rng.gen_range(0..stub_list.len())];
-            if candidate == new_node {
-                continue;
-            }
-            if !self.cutoff.admits(graph.degree(candidate)) {
-                continue;
-            }
-            if graph.contains_edge(new_node, candidate) {
-                continue;
-            }
-            return Some(candidate);
-        }
-        None
-    }
-
-    /// The paper's literal rejection sampling: uniform node, accept with probability
-    /// `k_node / k_total`.
-    fn pick_via_literal_rejection<R: Rng + ?Sized>(
-        &self,
-        graph: &Graph,
-        k_total: usize,
-        new_node: NodeId,
-        existing: usize,
-        rng: &mut R,
-    ) -> Option<NodeId> {
-        for _ in 0..self.max_attempts {
-            let candidate = NodeId::new(rng.gen_range(0..existing));
-            let k = graph.degree(candidate);
-            let accept: f64 = rng.gen();
-            if graph.contains_edge(new_node, candidate) {
-                continue;
-            }
-            if !self.cutoff.admits(k) {
-                continue;
-            }
-            if accept < k as f64 / k_total as f64 {
+            if candidate != new_node
+                && self.cutoff.admits(degree[candidate as usize] as usize)
+                && !row.contains(&candidate)
+            {
                 return Some(candidate);
             }
         }
         None
     }
 
-    /// Degree-weighted draw over the nodes that are still eligible, used when rejection
-    /// sampling exceeded its attempt budget (possible only for very restrictive cutoffs).
+    /// Degree-weighted draw (weight `max(k, 1)`) over the existing nodes that are still
+    /// eligible, used when rejection sampling exceeded its attempt budget (possible only
+    /// for very restrictive cutoffs). `existing` holds the degrees of the nodes that
+    /// joined before the current one.
     fn fallback_eligible_target<R: Rng + ?Sized>(
         &self,
-        graph: &Graph,
-        new_node: NodeId,
-        existing: usize,
+        existing: &[u32],
+        row: &[u32],
         rng: &mut R,
-    ) -> Option<NodeId> {
-        let eligible: Vec<(NodeId, usize)> = (0..existing)
-            .map(NodeId::new)
-            .filter(|&n| {
-                n != new_node
-                    && self.cutoff.admits(graph.degree(n))
-                    && !graph.contains_edge(new_node, n)
-            })
-            .map(|n| (n, graph.degree(n).max(1)))
-            .collect();
-        if eligible.is_empty() {
+    ) -> Option<u32> {
+        let eligible = || {
+            (0u32..)
+                .zip(existing)
+                .filter(|&(n, &k)| self.cutoff.admits(k as usize) && !row.contains(&n))
+                .map(|(n, &k)| (n, k.max(1) as usize))
+        };
+        let total: usize = eligible().map(|(_, w)| w).sum();
+        if total == 0 {
             return None;
         }
-        let total: usize = eligible.iter().map(|(_, w)| w).sum();
         let mut pick = rng.gen_range(0..total);
-        for (node, weight) in eligible {
+        for (node, weight) in eligible() {
             if pick < weight {
                 return Some(node);
             }
@@ -263,6 +223,10 @@ impl PreferentialAttachment {
 impl TopologyGenerator for PreferentialAttachment {
     fn generate(&self, rng: &mut dyn RngCore) -> Result<Graph> {
         PreferentialAttachment::generate(self, rng)
+    }
+
+    fn generate_frozen(&self, rng: &mut dyn RngCore) -> Result<CsrGraph> {
+        PreferentialAttachment::generate_frozen(self, rng)
     }
 
     fn locality(&self) -> Locality {
@@ -399,20 +363,6 @@ mod tests {
             k_c - 1,
             hist.count(k_c - 1)
         );
-    }
-
-    #[test]
-    fn literal_rejection_variant_matches_size_invariants() {
-        let g = PreferentialAttachment::new(200, 2)
-            .unwrap()
-            .with_variant(PaVariant::LiteralRejection)
-            .with_cutoff(DegreeCutoff::hard(20))
-            .generate(&mut rng(23))
-            .unwrap();
-        assert_eq!(g.node_count(), 200);
-        assert!(g.max_degree().unwrap() <= 20);
-        assert!(g.min_degree().unwrap() >= 1);
-        g.assert_consistent();
     }
 
     #[test]

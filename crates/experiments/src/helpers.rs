@@ -95,7 +95,7 @@ pub fn fitted_exponent(
     let mut summary = Summary::new();
     for r in 0..scale.realizations {
         let mut rng = realization_rng(seed, salt, r);
-        let graph = generator.generate(&mut rng).unwrap_or_else(|e| {
+        let graph = generator.generate_frozen(&mut rng).unwrap_or_else(|e| {
             panic!(
                 "generator {} failed for series '{label}': {e}",
                 generator.name()
@@ -180,7 +180,7 @@ mod tests {
         for r in 0..scale.realizations {
             let mut rng = realization_rng(7, label_salt("m=2, k_c=10"), r);
             samples.extend(sfo_graph::GraphView::degrees(
-                &generator.generate(&mut rng).unwrap(),
+                &generator.generate_frozen(&mut rng).unwrap(),
             ));
         }
         let expected = log_binned_distribution(&samples, BINS_PER_DECADE);

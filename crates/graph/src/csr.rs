@@ -132,6 +132,50 @@ impl CsrGraph {
         csr
     }
 
+    /// Builds a snapshot from an undirected edge list in O(V + E) with a counting sort.
+    ///
+    /// Row `v` lists the other endpoint of every edge incident to `v`, in edge order —
+    /// exactly the rows [`Graph::add_edge`] grows when the edges are added one by one, so
+    /// `from_edges(n, &edges)` equals adding them to `Graph::with_nodes(n)` and calling
+    /// [`Graph::freeze`]. The generators that know their edges up front build their
+    /// frozen form this way, without a mutable [`Graph`].
+    ///
+    /// The edges must form a simple graph: no self-loops, no duplicates. This is
+    /// checked in debug builds only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not below `node_count`, or if the list holds more than
+    /// `u32::MAX / 2` edges.
+    pub fn from_edges(node_count: usize, edges: &[(u32, u32)]) -> Self {
+        u32::try_from(2 * edges.len())
+            .expect("directed adjacency entries exceed the u32 CSR index");
+        let mut offsets = vec![0u32; node_count + 1];
+        for &(a, b) in edges {
+            offsets[a as usize + 1] += 1;
+            offsets[b as usize + 1] += 1;
+        }
+        for node in 0..node_count {
+            offsets[node + 1] += offsets[node];
+        }
+        let mut cursor = offsets[..node_count].to_vec();
+        let mut targets = vec![NodeId::from(0); 2 * edges.len()];
+        for &(a, b) in edges {
+            targets[cursor[a as usize] as usize] = NodeId::from(b);
+            cursor[a as usize] += 1;
+            targets[cursor[b as usize] as usize] = NodeId::from(a);
+            cursor[b as usize] += 1;
+        }
+        let csr = CsrGraph {
+            storage: CsrStorage::Owned { offsets, targets },
+        };
+        debug_assert!({
+            csr.thaw().assert_consistent();
+            true
+        });
+        csr
+    }
+
     /// Decomposes the snapshot into its raw `(offsets, targets)` arrays, for layers
     /// that build their own storage over the same layout (the sharded store in
     /// `sfo-engine` takes ownership this way). Owned storage moves without copying; a
@@ -406,6 +450,14 @@ mod tests {
             assert_eq!(frozen.neighbors(node), g.neighbors(node), "node {node}");
             assert_eq!(frozen.degree(node), g.degree(node));
         }
+    }
+
+    #[test]
+    fn from_edges_equals_adding_then_freezing() {
+        let edges = [(0, 1), (0, 2), (2, 3), (3, 0)];
+        assert_eq!(CsrGraph::from_edges(5, &edges), sample().freeze());
+        assert_eq!(CsrGraph::from_edges(0, &[]), Graph::new().freeze());
+        assert_eq!(CsrGraph::from_edges(3, &[]), Graph::with_nodes(3).freeze());
     }
 
     #[test]

@@ -123,7 +123,9 @@ impl ScenarioRunner {
 
     /// Returns a runner that records telemetry into `registry`: the
     /// `scenario.generate_micros` / `scenario.freeze_micros` / `scenario.sweep_micros`
-    /// phase histograms, the per-realization `scenario.boundary_fraction_ppm` of the
+    /// phase histograms (generation includes building the CSR arrays; the freeze phase
+    /// is the shard partition, or loading the file on a snapshot sweep), the
+    /// per-realization `scenario.boundary_fraction_ppm` of the
     /// sharded store, and the engine pool's own counters (batched sweeps build their
     /// [`WorkerPool`] with this registry). Telemetry never touches an RNG stream and
     /// never reorders work, so every report stays byte-identical to an unmetered run.
@@ -292,8 +294,8 @@ impl ScenarioRunner {
         let samples = run_tasks(task_count, effective_threads(threads, task_count), |t| {
             let c = t / realizations;
             let mut rng = stream_rng(spec.seed, label_salt(&labels[c]), t % realizations);
-            let graph = curves[c].build()?.generate(&mut rng)?;
-            Ok(graph.degrees())
+            let csr = curves[c].build()?.generate_frozen(&mut rng)?;
+            Ok(GraphView::degrees(&csr))
         })?;
 
         let mut report_curves = Vec::with_capacity(curves.len());
@@ -624,7 +626,8 @@ fn fold_snapshot_sweep(
     }
 }
 
-/// One `(curve, realization)` task of a static sweep: generate, freeze, sweep.
+/// One `(curve, realization)` task of a static sweep: generate in frozen form, shard if
+/// asked, sweep.
 ///
 /// This reproduces the stream discipline the figure harness has always used — the
 /// per-realization RNG is `stream_rng(seed, label_salt(curve label), realization)`, the
@@ -645,11 +648,11 @@ fn run_sweep_task(
     let mut rng = stream_rng(seed, label_salt(label), realization);
     let generate_timer = PhaseTimer::start();
     let generator = curve.build()?;
-    let graph = generator.generate(&mut rng)?;
+    let frozen = generator.generate_frozen(&mut rng)?;
     observe_phase(metrics, "scenario.generate_micros", generate_timer);
     let freeze_timer = PhaseTimer::start();
     if sweep.shard_count > 1 {
-        let sharded = ShardedCsr::from_graph(&graph, sweep.shard_count);
+        let sharded = ShardedCsr::from_csr_owned(frozen, sweep.shard_count);
         observe_phase(metrics, "scenario.freeze_micros", freeze_timer);
         record_boundary_fraction(metrics, sharded.boundary_fraction());
         let sweep_timer = PhaseTimer::start();
@@ -657,7 +660,6 @@ fn run_sweep_task(
         observe_phase(metrics, "scenario.sweep_micros", sweep_timer);
         outcomes
     } else {
-        let frozen = graph.freeze();
         observe_phase(metrics, "scenario.freeze_micros", freeze_timer);
         let sweep_timer = PhaseTimer::start();
         let outcomes = serial_sweep_on(&frozen, curve, search, sweep, &mut rng);
@@ -710,11 +712,11 @@ fn run_batched_sweep_task(
     let mut rng = stream_rng(seed, label_salt(label), realization);
     let generate_timer = PhaseTimer::start();
     let generator = curve.build()?;
-    let graph = generator.generate(&mut rng)?;
+    let frozen = generator.generate_frozen(&mut rng)?;
     observe_phase(metrics, "scenario.generate_micros", generate_timer);
     let batch_seed = rng.next_u64();
     let freeze_timer = PhaseTimer::start();
-    let sharded = Arc::new(ShardedCsr::from_graph(&graph, sweep.shard_count.max(1)));
+    let sharded = Arc::new(ShardedCsr::from_csr_owned(frozen, sweep.shard_count.max(1)));
     observe_phase(metrics, "scenario.freeze_micros", freeze_timer);
     record_boundary_fraction(metrics, sharded.boundary_fraction());
     let sweep_timer = PhaseTimer::start();

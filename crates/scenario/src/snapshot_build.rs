@@ -3,7 +3,7 @@
 //!
 //! [`build_snapshot`] draws the realization-0 topology of a single-curve static spec on
 //! the workspace's standard stream — `stream_rng(seed, label_salt(curve label), 0)` —
-//! freezes it, and wraps it as a [`SnapshotFile`] whose provenance records the curve
+//! in frozen form, and wraps it as a [`SnapshotFile`] whose provenance records the curve
 //! label, `m`, cutoff, seed, and the stream's next `u64` (the `sweep_seed`). Because
 //! that is byte for byte the state an inline engine-batched sweep would reach, a
 //! scenario run against the saved file reproduces the inline run exactly; see
@@ -67,7 +67,7 @@ pub fn build_snapshot(spec: &ScenarioSpec, shards: usize) -> Result<SnapshotFile
     // in an inline run.
     let label = spec.curve_label.clone().unwrap_or_else(|| curve.label());
     let mut rng = stream_rng(spec.seed, label_salt(&label), 0);
-    let graph = curve.build()?.generate(&mut rng)?;
+    let csr = curve.build()?.generate_frozen(&mut rng)?;
     let sweep_seed = rng.next_u64();
 
     let provenance = Provenance {
@@ -80,9 +80,9 @@ pub fn build_snapshot(spec: &ScenarioSpec, shards: usize) -> Result<SnapshotFile
         origin: Some(SnapshotOrigin::Generator),
     };
     let mut file = if shards > 1 {
-        ShardedCsr::from_csr_owned(graph.freeze(), shards).to_snapshot_file()
+        ShardedCsr::from_csr_owned(csr, shards).to_snapshot_file()
     } else {
-        SnapshotFile::plain(graph.freeze())
+        SnapshotFile::plain(csr)
     };
     file.provenance = Some(provenance);
     Ok(file)

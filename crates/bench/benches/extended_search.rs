@@ -2,7 +2,7 @@
 //! degree-biased walk) alongside the paper's three, on the same cutoff-bounded PA overlay.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sfo_bench::{bench_rng, capped_pa_graph, BENCH_NODES};
+use sfo_bench::{bench_rng, capped_pa_csr, BENCH_NODES};
 use sfo_graph::{CsrGraph, NodeId};
 use sfo_search::biased_walk::DegreeBiasedWalk;
 use sfo_search::expanding_ring::ExpandingRing;
@@ -14,7 +14,7 @@ use sfo_search::SearchAlgorithm;
 use std::time::Duration;
 
 fn bench_extended_search(c: &mut Criterion) {
-    let graph = capped_pa_graph(BENCH_NODES, 2, 20, 7).freeze();
+    let graph = capped_pa_csr(BENCH_NODES, 2, 20, 7);
     let ttl = 6u32;
     let algorithms: Vec<(&str, Box<dyn SearchAlgorithm<CsrGraph>>)> = vec![
         ("fl", Box::new(Flooding::new())),

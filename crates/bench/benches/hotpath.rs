@@ -20,7 +20,7 @@
 //! and `SFO_BENCH_HOTPATH_OUT` (output path).
 
 use criterion::Criterion;
-use sfo_bench::{bench_rng, capped_pa_graph};
+use sfo_bench::{bench_rng, capped_pa_csr};
 use sfo_graph::{CsrGraph, NodeId};
 use sfo_search::flooding::Flooding;
 use sfo_search::random_walk::RandomWalk;
@@ -79,7 +79,7 @@ fn run_scratch<A: SearchAlgorithm<CsrGraph>>(
 
 fn bench_hotpath(c: &mut Criterion) {
     for nodes in node_sizes() {
-        let csr = capped_pa_graph(nodes, 2, 40, 7).freeze();
+        let csr = capped_pa_csr(nodes, 2, 40, 7);
         let flooding = Flooding::new();
         let walk = RandomWalk::new();
 

@@ -2,7 +2,7 @@
 //! Figs. 6-12), swept over the time-to-live.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sfo_bench::{bench_rng, capped_pa_graph};
+use sfo_bench::{bench_rng, capped_pa_csr};
 use sfo_graph::{CsrGraph, NodeId};
 use sfo_search::flooding::Flooding;
 use sfo_search::normalized::NormalizedFlooding;
@@ -11,7 +11,7 @@ use sfo_search::SearchAlgorithm;
 use std::time::Duration;
 
 fn bench_search_algorithms(c: &mut Criterion) {
-    let graph = capped_pa_graph(5_000, 2, 40, 3).freeze();
+    let graph = capped_pa_csr(5_000, 2, 40, 3);
     let algorithms: Vec<(&'static str, Box<dyn SearchAlgorithm<CsrGraph>>)> = vec![
         ("FL", Box::new(Flooding::new())),
         ("NF", Box::new(NormalizedFlooding::new(2))),

@@ -24,7 +24,7 @@
 //! the rows document that the scheduler's overhead stays within measurement noise.
 
 use criterion::Criterion;
-use sfo_bench::capped_pa_graph;
+use sfo_bench::capped_pa_csr;
 use sfo_engine::{
     run_queries, run_queries_serial, AlgorithmTable, EngineConfig, QueryBatch, ShardedCsr,
     WorkerPool,
@@ -75,7 +75,7 @@ fn walk_batch(nodes: usize) -> QueryBatch {
 
 fn bench_engine(c: &mut Criterion) {
     for nodes in node_sizes() {
-        let csr = capped_pa_graph(nodes, 2, 40, 7).freeze();
+        let csr = capped_pa_csr(nodes, 2, 40, 7);
         let floods = flood_batch(nodes);
         let walks = walk_batch(nodes);
 

@@ -669,8 +669,9 @@ fn decode_layout(bytes: &[u8]) -> Result<DecodedLayout, SnapshotError> {
 }
 
 /// Materializes a verified layout into an owned snapshot: collect the arrays from
-/// contiguous chunks (loading must stay cheaper than regenerating — see the
-/// snapshot_io bench), then run the full structural validation over them.
+/// contiguous chunks, the cheapest copy out of the byte buffer (the snapshot_io bench
+/// times loads against regenerating capped PA), then run the full structural
+/// validation over them.
 fn build_owned(bytes: &[u8], layout: DecodedLayout) -> Result<SnapshotFile, SnapshotError> {
     let offsets: Vec<u32> = bytes[layout.offsets.clone()]
         .chunks_exact(4)

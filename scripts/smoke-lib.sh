@@ -54,17 +54,23 @@ start_daemon() {
     exit 1
 }
 
-# Fails, printing the diff, unless `$1`'s result is byte-identical to the local run's:
-# the headline invariant of every distributed path.
-same_result_as_local() {
-    python3 - "$1" <<'PY'
+# Fails, printing the diff, unless the `result` members of reports `$1` and `$2` are
+# byte-identical (the reports also embed their specs, which may differ).
+same_result() {
+    python3 - "$1" "$2" <<'PY'
 import json, sys
-for report in ('local_report.json', sys.argv[1]):
+for report in sys.argv[1:]:
     result = json.load(open(report))['result']
     json.dump(result, open(report + '.result', 'w'), indent=1, sort_keys=True)
 PY
-    if ! diff local_report.json.result "$1.result"; then
-        echo "$1 diverged from the local run"
+    if ! diff "$1.result" "$2.result"; then
+        echo "$2 diverged from $1"
         exit 1
     fi
+}
+
+# Fails unless `$1`'s result is byte-identical to the local run's: the headline
+# invariant of every distributed path.
+same_result_as_local() {
+    same_result local_report.json "$1"
 }

@@ -125,10 +125,10 @@ impl ScenarioRunner {
     /// `scenario.generate_micros` / `scenario.freeze_micros` / `scenario.sweep_micros`
     /// phase histograms (generation includes building the CSR arrays; the freeze phase
     /// is the shard partition, or loading the file on a snapshot sweep), the
-    /// per-realization `scenario.boundary_fraction_ppm` of the
-    /// sharded store, and the engine pool's own counters (batched sweeps build their
-    /// [`WorkerPool`] with this registry). Telemetry never touches an RNG stream and
-    /// never reorders work, so every report stays byte-identical to an unmetered run.
+    /// per-realization `scenario.boundary_fraction_ppm` of the sharded store, and the
+    /// engine pool's own counters (batched sweeps build their [`WorkerPool`] with this
+    /// registry). Telemetry never touches an RNG stream and never reorders work, so
+    /// every report stays byte-identical to an unmetered run.
     pub fn with_metrics(mut self, registry: Arc<Registry>) -> Self {
         self.metrics = Some(registry);
         self

@@ -14,6 +14,9 @@
 //!   and live examples;
 //! * one `MetricsSnapshot`;
 //! * the encoded `SubmitBatch` frame for each search algorithm;
+//! * one encoded frame of each SFNF message kind with fixed contents, covering both
+//!   `BatchRequest` and both `FrontierResult` shapes;
+//! * the first 64 words of `stream_rng` for three labels;
 //! * the `SFOS` bytes `sfo snapshot build --shards 4` writes for
 //!   `examples/scenario_snapshot_build.json` and the `pa30k` benchmark snapshot;
 //! * the message of every malformed-input case: for each JSON type, an unknown member,
@@ -23,11 +26,15 @@
 //! Rewrite the file with `SFO_BLESS=1 cargo test --test golden`, and say in the change
 //! log which lines moved and why.
 
+use rand::RngCore;
+use sfoverlay::graph::generators::ring_graph;
 use sfoverlay::graph::snapshot::fnv1a64;
 use sfoverlay::net::frame::encode_frame;
-use sfoverlay::net::message::{BatchRequest, Message};
+use sfoverlay::net::message::{BatchRequest, FrontierResult, Hello, Message, ShardPayload};
+use sfoverlay::net::overlay::{OverlayMessage, PeerRef};
 use sfoverlay::prelude::*;
 use sfoverlay::scenario::json::{FromJson, JsonValue, ToJson};
+use sfoverlay::search::experiment::{label_salt, stream_rng};
 use sfoverlay::sim::catalog::ItemId;
 use sfoverlay::sim::simulation::OverlaySample;
 use sfoverlay::topology::fitness::FitnessDistribution;
@@ -216,6 +223,168 @@ fn frames(digests: &mut Digests) {
             format!("frame/submit_batch/{name}"),
             encode_frame(frame_type, &payload),
         );
+    }
+}
+
+/// One frame of every SFNF message kind, with fixed contents: both `BatchRequest`
+/// shapes, both `FrontierResult` shapes and each overlay message.
+fn message_kinds(digests: &mut Digests) {
+    let peer = |id: u64| PeerRef::new(id, format!("127.0.0.1:{}", 9200 + id));
+    let state = PlacedState {
+        algorithm: PlacedAlgorithm::RwNormalizedToNf { k_min: 2 },
+        walk_phase: true,
+        source: 5,
+        ttl: 9,
+        hits: 4,
+        messages: 11,
+        current: 7,
+        previous: 3,
+        walker: 0,
+        steps_done: 2,
+        rng: [1, 2, 3, 0x9E37_79B9_7F4A_7C15],
+        visited: vec![(0, 0b1010_1000), (2, 1 << 63)],
+        queue: vec![(7, 3, 1), (8, u32::MAX, 2)],
+    };
+    let csr = CsrGraph::from_graph(&ring_graph(12, 2).unwrap());
+    let registry = Registry::new();
+    registry.counter("net.requests").add(17);
+    registry.histogram("net.request_micros").record(42);
+    let mut batch = QueryBatch::new();
+    batch.push(NodeId::new(1), 0, 3);
+    let messages = [
+        (
+            "hello",
+            Message::Hello(Hello {
+                identity: 0x0123_4567_89ab_cdef,
+                node_count: 1000,
+                edge_count: 1997,
+                shard_count: 4,
+                engine_workers: 2,
+                shard_index: 1,
+            }),
+        ),
+        (
+            "load_snapshot",
+            Message::LoadSnapshot {
+                path: "pa30k.sfos".to_string(),
+            },
+        ),
+        (
+            "submit_batch_queries",
+            Message::SubmitBatch(BatchRequest::Queries {
+                seed: 7,
+                index_offset: 3,
+                algorithms: vec![SearchSpec::Flooding, SearchSpec::RandomWalk],
+                batch,
+            }),
+        ),
+        (
+            "submit_batch_sweep_range",
+            Message::SubmitBatch(BatchRequest::SweepRange {
+                seed: 99,
+                start: 10,
+                end: 250,
+                searches_per_point: 100,
+                ttls: vec![1, 2, 4, 8],
+                search: SearchSpec::NormalizedFlooding { k_min: Some(2) },
+            }),
+        ),
+        (
+            "batch_result",
+            Message::BatchResult {
+                outcomes: vec![SearchOutcome::new(0, 0), SearchOutcome::new(31, 90)],
+            },
+        ),
+        (
+            "error",
+            Message::Error {
+                message: "ttl grid is empty".to_string(),
+            },
+        ),
+        (
+            "join",
+            Message::Overlay(OverlayMessage::Join {
+                origin: peer(1),
+                walks: 2,
+            }),
+        ),
+        (
+            "forward_join",
+            Message::Overlay(OverlayMessage::ForwardJoin {
+                origin: peer(2),
+                ttl: 5,
+            }),
+        ),
+        (
+            "shuffle",
+            Message::Overlay(OverlayMessage::Shuffle {
+                from: peer(3),
+                peers: vec![peer(4), peer(5)],
+                reply: true,
+            }),
+        ),
+        (
+            "probe",
+            Message::Overlay(OverlayMessage::Probe {
+                from: peer(6),
+                nonce: 0xfeed,
+                ack: false,
+            }),
+        ),
+        (
+            "leave",
+            Message::Overlay(OverlayMessage::Leave { from: peer(7) }),
+        ),
+        ("stats_request", Message::StatsRequest),
+        ("stats_report", Message::StatsReport(registry.snapshot())),
+        (
+            "load_shard",
+            Message::LoadShard(ShardPayload {
+                identity: 0xabcd,
+                shard_index: 1,
+                shard_count: 3,
+                slice: csr.extract_slice(4..8),
+            }),
+        ),
+        (
+            "forward_frontier",
+            Message::ForwardFrontier {
+                identity: 0xabcd,
+                state: state.clone(),
+            },
+        ),
+        (
+            "frontier_result_done",
+            Message::FrontierResult(FrontierResult::Done(SearchOutcome::new(12, 40))),
+        ),
+        (
+            "frontier_result_continue",
+            Message::FrontierResult(FrontierResult::Continue(state)),
+        ),
+        (
+            "overloaded",
+            Message::Overloaded {
+                queued: 64,
+                limit: 64,
+            },
+        ),
+    ];
+    for (name, message) in messages {
+        let (frame_type, payload) = message.encode();
+        digests.add(
+            format!("frame/kind/{name}"),
+            encode_frame(frame_type, &payload),
+        );
+    }
+}
+
+/// The first 64 words of three labelled `stream_rng` streams: the vendored PRNG and
+/// the seed derivation every seeded result rests on.
+fn rng_streams(digests: &mut Digests) {
+    for label in ["fig6", "churn-trace", "PA m=2 k_c=10"] {
+        let mut rng = stream_rng(2007, label_salt(label), 3);
+        let words: Vec<u8> = (0..64).flat_map(|_| rng.next_u64().to_le_bytes()).collect();
+        digests.add(format!("rng/stream/{}", label.replace(' ', "_")), words);
     }
 }
 
@@ -462,6 +631,8 @@ fn json_bytes_match_the_golden_digests() {
     let reports = reports(&mut digests);
     metrics(&mut digests);
     frames(&mut digests);
+    message_kinds(&mut digests);
+    rng_streams(&mut digests);
     snapshots(&mut digests);
     malformed_matrix(&mut digests, &reports);
     let rendered = digests.render();

@@ -27,7 +27,7 @@
 //! one tested vocabulary for naming an algorithm, and reusing it keeps the wire format
 //! and the spec files from drifting apart.
 
-use crate::frame::{put_str, FrameReader, FrameWriter, PayloadReader};
+use crate::frame::{put_str, FrameReader, FrameWriter, PayloadReader, MAX_PAYLOAD_LEN};
 use crate::NetError;
 use sfo_engine::{PlacedAlgorithm, PlacedState, QueryBatch};
 use sfo_graph::{CsrSlice, NodeId};
@@ -74,6 +74,10 @@ pub const TYPE_OVERLOADED: u16 = 16;
 /// [`Hello::shard_index`] value of a worker serving the whole snapshot rather than
 /// one placed shard.
 pub const WHOLE_SNAPSHOT: u32 = u32::MAX;
+
+/// The most outcomes one [`Message::BatchResult`] frame can carry: its payload is a
+/// 4-byte count and 16 bytes per outcome, within [`MAX_PAYLOAD_LEN`].
+pub(crate) const MAX_BATCH_OUTCOMES: usize = (MAX_PAYLOAD_LEN as usize - 4) / 16;
 
 /// What a worker announces about the snapshot it serves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -57,7 +57,9 @@
 //! silently-wrong work.
 
 use crate::frame::{frame_len, FrameReader, FrameWriter, IO_BUFFER_LEN};
-use crate::message::{BatchRequest, FrontierResult, Hello, Message, ShardPayload, WHOLE_SNAPSHOT};
+use crate::message::{
+    BatchRequest, FrontierResult, Hello, Message, ShardPayload, MAX_BATCH_OUTCOMES, WHOLE_SNAPSHOT,
+};
 use crate::stream::{NetListener, NetStream};
 use crate::NetError;
 use sfo_engine::{
@@ -949,6 +951,18 @@ fn execute_request(
         .as_ref()
         .map(|p| usize::try_from(p.m).unwrap_or(usize::MAX))
         .ok_or_else(|| NetError::protocol("the served snapshot carries no provenance"))?;
+    // Refused before anything is allocated: a reply the frame cannot carry would
+    // otherwise run every job and then fail to encode.
+    let jobs = match request {
+        BatchRequest::Queries { batch, .. } => batch.len() as u64,
+        BatchRequest::SweepRange { start, end, .. } => end.saturating_sub(*start),
+    };
+    if jobs > MAX_BATCH_OUTCOMES as u64 {
+        return Err(NetError::protocol(format!(
+            "a batch of {jobs} jobs exceeds the {MAX_BATCH_OUTCOMES} outcomes one reply \
+             frame can carry"
+        )));
+    }
     let run = || -> Result<Vec<sfo_search::SearchOutcome>, NetError> {
         match request {
             BatchRequest::Queries {

@@ -579,3 +579,66 @@ fn a_pinned_worker_refuses_a_load_shard_for_the_wrong_snapshot() {
     handle.stop();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn a_batch_whose_reply_cannot_fit_in_a_frame_is_refused_before_it_runs() {
+    use sfoverlay::prelude::{Provenance, ServeConfig, SnapshotFile, WorkerClient, WorkerServer};
+
+    let dir = std::env::temp_dir().join(format!("sfo-frames-reply-size-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("ring.sfos");
+    SnapshotFile {
+        csr: ring_graph(30, 2).unwrap().freeze(),
+        shards: None,
+        provenance: Some(Provenance {
+            label: "frames-reply-size".to_string(),
+            m: 2,
+            cutoff: None,
+            seed: 7,
+            realization: 0,
+            sweep_seed: 11,
+            origin: None,
+        }),
+    }
+    .save(&path)
+    .unwrap();
+
+    let server = WorkerServer::bind(&ServeConfig {
+        snapshot_path: path.to_string_lossy().into_owned(),
+        listen: "127.0.0.1:0".to_string(),
+        engine_workers: 1,
+        shard_count: 1,
+        shard_index: None,
+        mmap: false,
+        queue_bound: 0,
+    })
+    .unwrap();
+    let handle = server.spawn();
+    let mut client = WorkerClient::connect(handle.addr()).unwrap();
+
+    // A `BatchResult` carries a 4-byte count and 16 bytes per outcome, so one frame
+    // holds at most this many outcomes.
+    let most = u64::from((MAX_PAYLOAD_LEN - 4) / 16);
+    let range = |end: u64| BatchRequest::SweepRange {
+        seed: 1,
+        start: 0,
+        end,
+        searches_per_point: end,
+        ttls: vec![0],
+        search: SearchSpec::Flooding,
+    };
+    for end in [most + 1, 1 << 40] {
+        let refused = client.submit(&range(end));
+        assert!(
+            matches!(&refused, Err(NetError::Remote { message })
+                if message.contains(&most.to_string())),
+            "{end} jobs: {refused:?}"
+        );
+    }
+    // The connection survives both refusals.
+    assert!(client.stats().is_ok());
+    let fits = client.submit(&range(3)).unwrap();
+    assert_eq!(fits, vec![SearchOutcome::new(0, 0); 3]);
+    handle.stop();
+    let _ = std::fs::remove_dir_all(&dir);
+}

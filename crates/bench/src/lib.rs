@@ -1,9 +1,8 @@
 //! Shared fixtures for the Criterion benchmarks in this crate.
 //!
-//! Benchmarks regenerate the paper's tables and figures at *bench scale*: sizes are reduced
-//! so the whole suite finishes in minutes while preserving the relative cost of the
-//! mechanisms being compared. The `reproduce` binary of `sfo-experiments` is the tool for
-//! full-scale regeneration.
+//! Each of the four benchmarks writes one tracked `BENCH_*.json` file at the workspace
+//! root: `csr_vs_adjacency`, `hotpath`, `shard_vs_csr` and `snapshot_io`. The
+//! `reproduce` binary of `sfo-experiments` regenerates the paper's figures and tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,21 +11,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sfo_core::pa::PreferentialAttachment;
 use sfo_core::DegreeCutoff;
-use sfo_experiments::Scale;
 use sfo_graph::{CsrGraph, Graph};
-
-/// Node count used for single-topology benchmarks.
-pub const BENCH_NODES: usize = 2_000;
-
-/// Scale used when benchmarking the figure runners end to end.
-pub fn micro_scale() -> Scale {
-    Scale {
-        degree_nodes: 500,
-        search_nodes: 400,
-        realizations: 1,
-        searches_per_point: 10,
-    }
-}
 
 /// A deterministic RNG for benchmarks.
 pub fn bench_rng(seed: u64) -> StdRng {
@@ -64,6 +49,5 @@ mod tests {
         assert_eq!(graph.node_count(), 300);
         assert!(graph.max_degree().unwrap() <= 20);
         assert_eq!(capped_pa_csr(300, 2, 20, 1), graph.freeze());
-        assert!(micro_scale().degree_nodes <= 1_000);
     }
 }

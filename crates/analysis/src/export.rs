@@ -40,7 +40,7 @@ impl AxisScale {
 /// # Example
 ///
 /// ```
-/// use sfo_analysis::export::{to_gnuplot, AxisScale};
+/// use sfo_analysis::{to_gnuplot, AxisScale};
 /// use sfo_analysis::{DataPoint, DataSeries, FigureData};
 ///
 /// let mut figure = FigureData::new("fig1a", "P(k) for PA", "k", "P(k)");

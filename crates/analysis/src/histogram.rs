@@ -1,4 +1,4 @@
-//! Linear and logarithmic binning of empirical distributions.
+//! Logarithmic binning of empirical distributions.
 //!
 //! Degree distributions of scale-free networks span several orders of magnitude in both
 //! `k` and `P(k)`; the paper's Figs. 1-4 are therefore presented on log-log axes. Raw
@@ -23,37 +23,6 @@ pub struct LogBin {
     pub count: usize,
 }
 
-/// Builds a linear histogram of non-negative integer samples: `counts[v]` is the number of
-/// samples equal to `v`.
-///
-/// Returns an empty vector for an empty input.
-pub fn linear_counts(samples: &[usize]) -> Vec<usize> {
-    let max = match samples.iter().max() {
-        Some(&m) => m,
-        None => return Vec::new(),
-    };
-    let mut counts = vec![0usize; max + 1];
-    for &s in samples {
-        counts[s] += 1;
-    }
-    counts
-}
-
-/// Converts per-value counts into a normalized probability mass function, omitting zero
-/// counts. Returns `(value, probability)` pairs.
-pub fn normalized_distribution(counts: &[usize]) -> Vec<(usize, f64)> {
-    let total: usize = counts.iter().sum();
-    if total == 0 {
-        return Vec::new();
-    }
-    counts
-        .iter()
-        .enumerate()
-        .filter(|(_, &c)| c > 0)
-        .map(|(v, &c)| (v, c as f64 / total as f64))
-        .collect()
-}
-
 /// Logarithmically bins positive integer samples (values of zero are ignored, as degree
 /// zero cannot be placed on a log axis).
 ///
@@ -67,7 +36,7 @@ pub fn normalized_distribution(counts: &[usize]) -> Vec<(usize, f64)> {
 /// # Example
 ///
 /// ```
-/// use sfo_analysis::histogram::log_binned_distribution;
+/// use sfo_analysis::log_binned_distribution;
 ///
 /// let samples: Vec<usize> = (1..=1000).collect();
 /// let bins = log_binned_distribution(&samples, 5);
@@ -120,48 +89,9 @@ pub fn log_binned_distribution(samples: &[usize], bins_per_decade: usize) -> Vec
     bins
 }
 
-/// Computes the complementary cumulative distribution `P(K >= k)` of integer samples,
-/// returning `(k, probability)` pairs for every distinct value present.
-///
-/// The CCDF is a smoother alternative to the binned PMF and is convenient for verifying
-/// power-law tails (a power law of exponent `γ` has a CCDF exponent of `γ - 1`).
-pub fn ccdf(samples: &[usize]) -> Vec<(usize, f64)> {
-    if samples.is_empty() {
-        return Vec::new();
-    }
-    let counts = linear_counts(samples);
-    let total = samples.len() as f64;
-    let mut remaining = samples.len();
-    let mut out = Vec::new();
-    for (value, &count) in counts.iter().enumerate() {
-        if count > 0 {
-            out.push((value, remaining as f64 / total));
-        }
-        remaining -= count;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn linear_counts_basic() {
-        assert_eq!(linear_counts(&[]), Vec::<usize>::new());
-        assert_eq!(linear_counts(&[0, 1, 1, 3]), vec![1, 2, 0, 1]);
-    }
-
-    #[test]
-    fn normalized_distribution_sums_to_one() {
-        let counts = linear_counts(&[1, 1, 2, 5, 5, 5]);
-        let dist = normalized_distribution(&counts);
-        let total: f64 = dist.iter().map(|(_, p)| p).sum();
-        assert!((total - 1.0).abs() < 1e-12);
-        assert_eq!(dist[0], (1, 2.0 / 6.0));
-        assert!(normalized_distribution(&[]).is_empty());
-        assert!(normalized_distribution(&[0, 0]).is_empty());
-    }
 
     #[test]
     fn log_bins_cover_all_positive_samples() {
@@ -204,17 +134,5 @@ mod tests {
     #[should_panic(expected = "bins_per_decade")]
     fn log_bins_reject_zero_resolution() {
         let _ = log_binned_distribution(&[1, 2, 3], 0);
-    }
-
-    #[test]
-    fn ccdf_is_monotone_and_starts_at_one() {
-        let samples = vec![1, 2, 2, 3, 7];
-        let c = ccdf(&samples);
-        assert_eq!(c.first().unwrap().1, 1.0);
-        for w in c.windows(2) {
-            assert!(w[1].1 <= w[0].1);
-        }
-        assert_eq!(c.last().unwrap(), &(7, 0.2));
-        assert!(ccdf(&[]).is_empty());
     }
 }

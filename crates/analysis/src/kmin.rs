@@ -37,7 +37,7 @@ pub struct KminSelection {
 /// # Example
 ///
 /// ```
-/// use sfo_analysis::kmin::select_k_min;
+/// use sfo_analysis::select_k_min;
 ///
 /// // Synthetic sample following k^-2.5 from k = 3 upward, with extra mass at k = 1, 2.
 /// let mut samples = vec![1usize; 3_000];

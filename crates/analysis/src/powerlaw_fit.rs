@@ -29,15 +29,21 @@ pub struct ExponentFit {
 ///
 /// # Example
 ///
-/// ```
-/// use sfo_analysis::powerlaw_fit::fit_exponent_least_squares;
+/// Reached through [`fit_exponent_from_counts`]: a histogram with `counts[k] ∝ k^-3`
+/// on `k = 1, 2, 4, …, 512` fits `γ = 3` exactly.
 ///
-/// let pts: Vec<(f64, f64)> = (1..100).map(|k| (k as f64, 7.0 * (k as f64).powf(-3.0))).collect();
-/// let fit = fit_exponent_least_squares(&pts).unwrap();
+/// ```
+/// use sfo_analysis::fit_exponent_from_counts;
+///
+/// let mut counts = vec![0usize; 513];
+/// for j in 0..10 {
+///     counts[1 << j] = 1 << (3 * (9 - j));
+/// }
+/// let fit = fit_exponent_from_counts(&counts, 1, 512).unwrap();
 /// assert!((fit.gamma - 3.0).abs() < 1e-9);
 /// assert!(fit.r_squared.unwrap() > 0.9999);
 /// ```
-pub fn fit_exponent_least_squares(points: &[(f64, f64)]) -> Option<ExponentFit> {
+pub(crate) fn fit_exponent_least_squares(points: &[(f64, f64)]) -> Option<ExponentFit> {
     let usable: Vec<(f64, f64)> = points
         .iter()
         .filter(|(k, p)| *k > 0.0 && *p > 0.0 && k.is_finite() && p.is_finite())
@@ -80,7 +86,7 @@ pub fn fit_exponent_least_squares(points: &[(f64, f64)]) -> Option<ExponentFit> 
 /// `[k_min, k_max]`.
 ///
 /// `counts[k]` is the number of nodes of degree `k` (as produced by
-/// `sfo_graph::metrics::degree_histogram`). The restriction is how the paper handles the
+/// `sfo_graph::degree_histogram`). The restriction is how the paper handles the
 /// spike at the hard cutoff: the fit window stops just below `k_c` so the accumulation bin
 /// does not drag the slope.
 pub fn fit_exponent_from_counts(
@@ -109,7 +115,7 @@ pub fn fit_exponent_from_counts(
 ///
 /// Samples below `k_min` are ignored. Returns `None` when fewer than two samples remain or
 /// the estimate degenerates.
-pub fn fit_exponent_mle(samples: &[usize], k_min: usize) -> Option<ExponentFit> {
+pub(crate) fn fit_exponent_mle(samples: &[usize], k_min: usize) -> Option<ExponentFit> {
     if k_min == 0 {
         return None;
     }

@@ -83,7 +83,7 @@ pub fn bootstrap_mean_ci<R: Rng + ?Sized>(
 ///
 /// Returns `None` if no samples fall in the window, the window is empty, or `gamma` is not
 /// finite.
-pub fn ks_distance_powerlaw(
+pub(crate) fn ks_distance_powerlaw(
     samples: &[usize],
     gamma: f64,
     k_min: usize,

@@ -22,7 +22,7 @@ use criterion::Criterion;
 use sfo_bench::{bench_rng, capped_pa_graph};
 use sfo_graph::{CsrGraph, Graph, NodeId};
 use sfo_search::flooding::Flooding;
-use sfo_search::random_walk::RandomWalk;
+use sfo_search::RandomWalk;
 use sfo_search::SearchAlgorithm;
 use std::time::Duration;
 

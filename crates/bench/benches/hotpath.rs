@@ -23,7 +23,7 @@ use criterion::Criterion;
 use sfo_bench::{bench_rng, capped_pa_csr};
 use sfo_graph::{CsrGraph, NodeId};
 use sfo_search::flooding::Flooding;
-use sfo_search::random_walk::RandomWalk;
+use sfo_search::RandomWalk;
 use sfo_search::{SearchAlgorithm, SearchScratch};
 use std::time::Duration;
 

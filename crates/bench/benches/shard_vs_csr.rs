@@ -31,7 +31,7 @@ use sfo_engine::{
 };
 use sfo_graph::{CsrGraph, NodeId};
 use sfo_search::flooding::Flooding;
-use sfo_search::random_walk::RandomWalk;
+use sfo_search::RandomWalk;
 use std::sync::Arc;
 use std::time::Duration;
 

@@ -24,14 +24,14 @@ use sfo_graph::{generators::complete_graph, Graph, NodeId};
 
 /// Default number of candidate draws per stub before the generator falls back to a direct
 /// weighted scan over all eligible nodes.
-pub const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
 
 /// Builder/configuration for the initial-attractiveness growing-network generator.
 ///
 /// # Example
 ///
 /// ```
-/// use sfo_core::{attractiveness::InitialAttractiveness, DegreeCutoff, TopologyGenerator};
+/// use sfo_core::{InitialAttractiveness, DegreeCutoff, TopologyGenerator};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), sfo_core::TopologyError> {

@@ -34,7 +34,7 @@ pub struct CmOutcome {
 /// # Example
 ///
 /// ```
-/// use sfo_core::{cm::ConfigurationModel, DegreeCutoff, TopologyGenerator};
+/// use sfo_core::{ConfigurationModel, DegreeCutoff, TopologyGenerator};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), sfo_core::TopologyError> {
@@ -173,7 +173,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sfo_graph::{metrics, traversal};
+    use sfo_graph::traversal;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -305,7 +305,7 @@ mod tests {
             g_22.max_degree().unwrap() > g_30.max_degree().unwrap(),
             "gamma=2.2 should have a heavier tail than gamma=3.0"
         );
-        let hist = metrics::degree_histogram(&g_30);
+        let hist = sfo_graph::degree_histogram(&g_30);
         assert!(
             hist.fraction(1) > 0.4,
             "most nodes should sit at the minimum degree"

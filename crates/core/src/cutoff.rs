@@ -1,12 +1,9 @@
 //! Natural-cutoff theory for finite scale-free networks (paper, §III-A).
 //!
-//! A finite scale-free network cannot contain arbitrarily large hubs. Two standard
-//! estimates of the largest expected degree (the *natural cutoff* `k_nc`) are implemented:
-//!
-//! * Aiello, Chung & Lu: the degree above which the expected number of nodes is one,
-//!   `N · P(k_nc) ~ 1`, giving `k_nc ~ N^{1/γ}` (paper, eqs. 1-2).
-//! * Dorogovtsev & Mendes: the degree above which one expects at most one node in the
-//!   tail, `N · ∫_{k_nc}^∞ P(k) dk ~ 1`, giving `k_nc ~ m · N^{1/(γ-1)}` (paper, eqs. 3-4).
+//! A finite scale-free network cannot contain arbitrarily large hubs. The estimate of the
+//! largest expected degree (the *natural cutoff* `k_nc`) implemented here is Dorogovtsev &
+//! Mendes': the degree above which one expects at most one node in the tail,
+//! `N · ∫_{k_nc}^∞ P(k) dk ~ 1`, giving `k_nc ~ m · N^{1/(γ-1)}` (paper, eqs. 3-4).
 //!
 //! For the Barabási-Albert preferential-attachment model (`γ = 3`) the latter reduces to
 //! `k_nc ~ m · √N` (paper, eq. 5). Hard cutoffs studied in the paper are *smaller* than
@@ -32,17 +29,6 @@ fn validate_nodes(nodes: usize) -> Result<()> {
     Ok(())
 }
 
-/// Natural cutoff according to Aiello, Chung & Lu: `k_nc = N^{1/γ}` (paper, eq. 2).
-///
-/// # Errors
-///
-/// Returns [`TopologyError::InvalidConfig`] if `nodes` is zero or `gamma <= 1`.
-pub fn natural_cutoff_aiello(nodes: usize, gamma: f64) -> Result<f64> {
-    validate_nodes(nodes)?;
-    validate_gamma(gamma)?;
-    Ok((nodes as f64).powf(1.0 / gamma))
-}
-
 /// Natural cutoff according to Dorogovtsev & Mendes: `k_nc = m · N^{1/(γ-1)}`
 /// (paper, eq. 4).
 ///
@@ -50,7 +36,7 @@ pub fn natural_cutoff_aiello(nodes: usize, gamma: f64) -> Result<f64> {
 ///
 /// Returns [`TopologyError::InvalidConfig`] if `nodes` is zero, `m` is zero, or
 /// `gamma <= 1`.
-pub fn natural_cutoff_dorogovtsev(nodes: usize, m: usize, gamma: f64) -> Result<f64> {
+pub(crate) fn natural_cutoff_dorogovtsev(nodes: usize, m: usize, gamma: f64) -> Result<f64> {
     validate_nodes(nodes)?;
     validate_gamma(gamma)?;
     if m == 0 {
@@ -69,17 +55,6 @@ pub fn natural_cutoff_dorogovtsev(nodes: usize, m: usize, gamma: f64) -> Result<
 /// Returns [`TopologyError::InvalidConfig`] if `nodes` or `m` is zero.
 pub fn pa_natural_cutoff(nodes: usize, m: usize) -> Result<f64> {
     natural_cutoff_dorogovtsev(nodes, m, 3.0)
-}
-
-/// Returns `true` if a hard cutoff `k_c` is actually binding for a network of `nodes`
-/// nodes built with `m` stubs and exponent `gamma`, i.e. whether `k_c` lies below the
-/// Dorogovtsev natural cutoff.
-///
-/// # Errors
-///
-/// Propagates the validation errors of [`natural_cutoff_dorogovtsev`].
-pub fn cutoff_is_binding(k_c: usize, nodes: usize, m: usize, gamma: f64) -> Result<bool> {
-    Ok((k_c as f64) < natural_cutoff_dorogovtsev(nodes, m, gamma)?)
 }
 
 /// Expected diameter scaling class of a scale-free network (paper, Table I).
@@ -143,12 +118,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn aiello_cutoff_matches_formula() {
-        let k = natural_cutoff_aiello(100_000, 2.5).unwrap();
-        assert!((k - 100_000f64.powf(0.4)).abs() < 1e-9);
-    }
-
-    #[test]
     fn dorogovtsev_cutoff_matches_formula() {
         let k = natural_cutoff_dorogovtsev(10_000, 2, 3.0).unwrap();
         assert!(
@@ -160,25 +129,10 @@ mod tests {
     }
 
     #[test]
-    fn aiello_is_smaller_than_dorogovtsev_for_gamma_below_infinity() {
-        // For gamma in (2,3), 1/gamma < 1/(gamma-1), so the Aiello estimate grows slower.
-        let a = natural_cutoff_aiello(1_000_000, 2.5).unwrap();
-        let d = natural_cutoff_dorogovtsev(1_000_000, 1, 2.5).unwrap();
-        assert!(a < d);
-    }
-
-    #[test]
-    fn binding_cutoffs_are_detected() {
-        // Natural cutoff for N=1e4, m=1, gamma=3 is 100; 10 is binding, 500 is not.
-        assert!(cutoff_is_binding(10, 10_000, 1, 3.0).unwrap());
-        assert!(!cutoff_is_binding(500, 10_000, 1, 3.0).unwrap());
-    }
-
-    #[test]
     fn invalid_parameters_are_rejected() {
-        assert!(natural_cutoff_aiello(0, 2.5).is_err());
-        assert!(natural_cutoff_aiello(10, 1.0).is_err());
-        assert!(natural_cutoff_aiello(10, f64::NAN).is_err());
+        assert!(natural_cutoff_dorogovtsev(0, 1, 2.5).is_err());
+        assert!(natural_cutoff_dorogovtsev(10, 1, 1.0).is_err());
+        assert!(natural_cutoff_dorogovtsev(10, 1, f64::NAN).is_err());
         assert!(natural_cutoff_dorogovtsev(10, 0, 2.5).is_err());
         assert!(diameter_class(2.5, 0).is_err());
         assert!(diameter_class(1.9, 1).is_err());

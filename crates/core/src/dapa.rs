@@ -22,10 +22,10 @@ use sfo_graph::{traversal, Graph, NodeId};
 
 /// Default number of preferential-attachment draws per stub before falling back to a
 /// uniform eligible peer from the horizon.
-pub const DEFAULT_MAX_ATTEMPTS_PER_STUB: usize = 50_000;
+pub(crate) const DEFAULT_MAX_ATTEMPTS_PER_STUB: usize = 50_000;
 
 /// Default number of seed peers bootstrapping the overlay (the paper uses 2).
-pub const DEFAULT_SEEDS: usize = 2;
+pub(crate) const DEFAULT_SEEDS: usize = 2;
 
 /// Result of building a DAPA overlay on a substrate.
 #[derive(Debug, Clone, PartialEq)]
@@ -55,7 +55,7 @@ impl DapaOverlay {
 /// # Example
 ///
 /// ```
-/// use sfo_core::dapa::DiscoverAndAttempt;
+/// use sfo_core::DiscoverAndAttempt;
 /// use sfo_core::DegreeCutoff;
 /// use sfo_graph::generators::GeometricRandomNetwork;
 /// use rand::SeedableRng;
@@ -479,7 +479,6 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sfo_graph::generators::{mesh_2d, MeshConfig};
-    use sfo_graph::metrics;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -598,7 +597,7 @@ mod tests {
             .generate_on(&substrate, &mut rng(13))
             .unwrap();
         assert!(overlay.graph.max_degree().unwrap() <= 10);
-        let hist = metrics::degree_histogram(&overlay.graph);
+        let hist = sfo_graph::degree_histogram(&overlay.graph);
         assert!(hist.count(10) > 0, "the cutoff bin should accumulate nodes");
     }
 

@@ -21,7 +21,7 @@ use sfo_graph::{generators::complete_graph, Graph, NodeId};
 
 /// Default number of candidate draws per stub before the generator falls back to a direct
 /// weighted scan over all eligible nodes.
-pub const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
 
 /// Distribution the per-node fitness values are drawn from.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

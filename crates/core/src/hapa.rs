@@ -25,14 +25,14 @@ use sfo_graph::{generators::complete_graph, Graph, NodeId};
 /// Default hop budget per stub before the generator falls back to a uniform eligible
 /// target. The expected number of hops per accepted link is on the order of
 /// `k_total / k_hub`, so the default is generous for the network sizes used in the paper.
-pub const DEFAULT_MAX_HOPS_PER_STUB: usize = 100_000;
+pub(crate) const DEFAULT_MAX_HOPS_PER_STUB: usize = 100_000;
 
 /// Builder/configuration for the HAPA generator.
 ///
 /// # Example
 ///
 /// ```
-/// use sfo_core::{hapa::HopAndAttempt, DegreeCutoff, TopologyGenerator};
+/// use sfo_core::{HopAndAttempt, DegreeCutoff, TopologyGenerator};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), sfo_core::TopologyError> {
@@ -310,8 +310,8 @@ mod tests {
         assert!(capped.max_degree().unwrap() <= 10);
         assert!(star.max_degree().unwrap() > capped.max_degree().unwrap() * 10);
         // Destroying the star spreads links: the average shortest path grows.
-        let star_stats = sfo_graph::metrics::path_statistics_sampled(&star, 30, &mut rng(1));
-        let capped_stats = sfo_graph::metrics::path_statistics_sampled(&capped, 30, &mut rng(1));
+        let star_stats = sfo_graph::path_statistics_sampled(&star, 30, &mut rng(1));
+        let capped_stats = sfo_graph::path_statistics_sampled(&capped, 30, &mut rng(1));
         assert!(capped_stats.average_shortest_path > star_stats.average_shortest_path);
     }
 
@@ -328,8 +328,8 @@ mod tests {
             .unwrap()
             .generate(&mut rng(13))
             .unwrap();
-        let hapa_stats = sfo_graph::metrics::path_statistics_sampled(&hapa, 30, &mut rng(2));
-        let pa_stats = sfo_graph::metrics::path_statistics_sampled(&pa, 30, &mut rng(2));
+        let hapa_stats = sfo_graph::path_statistics_sampled(&hapa, 30, &mut rng(2));
+        let pa_stats = sfo_graph::path_statistics_sampled(&pa, 30, &mut rng(2));
         assert!(
             hapa_stats.average_shortest_path < pa_stats.average_shortest_path,
             "hapa {} should beat pa {}",

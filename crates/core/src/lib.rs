@@ -7,14 +7,14 @@
 //! | Mechanism | Module | Information used | Paper reference |
 //! |---|---|---|---|
 //! | Preferential Attachment (PA) | [`pa`] | global | Alg. 1, §III-B |
-//! | Configuration Model (CM) | [`cm`] | global | Alg. 2, §III-C |
-//! | Hop-and-Attempt PA (HAPA) | [`hapa`] | partial | Alg. 3, §IV-A |
-//! | Discover-and-Attempt PA (DAPA) | [`dapa`] | local | Alg. 4, §IV-B |
+//! | Configuration Model (CM) | `cm` | global | Alg. 2, §III-C |
+//! | Hop-and-Attempt PA (HAPA) | `hapa` | partial | Alg. 3, §IV-A |
+//! | Discover-and-Attempt PA (DAPA) | `dapa` | local | Alg. 4, §IV-B |
 //!
 //! All four enforce an optional *hard cutoff* `k_c` on node degree: a peer never accepts
 //! more than `k_c` links, modelling peers that refuse to store large neighbor tables. The
-//! [`cutoff`] module provides the natural-cutoff theory the paper compares against, and
-//! [`powerlaw`] samples the bounded power-law degree sequences the configuration model
+//! `cutoff` module provides the natural-cutoff theory the paper compares against, and
+//! `powerlaw` samples the bounded power-law degree sequences the configuration model
 //! needs.
 //!
 //! The modified preferential-attachment mechanisms the paper cites in §III-C as alternative
@@ -22,11 +22,11 @@
 //!
 //! | Mechanism | Module | Paper reference |
 //! |---|---|---|
-//! | Nonlinear PA (`Π ∝ k^α`) | [`nonlinear`] | refs. \[52, 53\] |
+//! | Nonlinear PA (`Π ∝ k^α`) | `nonlinear` | refs. \[52, 53\] |
 //! | Fitness model (`Π ∝ η k`) | [`fitness`] | refs. \[54, 55\] |
-//! | Local events (add/rewire/grow) | [`local_events`] | ref. \[7\] |
-//! | Initial attractiveness (`Π ∝ k + a`, `γ = 3 + a/m`) | [`attractiveness`] | §III-C exponent tuning |
-//! | Uncorrelated CM (structural cutoff) | [`ucm`] | ref. \[59\] |
+//! | Local events (add/rewire/grow) | `local_events` | ref. \[7\] |
+//! | Initial attractiveness (`Π ∝ k + a`, `γ = 3 + a/m`) | `attractiveness` | §III-C exponent tuning |
+//! | Uncorrelated CM (structural cutoff) | `ucm` | ref. \[59\] |
 //!
 //! # Example
 //!
@@ -47,25 +47,34 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod attractiveness;
+mod cm;
 mod config;
+mod cutoff;
+mod dapa;
 mod error;
 mod generator;
+mod hapa;
+mod local_events;
+mod nonlinear;
+mod powerlaw;
+mod ucm;
 
-pub mod attractiveness;
-pub mod cm;
-pub mod cutoff;
-pub mod dapa;
 pub mod fitness;
-pub mod hapa;
-pub mod local_events;
-pub mod nonlinear;
 pub mod pa;
-pub mod powerlaw;
-pub mod ucm;
 
+pub use attractiveness::InitialAttractiveness;
+pub use cm::{CmOutcome, ConfigurationModel};
 pub use config::{DegreeCutoff, StubCount};
+pub use cutoff::{diameter_class, pa_natural_cutoff, predicted_diameter, DiameterClass};
+pub use dapa::{DapaOverGrn, DapaOverMesh, DapaOverlay, DiscoverAndAttempt};
 pub use error::TopologyError;
 pub use generator::{DynTopologyGenerator, Locality, TopologyGenerator};
+pub use hapa::HopAndAttempt;
+pub use local_events::LocalEventsModel;
+pub use nonlinear::NonlinearPreferentialAttachment;
+pub use powerlaw::BoundedPowerLaw;
+pub use ucm::{UcmOutcome, UncorrelatedConfigurationModel};
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T, E = TopologyError> = std::result::Result<T, E>;

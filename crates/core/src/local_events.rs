@@ -27,14 +27,14 @@ use serde::{Deserialize, Serialize};
 use sfo_graph::{generators::complete_graph, Graph, NodeId};
 
 /// Default number of candidate draws per preferential choice before the event is skipped.
-pub const DEFAULT_MAX_ATTEMPTS: usize = 2_000;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: usize = 2_000;
 
 /// Builder/configuration for the local-events (add / rewire / grow) generator.
 ///
 /// # Example
 ///
 /// ```
-/// use sfo_core::{local_events::LocalEventsModel, DegreeCutoff, TopologyGenerator};
+/// use sfo_core::{LocalEventsModel, DegreeCutoff, TopologyGenerator};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), sfo_core::TopologyError> {

@@ -25,7 +25,7 @@ use sfo_graph::{generators::complete_graph, Graph, NodeId};
 
 /// Default number of candidate draws per stub before the generator falls back to a direct
 /// weighted scan over all eligible nodes.
-pub const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
+pub(crate) const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
 
 /// Builder/configuration for the nonlinear preferential-attachment generator.
 ///
@@ -35,7 +35,7 @@ pub const DEFAULT_MAX_ATTEMPTS: usize = 10_000;
 /// # Example
 ///
 /// ```
-/// use sfo_core::{nonlinear::NonlinearPreferentialAttachment, DegreeCutoff, TopologyGenerator};
+/// use sfo_core::{NonlinearPreferentialAttachment, DegreeCutoff, TopologyGenerator};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), sfo_core::TopologyError> {

@@ -247,7 +247,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sfo_graph::{metrics, traversal};
+    use sfo_graph::traversal;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -355,7 +355,7 @@ mod tests {
             .with_cutoff(DegreeCutoff::hard(k_c))
             .generate(&mut rng(19))
             .unwrap();
-        let hist = metrics::degree_histogram(&g);
+        let hist = sfo_graph::degree_histogram(&g);
         assert!(
             hist.count(k_c) > hist.count(k_c - 1),
             "expected accumulation at the cutoff: count({k_c})={} vs count({})={}",
@@ -373,7 +373,7 @@ mod tests {
             .unwrap()
             .generate(&mut rng(29))
             .unwrap();
-        let hist = metrics::degree_histogram(&g);
+        let hist = sfo_graph::degree_histogram(&g);
         assert!(hist.fraction(1) > 0.5);
         assert!(g.max_degree().unwrap() as f64 > 5.0 * g.average_degree());
     }

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use sfo_core::powerlaw::BoundedPowerLaw;
+/// use sfo_core::BoundedPowerLaw;
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), sfo_core::TopologyError> {
@@ -147,7 +147,7 @@ impl BoundedPowerLaw {
 ///
 /// Returns [`TopologyError::InvalidConfig`] if `m` is zero or the resulting support is
 /// empty.
-pub fn support_for(n: usize, m: usize, cutoff: DegreeCutoff) -> Result<(usize, usize)> {
+pub(crate) fn support_for(n: usize, m: usize, cutoff: DegreeCutoff) -> Result<(usize, usize)> {
     if m == 0 {
         return Err(TopologyError::InvalidConfig {
             reason: "stub count m must be at least 1",

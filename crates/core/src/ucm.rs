@@ -24,7 +24,7 @@ use sfo_graph::{Graph, NodeId};
 
 /// Default number of times the wiring phase restarts from a fresh shuffle before giving up
 /// on placing the remaining stubs and dropping them.
-pub const DEFAULT_MAX_RESTARTS: usize = 50;
+pub(crate) const DEFAULT_MAX_RESTARTS: usize = 50;
 
 /// Outcome of a UCM run.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,7 +45,7 @@ pub struct UcmOutcome {
 /// # Example
 ///
 /// ```
-/// use sfo_core::{ucm::UncorrelatedConfigurationModel, DegreeCutoff, TopologyGenerator};
+/// use sfo_core::{UncorrelatedConfigurationModel, DegreeCutoff, TopologyGenerator};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), sfo_core::TopologyError> {
@@ -295,7 +295,7 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-    use sfo_graph::{metrics, traversal};
+    use sfo_graph::traversal;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
@@ -408,7 +408,7 @@ mod tests {
             .unwrap()
             .generate(&mut rng(11))
             .unwrap();
-        let r = metrics::degree_assortativity(&g).unwrap();
+        let r = sfo_graph::degree_assortativity(&g).unwrap();
         assert!(r.abs() < 0.1, "expected near-zero assortativity, got {r}");
     }
 

@@ -20,15 +20,15 @@ use crate::scheduler::{execute_with_scratch, WorkerPool};
 use serde::{Deserialize, Serialize};
 use sfo_graph::{GraphView, NodeId};
 use sfo_search::experiment::{label_salt, stream_rng, AveragedOutcome};
-use sfo_search::normalized::NormalizedFlooding;
-use sfo_search::random_walk::RandomWalk;
+use sfo_search::NormalizedFlooding;
+use sfo_search::RandomWalk;
 use sfo_search::{SearchAlgorithm, SearchOutcome, SearchScratch};
 use std::sync::Arc;
 
 /// The stream-family label of batched query jobs; its [`label_salt`] is the salt of
 /// every job RNG, making batch streams a family of the workspace's single derivation
 /// rule rather than an ad-hoc scheme.
-pub const BATCH_STREAM_LABEL: &str = "sfo-engine/query-batch";
+pub(crate) const BATCH_STREAM_LABEL: &str = "sfo-engine/query-batch";
 
 /// Derives the RNG of job `index` in a batch seeded with `seed`.
 ///
@@ -373,21 +373,10 @@ pub fn average_per_ttl(
 ///
 /// This is the frontend for callers whose job state cannot be `'static` — the churn
 /// simulator's query batches borrow the live overlay. The closure receives
-/// `(job index, job rng)` and the same determinism contract applies: results depend only
+/// `(job index, job rng, worker scratch)`; each scoped worker owns one
+/// [`SearchScratch`] arena reused across all jobs it claims. The same determinism
+/// contract applies: the arena stays invisible to the RNG draws, so results depend only
 /// on the job index, never on the worker count.
-pub fn run_batch_scoped<T, F>(workers: usize, jobs: usize, seed: u64, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize, &mut rand::rngs::StdRng) -> T + Sync,
-{
-    run_batch_scoped_with_scratch(workers, jobs, seed, |i, rng, _| job(i, rng))
-}
-
-/// [`run_batch_scoped`] with a per-worker [`SearchScratch`] arena.
-///
-/// The closure receives `(job index, job rng, worker scratch)`; each scoped worker owns
-/// one arena reused across all jobs it claims. The arena must stay invisible to the RNG
-/// draws, so results are still a pure function of the job index.
 pub fn run_batch_scoped_with_scratch<T, F>(workers: usize, jobs: usize, seed: u64, job: F) -> Vec<T>
 where
     T: Send,
@@ -615,7 +604,7 @@ mod tests {
 
     #[test]
     fn scoped_batches_share_the_stream_rule() {
-        let outs = run_batch_scoped(3, 20, 5, |i, rng| {
+        let outs = run_batch_scoped_with_scratch(3, 20, 5, |i, rng, _| {
             (i, rand::Rng::gen_range(rng, 0..1000u32))
         });
         for (i, (index, value)) in outs.iter().enumerate() {

@@ -9,20 +9,20 @@
 //! *independent* searches over a frozen topology. The engine turns that shape into
 //! infrastructure:
 //!
-//! * [`ShardedCsr`] ([`sharded`]): a frozen [`CsrGraph`](sfo_graph::CsrGraph)
+//! * [`ShardedCsr`] (`sharded`): a frozen [`CsrGraph`](sfo_graph::CsrGraph)
 //!   partitioned into contiguous node-id ranges. Each [`CsrShard`] is `Send + Sync`,
 //!   owns shard-local CSR rows, and carries a [`BoundaryTable`] of its cross-shard
 //!   edges; the assembly implements [`GraphView`](sfo_graph::GraphView) with the exact
 //!   neighbor order of the unsharded snapshot, so every existing algorithm runs on it
 //!   unchanged and byte-identically.
-//! * [`WorkerPool`] ([`scheduler`]): a persistent worker pool executing batches with
-//!   work stealing over contiguous job ranges, plus a scoped [`execute`] for jobs that
+//! * [`WorkerPool`] (`scheduler`): a persistent worker pool executing batches with
+//!   work stealing over contiguous job ranges, plus a scoped `execute_with_scratch` for jobs that
 //!   borrow local state.
-//! * [`QueryBatch`] ([`batch`]): `(source, algorithm, ttl)` jobs executed across the
+//! * [`QueryBatch`] (`batch`): `(source, algorithm, ttl)` jobs executed across the
 //!   pool, each on its own RNG stream derived with the workspace's single
 //!   [`stream_rng`](sfo_search::experiment::stream_rng) rule — results are independent
 //!   of the worker count, of stealing order, and of the shard count.
-//! * [`placed`]: the cross-host traversal state machine behind placed execution — a
+//! * `placed`: the cross-host traversal state machine behind placed execution — a
 //!   suspended search ([`PlacedState`]) moves between shard hosts as a visited-bitset
 //!   delta plus frontier plus raw RNG state, reproducing the serial oracle byte for
 //!   byte on any placement ([`placed_advance`]).
@@ -48,26 +48,25 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod batch;
-pub mod placed;
-pub mod scheduler;
-pub mod sharded;
+mod batch;
+mod placed;
+mod scheduler;
+mod sharded;
 
 pub use batch::{
     average_per_ttl, batched_rw_normalized_to_nf, batched_rw_normalized_to_nf_range,
-    batched_ttl_sweep, batched_ttl_sweep_range, job_rng, run_batch_scoped,
-    run_batch_scoped_with_scratch, run_queries, run_queries_offset, run_queries_serial,
-    AlgorithmTable, QueryBatch, QueryJob, BATCH_STREAM_LABEL,
+    batched_ttl_sweep, batched_ttl_sweep_range, job_rng, run_batch_scoped_with_scratch,
+    run_queries, run_queries_offset, run_queries_serial, AlgorithmTable, QueryBatch, QueryJob,
 };
 pub use placed::{
     placed_advance, placed_start, PlacedAlgorithm, PlacedState, PlacedStep, StepStats, NO_NODE,
 };
-pub use scheduler::{execute, execute_with_scratch, EngineConfig, WorkerPool};
+pub use scheduler::{EngineConfig, WorkerPool};
 pub use sharded::{BoundaryEdge, BoundaryTable, CsrShard, ShardedCsr};
 
 // Re-exported so consumers that do not depend on `sfo-search` directly (notably
 // `sfo-sim`'s item lookups) can name the arena type and run the shared forwarding
 // rules and walker step.
-pub use sfo_search::forwarding::Forwarding;
-pub use sfo_search::random_walk::next_hop;
+pub use sfo_search::next_hop;
+pub use sfo_search::Forwarding;
 pub use sfo_search::SearchScratch;

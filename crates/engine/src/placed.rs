@@ -36,8 +36,8 @@
 
 use rand::rngs::StdRng;
 use sfo_graph::{NodeId, ShardView};
-use sfo_search::forwarding::Forwarding;
-use sfo_search::random_walk::next_hop;
+use sfo_search::next_hop;
+use sfo_search::Forwarding;
 use sfo_search::{SearchOutcome, SearchScratch};
 
 /// Sentinel for "no node" in the wire-width node fields of [`PlacedState`]
@@ -396,10 +396,10 @@ mod tests {
     use sfo_graph::generators::ring_graph;
     use sfo_graph::{CsrGraph, CsrSlice, Graph};
     use sfo_search::flooding::Flooding;
-    use sfo_search::normalized::NormalizedFlooding;
-    use sfo_search::probabilistic::ProbabilisticFlooding;
-    use sfo_search::random_walk::{MultipleRandomWalk, RandomWalk};
+    use sfo_search::NormalizedFlooding;
+    use sfo_search::ProbabilisticFlooding;
     use sfo_search::SearchAlgorithm;
+    use sfo_search::{MultipleRandomWalk, RandomWalk};
 
     /// A small irregular graph: a ring with chords, so degrees differ.
     fn fixture() -> CsrGraph {

@@ -15,11 +15,12 @@
 //! * [`WorkerPool`] — a persistent pool: threads are spawned once and reused across
 //!   batches, the shape a long-lived query-serving process wants. Jobs must be
 //!   `'static` (share state via `Arc`).
-//! * [`execute`] — a scoped one-shot run for jobs that borrow local state (the churn
-//!   simulator's query batches borrow the live overlay, which cannot be `Arc`'d away).
+//! * [`execute_with_scratch`] — a scoped one-shot run for jobs that borrow local state
+//!   (the churn simulator's query batches borrow the live overlay, which cannot be
+//!   `Arc`'d away).
 //!
-//! Both frontends come in a `_with_scratch` flavor ([`WorkerPool::run_with_scratch`],
-//! [`execute_with_scratch`]) that hands every job a per-thread [`SearchScratch`] arena:
+//! Both frontends can hand every job a per-thread [`SearchScratch`] arena
+//! ([`WorkerPool::run_with_scratch`], [`execute_with_scratch`]):
 //! each pool worker owns exactly one arena for its whole lifetime, and a batch small
 //! enough to run inline on the calling thread borrows that thread's arena, kept in a
 //! thread-local slot between batches. Either way the arena is reused across jobs and
@@ -152,24 +153,11 @@ fn claim(queues: &[Mutex<(usize, usize)>], me: usize) -> Option<(usize, bool)> {
 }
 
 /// Runs `jobs` independent jobs across `workers` scoped threads with work stealing and
-/// returns the results in job order.
+/// returns the results in job order, giving each job its worker's [`SearchScratch`] arena.
 ///
 /// The job closure may borrow local state (the threads are scoped); results are
 /// independent of the worker count as long as each job is a pure function of its index.
 /// With one worker (or at most one job) the jobs run inline on the calling thread.
-///
-/// # Panics
-///
-/// Propagates panics from the job closure.
-pub fn execute<T, F>(workers: usize, jobs: usize, job: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    execute_with_scratch(workers, jobs, |i, _| job(i))
-}
-
-/// [`execute`] with a per-worker [`SearchScratch`] arena.
 ///
 /// Each worker thread owns exactly one arena, reused for every job it claims or steals;
 /// the inline single-worker path uses the calling thread's arena, which outlives the
@@ -180,7 +168,7 @@ where
 /// # Panics
 ///
 /// Propagates panics from the job closure.
-pub fn execute_with_scratch<T, F>(workers: usize, jobs: usize, job: F) -> Vec<T>
+pub(crate) fn execute_with_scratch<T, F>(workers: usize, jobs: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize, &mut SearchScratch) -> T + Sync,
@@ -304,7 +292,7 @@ struct PoolShared {
 /// Threads are spawned once at construction and reused for every batch — the shape a
 /// long-lived query-serving process wants, and what makes per-batch latency independent
 /// of thread spawn cost. Batches are submitted through [`WorkerPool::run`] (or the
-/// typed search frontend in [`crate::batch`]); any number of threads may submit
+/// typed search frontend in `crate::batch`); any number of threads may submit
 /// concurrently — each submission joins the active batch set and workers drain the set
 /// in submission order, so a snapshot-serving daemon can fan several clients' batches
 /// over one pool — and results come back in job order regardless of which worker ran
@@ -383,7 +371,7 @@ impl WorkerPool {
     /// Runs `jobs` independent jobs across the pool and returns the results in job
     /// order.
     ///
-    /// The job closure must be `'static` (share state via `Arc`); use [`execute`] for
+    /// The job closure must be `'static` (share state via `Arc`); use `execute_with_scratch` for
     /// jobs that borrow. Batches of at most one job (or on a single-worker pool) run
     /// inline on the calling thread. Results are independent of the worker count as long
     /// as each job is a pure function of its index.
@@ -581,7 +569,7 @@ mod tests {
 
     #[test]
     fn scoped_execute_returns_results_in_job_order() {
-        let doubled = execute(4, 100, |i| i * 2);
+        let doubled = execute_with_scratch(4, 100, |i, _| i * 2);
         assert_eq!(doubled.len(), 100);
         for (i, v) in doubled.iter().enumerate() {
             assert_eq!(*v, i * 2);
@@ -590,18 +578,18 @@ mod tests {
 
     #[test]
     fn scoped_execute_handles_edge_shapes() {
-        assert_eq!(execute(4, 0, |i| i), Vec::<usize>::new());
-        assert_eq!(execute(4, 1, |i| i + 7), vec![7]);
-        assert_eq!(execute(1, 5, |i| i), vec![0, 1, 2, 3, 4]);
+        assert_eq!(execute_with_scratch(4, 0, |i, _| i), Vec::<usize>::new());
+        assert_eq!(execute_with_scratch(4, 1, |i, _| i + 7), vec![7]);
+        assert_eq!(execute_with_scratch(1, 5, |i, _| i), vec![0, 1, 2, 3, 4]);
         // More workers than jobs.
-        assert_eq!(execute(16, 3, |i| i), vec![0, 1, 2]);
+        assert_eq!(execute_with_scratch(16, 3, |i, _| i), vec![0, 1, 2]);
     }
 
     #[test]
     fn scoped_execute_is_worker_count_independent() {
         let reference: Vec<u64> = (0..200).map(|i| (i as u64).wrapping_mul(0x9E37)).collect();
         for workers in [1usize, 2, 3, 8] {
-            let got = execute(workers, 200, |i| (i as u64).wrapping_mul(0x9E37));
+            let got = execute_with_scratch(workers, 200, |i, _| (i as u64).wrapping_mul(0x9E37));
             assert_eq!(got, reference, "{workers} workers");
         }
     }
@@ -609,7 +597,7 @@ mod tests {
     #[test]
     fn stealing_drains_unbalanced_workloads() {
         // Give the jobs wildly uneven costs: stealing must still complete everything.
-        let out = execute(4, 64, |i| {
+        let out = execute_with_scratch(4, 64, |i, _| {
             if i < 4 {
                 // A few heavy jobs pin their owners...
                 let mut acc = 0u64;
@@ -665,7 +653,7 @@ mod tests {
     fn pool_results_match_scoped_execute() {
         let pool = WorkerPool::new(EngineConfig::with_workers(4));
         let from_pool = pool.run(120, |i| (i as u64).rotate_left(7));
-        let from_scope = execute(2, 120, |i| (i as u64).rotate_left(7));
+        let from_scope = execute_with_scratch(2, 120, |i, _| (i as u64).rotate_left(7));
         assert_eq!(from_pool, from_scope);
     }
 

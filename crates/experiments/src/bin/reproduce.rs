@@ -9,7 +9,7 @@
 //! additionally to `<out>/<id>.csv` when `--out` is given; `--gnuplot` additionally writes a
 //! self-contained `<out>/<id>.gp` gnuplot script for every figure-shaped experiment.
 
-use sfo_analysis::export::{suggested_scale, to_gnuplot};
+use sfo_analysis::{suggested_scale, to_gnuplot};
 use sfo_experiments::{all_experiments, run_experiment, ExperimentOutput, Scale};
 use std::path::PathBuf;
 use std::process::ExitCode;

@@ -16,8 +16,8 @@
 use crate::helpers::{degree_distribution_series, fitted_exponent};
 use crate::{ExperimentOutput, Scale};
 use sfo_analysis::{DataPoint, DataSeries, FigureData};
-use sfo_core::dapa::DapaOverGrn;
 use sfo_core::pa::PreferentialAttachment;
+use sfo_core::DapaOverGrn;
 use sfo_core::DegreeCutoff;
 use sfo_scenario::TopologySpec;
 
@@ -29,7 +29,7 @@ fn cutoff_label(cutoff: Option<usize>) -> String {
 }
 
 /// Fig. 1(a): PA degree distributions without a hard cutoff, `m = 1, 2, 3`.
-pub fn fig1a(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig1a(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "fig1a",
         "Degree distributions of the PA model without hard cutoff",
@@ -49,7 +49,7 @@ pub fn fig1a(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 1(b): PA degree distributions for different hard cutoffs.
-pub fn fig1b(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig1b(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "fig1b",
         "Degree distributions of the PA model with hard cutoffs",
@@ -72,7 +72,7 @@ pub fn fig1b(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 1(c): fitted PA degree exponent versus the hard cutoff, `m = 1, 2, 3`.
-pub fn fig1c(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig1c(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "fig1c",
         "PA degree-distribution exponent vs hard cutoff",
@@ -98,7 +98,7 @@ pub fn fig1c(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 2: CM degree distributions for target exponents 2.2, 2.6, and 3.0.
-pub fn fig2(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig2(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "fig2",
         "Degree distributions of the configuration model (target gamma = 2.2, 2.6, 3.0)",
@@ -123,7 +123,7 @@ pub fn fig2(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 3: HAPA degree distributions (star-like without a cutoff, power-law-like with one).
-pub fn fig3(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig3(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "fig3",
         "Degree distributions of the HAPA model",
@@ -146,7 +146,7 @@ pub fn fig3(scale: &Scale, seed: u64) -> ExperimentOutput {
 
 /// Fig. 4(a-f): DAPA degree distributions as the local TTL `τ_sub`, the connectedness `m`,
 /// and the hard cutoff vary.
-pub fn fig4(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig4(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "fig4",
         "Degree distributions of the DAPA model over a GRN substrate",
@@ -172,7 +172,7 @@ pub fn fig4(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 4(g): fitted DAPA degree exponent versus the hard cutoff, `m = 1, 2, 3`.
-pub fn fig4g(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig4g(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "fig4g",
         "DAPA degree-distribution exponent vs hard cutoff (tau_sub = 10)",

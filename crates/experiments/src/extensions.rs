@@ -11,23 +11,23 @@
 
 use crate::helpers::{nf_rw_ttls, realization_rng, scenario_series};
 use crate::{ExperimentOutput, Scale};
-use sfo_analysis::kmin::select_k_min;
+use sfo_analysis::select_k_min;
 use sfo_analysis::TextTable;
-use sfo_core::attractiveness::InitialAttractiveness;
-use sfo_core::cm::ConfigurationModel;
 use sfo_core::fitness::{FitnessDistribution, FitnessModel};
-use sfo_core::hapa::HopAndAttempt;
-use sfo_core::local_events::LocalEventsModel;
-use sfo_core::nonlinear::NonlinearPreferentialAttachment;
 use sfo_core::pa::PreferentialAttachment;
-use sfo_core::ucm::UncorrelatedConfigurationModel;
+use sfo_core::ConfigurationModel;
+use sfo_core::HopAndAttempt;
+use sfo_core::InitialAttractiveness;
+use sfo_core::LocalEventsModel;
+use sfo_core::NonlinearPreferentialAttachment;
+use sfo_core::UncorrelatedConfigurationModel;
 use sfo_core::{DegreeCutoff, TopologyGenerator};
-use sfo_graph::{centrality, correlations, kcore, metrics, traversal};
+use sfo_graph::traversal;
 use sfo_scenario::{ScenarioSpec, SearchSpec, SweepMetric, SweepSpec, TopologySpec};
 use sfo_sim::catalog::Catalog;
 use sfo_sim::overlay::{JoinStrategy, OverlayConfig, OverlayNetwork};
-use sfo_sim::query::{run_query, QueryMethod};
-use sfo_sim::replication::{allocate, expected_search_size, place, ReplicationStrategy};
+use sfo_sim::{allocate, expected_search_size, place, ReplicationStrategy};
+use sfo_sim::{run_query, QueryMethod};
 
 fn cutoff_label(cutoff: DegreeCutoff) -> String {
     match cutoff.value() {
@@ -46,7 +46,7 @@ fn format_f64(value: f64) -> String {
 /// Columns: generator, cutoff, maximum degree, mean degree, fitted exponent (MLE with a
 /// Clauset-style `k_min` scan; `-` when the distribution is not power-law-like), and
 /// giant-component fraction.
-pub fn generator_zoo(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn generator_zoo(scale: &Scale, seed: u64) -> ExperimentOutput {
     let nodes = scale.search_nodes;
     /// One zoo row: label, uncapped generator, capped generator.
     type ZooEntry = (
@@ -121,7 +121,7 @@ pub fn generator_zoo(scale: &Scale, seed: u64) -> ExperimentOutput {
             let graph = generator
                 .generate(&mut rng)
                 .unwrap_or_else(|e| panic!("generator {name} failed: {e}"));
-            let hist = metrics::degree_histogram(&graph);
+            let hist = sfo_graph::degree_histogram(&graph);
             let fit_max = cutoff
                 .value()
                 .map(|k| k.saturating_sub(1))
@@ -166,7 +166,7 @@ where
 /// FL is the coverage ceiling, NF/pFL/expanding-ring are the practical flooding variants,
 /// and RW/HD-RW are the walk variants; the figure shows which of them benefit from hard
 /// cutoffs (the paper's NF/RW observation) and which lose their hub shortcut (HD-RW).
-pub fn search_strategies(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn search_strategies(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = sfo_analysis::FigureData::new(
         "search-strategies",
         "Hits vs tau for all search strategies on PA topologies (m=2)",
@@ -218,7 +218,7 @@ pub fn search_strategies(scale: &Scale, seed: u64) -> ExperimentOutput {
 /// Replication-strategy comparison (Cohen & Shenker, ref. \[22\]): expected search size and
 /// simulated normalized-flooding success rate for uniform, proportional, and square-root
 /// replica allocation over a live overlay with hard cutoffs.
-pub fn replication(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn replication(scale: &Scale, seed: u64) -> ExperimentOutput {
     let peers = (scale.search_nodes / 2).clamp(200, 2_000);
     let items = 50usize;
     let budget = items * 6;
@@ -289,7 +289,7 @@ pub fn replication(scale: &Scale, seed: u64) -> ExperimentOutput {
 /// horizons grow only quadratically with `τ_sub`, so its overlays are lighter-tailed and
 /// need larger `τ_sub` to reach the same search efficiency — the locality/scale-freeness
 /// trade-off of Table II in substrate form.
-pub fn substrate_comparison(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn substrate_comparison(scale: &Scale, seed: u64) -> ExperimentOutput {
     let nodes = scale.search_nodes;
     let nf_ttl = 8u32;
     let mut table = TextTable::new(vec![
@@ -367,9 +367,9 @@ pub fn substrate_comparison(scale: &Scale, seed: u64) -> ExperimentOutput {
 /// departures, so differences in lookup success and connectivity are attributable to the
 /// overlay policy alone — the controlled experiment the paper's future-work section asks
 /// for.
-pub fn churn_trace(scale: &Scale, seed: u64) -> ExperimentOutput {
-    use sfo_sim::churn::{generate_trace, ChurnTraceConfig, SessionModel};
-    use sfo_sim::trace_runner::{run_trace, TraceRunConfig};
+pub(crate) fn churn_trace(scale: &Scale, seed: u64) -> ExperimentOutput {
+    use sfo_sim::{generate_trace, ChurnTraceConfig, SessionModel};
+    use sfo_sim::{run_trace, TraceRunConfig};
 
     let bootstrap = (scale.search_nodes / 4).clamp(100, 1_000);
     let duration = 600u64;
@@ -444,7 +444,7 @@ pub fn churn_trace(scale: &Scale, seed: u64) -> ExperimentOutput {
 /// Columns: maximum betweenness (the forwarding-load share of the most loaded peer),
 /// degeneracy (depth of the densest core), degree assortativity, rich-club coefficient
 /// above the mean degree, and the fraction of nodes sitting at the modal degree.
-pub fn hub_load(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn hub_load(scale: &Scale, seed: u64) -> ExperimentOutput {
     let nodes = scale.search_nodes;
     let mut table = TextTable::new(vec![
         "topology",
@@ -486,17 +486,14 @@ pub fn hub_load(scale: &Scale, seed: u64) -> ExperimentOutput {
         let graph = generator
             .generate(&mut rng)
             .unwrap_or_else(|e| panic!("generator {name} failed: {e}"));
-        let betweenness = centrality::betweenness_centrality_sampled(
-            &graph,
-            64.min(graph.node_count()),
-            &mut rng,
-        );
-        let decomposition = kcore::core_decomposition(&graph);
-        let assortativity = metrics::degree_assortativity(&graph)
+        let betweenness =
+            sfo_graph::betweenness_centrality_sampled(&graph, 64.min(graph.node_count()), &mut rng);
+        let decomposition = sfo_graph::core_decomposition(&graph);
+        let assortativity = sfo_graph::degree_assortativity(&graph)
             .map(format_f64)
             .unwrap_or_else(|| "-".to_string());
         let mean_degree = graph.average_degree();
-        let rich_club = correlations::rich_club_coefficients(&graph)
+        let rich_club = sfo_graph::rich_club_coefficients(&graph)
             .into_iter()
             .find(|p| p.degree as f64 >= mean_degree)
             .map(|p| format_f64(p.coefficient))
@@ -513,7 +510,7 @@ pub fn hub_load(scale: &Scale, seed: u64) -> ExperimentOutput {
             decomposition.degeneracy.to_string(),
             assortativity,
             rich_club,
-            format_f64(correlations::modal_degree_fraction(&graph)),
+            format_f64(sfo_graph::modal_degree_fraction(&graph)),
         ]);
     }
     ExperimentOutput::Table(table)

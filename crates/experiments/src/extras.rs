@@ -12,13 +12,13 @@ use crate::{ExperimentOutput, Scale};
 use sfo_analysis::{DataPoint, DataSeries, FigureData, Summary};
 use sfo_core::pa::PreferentialAttachment;
 use sfo_core::DegreeCutoff;
-use sfo_graph::resilience::{robustness_profile, RemovalStrategy};
+use sfo_graph::{robustness_profile, RemovalStrategy};
 use sfo_scenario::{
     ScenarioRunner, ScenarioSpec, SearchSpec, SweepMetric, SweepSpec, TopologySpec,
 };
 use sfo_sim::overlay::{JoinStrategy, OverlayConfig};
-use sfo_sim::query::QueryMethod;
 use sfo_sim::simulation::SimulationConfig;
+use sfo_sim::QueryMethod;
 
 /// The PA `m × k_c` grid shared by the messaging and ablation sweeps.
 fn pa_grid(
@@ -49,7 +49,7 @@ fn pa_grid(
 ///
 /// The paper reports that NF consistently costs no more than RW at equal nominal τ, that
 /// the gap shrinks for `m = 1`, and that the messaging penalty of hard cutoffs is minimal.
-pub fn msg_complexity(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn msg_complexity(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "msg-complexity",
         "Messages per search: NF vs message-normalized RW on PA topologies",
@@ -95,7 +95,7 @@ pub fn msg_complexity(scale: &Scale, seed: u64) -> ExperimentOutput {
 /// Minimum-connectedness ablation: FL and NF hits at a fixed τ as `m` varies under a tight
 /// cutoff (`k_c = 10`), quantifying the paper's guideline that 2-3 links per peer remove
 /// most of the cutoff penalty.
-pub fn ablation_minlinks(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn ablation_minlinks(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "ablation-minlinks",
         "Effect of minimum connectedness m on search efficiency under k_c=10 (PA topologies)",
@@ -158,7 +158,7 @@ pub fn ablation_minlinks(scale: &Scale, seed: u64) -> ExperimentOutput {
 /// overlays after removing a growing fraction of peers, either uniformly at random (peer
 /// failures) or highest-degree first (a targeted attack on the hubs), with and without a
 /// hard cutoff.
-pub fn resilience(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn resilience(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "resilience",
         "Giant-component fraction under random failures vs targeted attacks (PA overlays)",
@@ -204,7 +204,7 @@ pub fn resilience(scale: &Scale, seed: u64) -> ExperimentOutput {
 
 /// Churn extension: overlay health (giant-component fraction) and query success rate over
 /// time under join/leave/crash churn, for a hard cutoff versus an unbounded overlay.
-pub fn churn(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn churn(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut figure = FigureData::new(
         "churn",
         "Overlay health and query success under churn (sfo-sim)",

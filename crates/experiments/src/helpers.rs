@@ -10,22 +10,21 @@
 
 use crate::Scale;
 use rand::rngs::StdRng;
-use sfo_analysis::powerlaw_fit::fit_exponent_from_counts;
+use sfo_analysis::fit_exponent_from_counts;
 use sfo_analysis::{DataSeries, Summary};
 use sfo_core::TopologyGenerator;
-use sfo_graph::metrics;
 use sfo_scenario::{ScenarioRunner, ScenarioSpec, SweepMetric, TopologySpec};
 use sfo_search::experiment::{label_salt, stream_rng};
 
 /// Number of logarithmic bins per decade used for all degree-distribution figures.
-pub const BINS_PER_DECADE: usize = 8;
+pub(crate) const BINS_PER_DECADE: usize = 8;
 
 /// Derives the RNG for realization `index` of a generator labelled by `salt`.
 ///
 /// Delegates to [`stream_rng`], the workspace's single stream-derivation rule, so
 /// realization streams here, worker-thread streams in `sfo-search`, and scenario-runner
 /// streams in `sfo-scenario` are seeded identically.
-pub fn realization_rng(seed: u64, salt: u64, index: usize) -> StdRng {
+pub(crate) fn realization_rng(seed: u64, salt: u64, index: usize) -> StdRng {
     stream_rng(seed, salt, index)
 }
 
@@ -36,7 +35,7 @@ pub fn realization_rng(seed: u64, salt: u64, index: usize) -> StdRng {
 ///
 /// Panics when the spec is invalid or a generator fails — figure code treats both as
 /// programming errors, exactly like the old bespoke loops did.
-pub fn scenario_series(spec: &ScenarioSpec, metric: SweepMetric) -> Vec<DataSeries> {
+pub(crate) fn scenario_series(spec: &ScenarioSpec, metric: SweepMetric) -> Vec<DataSeries> {
     ScenarioRunner::new()
         .run(spec)
         .unwrap_or_else(|e| panic!("scenario '{}' failed: {e}", spec.name))
@@ -56,7 +55,7 @@ pub fn scenario_series(spec: &ScenarioSpec, metric: SweepMetric) -> Vec<DataSeri
 ///
 /// Panics when the spec is invalid or a generator fails — figure code treats both as
 /// programming errors, exactly like the old bespoke loops did.
-pub fn degree_distribution_series(
+pub(crate) fn degree_distribution_series(
     topology: TopologySpec,
     label: &str,
     scale: &Scale,
@@ -83,7 +82,7 @@ pub fn degree_distribution_series(
 /// Estimates the degree-distribution exponent of one generator configuration, averaged over
 /// realizations. The fit window is `[m, fit_max]`; the paper stops the window just below
 /// the hard cutoff so the accumulation spike does not drag the slope.
-pub fn fitted_exponent(
+pub(crate) fn fitted_exponent(
     generator: &dyn TopologyGenerator,
     label: &str,
     m: usize,
@@ -101,7 +100,7 @@ pub fn fitted_exponent(
                 generator.name()
             )
         });
-        let hist = metrics::degree_histogram(&graph);
+        let hist = sfo_graph::degree_histogram(&graph);
         if let Some(fit) = fit_exponent_from_counts(&hist.counts, m, fit_max) {
             summary.add(fit.gamma);
         }
@@ -110,12 +109,12 @@ pub fn fitted_exponent(
 }
 
 /// Standard TTL grid for flooding figures (the paper sweeps τ until the flood saturates).
-pub fn flooding_ttls() -> Vec<u32> {
+pub(crate) fn flooding_ttls() -> Vec<u32> {
     vec![1, 2, 3, 4, 5, 6, 8, 10, 12, 14, 16, 18, 20]
 }
 
 /// Standard TTL grid for NF and RW figures (the paper uses τ up to 10).
-pub fn nf_rw_ttls() -> Vec<u32> {
+pub(crate) fn nf_rw_ttls() -> Vec<u32> {
     vec![2, 3, 4, 5, 6, 7, 8, 9, 10]
 }
 
@@ -166,7 +165,7 @@ mod tests {
         // The migration contract: the spec-based series must reproduce, bit for bit,
         // what the old bespoke loop produced — generate each realization on
         // stream_rng(seed, label_salt(legend label), r), concatenate degrees, log-bin.
-        use sfo_analysis::histogram::log_binned_distribution;
+        use sfo_analysis::log_binned_distribution;
         let scale = tiny_scale();
         let topology = TopologySpec::Pa {
             nodes: scale.degree_nodes,

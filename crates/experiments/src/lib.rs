@@ -30,13 +30,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod degree_figs;
-pub mod extensions;
-pub mod extras;
-pub mod helpers;
-pub mod nf_rw_figs;
-pub mod search_figs;
-pub mod tables;
+mod degree_figs;
+mod extensions;
+mod extras;
+mod helpers;
+mod nf_rw_figs;
+mod search_figs;
+mod tables;
 
 use serde::{Deserialize, Serialize};
 use sfo_analysis::{FigureData, TextTable};

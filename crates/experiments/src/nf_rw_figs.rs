@@ -109,7 +109,7 @@ fn figure_from_specs(id: &str, title: &str, specs: Vec<ScenarioSpec>) -> Experim
 }
 
 /// Fig. 9: NF hits versus `τ` on PA, CM, and HAPA topologies.
-pub fn fig9(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig9(scale: &Scale, seed: u64) -> ExperimentOutput {
     figure_from_specs(
         "fig9",
         "Normalized-flooding search efficiency on PA, CM, and HAPA topologies",
@@ -123,7 +123,7 @@ pub fn fig9(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 10: NF hits versus `τ` on DAPA topologies.
-pub fn fig10(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig10(scale: &Scale, seed: u64) -> ExperimentOutput {
     figure_from_specs(
         "fig10",
         "Normalized-flooding search efficiency on DAPA topologies",
@@ -137,7 +137,7 @@ pub fn fig10(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 11: message-normalized RW hits versus `τ` on PA, CM, and HAPA topologies.
-pub fn fig11(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig11(scale: &Scale, seed: u64) -> ExperimentOutput {
     figure_from_specs(
         "fig11",
         "Random-walk search efficiency (message-normalized to NF) on PA, CM, and HAPA topologies",
@@ -151,7 +151,7 @@ pub fn fig11(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 12: message-normalized RW hits versus `τ` on DAPA topologies.
-pub fn fig12(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig12(scale: &Scale, seed: u64) -> ExperimentOutput {
     figure_from_specs(
         "fig12",
         "Random-walk search efficiency (message-normalized to NF) on DAPA topologies",

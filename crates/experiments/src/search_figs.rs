@@ -53,7 +53,7 @@ fn figure_from_specs(id: &str, title: &str, specs: Vec<ScenarioSpec>) -> Experim
 }
 
 /// Fig. 6(a,b): FL hits versus `τ` on PA and HAPA topologies.
-pub fn fig6(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig6(scale: &Scale, seed: u64) -> ExperimentOutput {
     let pa = TopologySpec::Pa {
         nodes: scale.search_nodes,
         m: 1,
@@ -75,7 +75,7 @@ pub fn fig6(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 7: FL hits versus `τ` on CM topologies with target exponents 2.2, 2.6, and 3.0.
-pub fn fig7(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig7(scale: &Scale, seed: u64) -> ExperimentOutput {
     let specs = [2.2f64, 2.6, 3.0]
         .into_iter()
         .map(|gamma| {
@@ -101,7 +101,7 @@ pub fn fig7(scale: &Scale, seed: u64) -> ExperimentOutput {
 }
 
 /// Fig. 8: FL hits versus `τ` on DAPA topologies for different local TTLs `τ_sub`.
-pub fn fig8(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn fig8(scale: &Scale, seed: u64) -> ExperimentOutput {
     let specs = [2u32, 4, 10, 20]
         .into_iter()
         .map(|tau_sub| {

@@ -3,13 +3,13 @@
 use crate::helpers::realization_rng;
 use crate::{ExperimentOutput, Scale};
 use sfo_analysis::TextTable;
-use sfo_core::cm::ConfigurationModel;
-use sfo_core::cutoff::{diameter_class, predicted_diameter, DiameterClass};
-use sfo_core::dapa::DapaOverGrn;
-use sfo_core::hapa::HopAndAttempt;
 use sfo_core::pa::PreferentialAttachment;
+use sfo_core::ConfigurationModel;
+use sfo_core::DapaOverGrn;
+use sfo_core::HopAndAttempt;
+use sfo_core::{diameter_class, predicted_diameter, DiameterClass};
 use sfo_core::{Locality, TopologyGenerator};
-use sfo_graph::metrics::path_statistics_sampled;
+use sfo_graph::path_statistics_sampled;
 
 fn class_label(class: DiameterClass) -> &'static str {
     match class {
@@ -25,7 +25,7 @@ fn class_label(class: DiameterClass) -> &'static str {
 /// The measurement generates CM topologies (whose exponent can be dialed exactly) at two
 /// sizes and reports both the measured growth factor and the growth factor the scaling law
 /// of Table I predicts, so the qualitative ordering of the classes can be checked.
-pub fn table1(scale: &Scale, seed: u64) -> ExperimentOutput {
+pub(crate) fn table1(scale: &Scale, seed: u64) -> ExperimentOutput {
     let mut table = TextTable::new(vec![
         "gamma",
         "m",
@@ -76,7 +76,7 @@ pub fn table1(scale: &Scale, seed: u64) -> ExperimentOutput {
 
 /// Table II: how much global information each construction mechanism needs, verified
 /// directly from the generators' [`Locality`] declarations.
-pub fn table2(scale: &Scale, _seed: u64) -> ExperimentOutput {
+pub(crate) fn table2(scale: &Scale, _seed: u64) -> ExperimentOutput {
     let generators: Vec<Box<dyn TopologyGenerator>> = vec![
         Box::new(
             PreferentialAttachment::new(scale.search_nodes.max(10), 1).expect("valid PA config"),

@@ -1,24 +1,13 @@
-//! Node centrality measures: degree, closeness, betweenness, and eccentricity.
+//! Betweenness centrality: the fraction of shortest paths passing through a node.
 //!
 //! Scale-free overlays concentrate both links *and* traffic on their hubs — that is the
 //! load-imbalance problem that motivates hard cutoffs in the first place (paper, §I and
-//! §III). Centrality measures make that concentration quantitative:
+//! §III). Betweenness is a direct proxy for the forwarding load a peer carries in
+//! flooding and random-walk searches, and the `hub-load` experiment reports its maximum.
 //!
-//! * **degree centrality** — the fraction of peers a node is directly linked to; hubs by
-//!   definition dominate it.
-//! * **closeness centrality** — how few hops a node needs to reach everyone else; high for
-//!   hubs, it collapses for peers left on the fringe by restrictive cutoffs.
-//! * **betweenness centrality** — the fraction of shortest paths passing through a node, a
-//!   direct proxy for the forwarding load a peer carries in flooding and random-walk
-//!   searches. Removing the top-betweenness peers is what "attacks targeted to hubs" means
-//!   in the robustness discussion.
-//! * **eccentricity** — a node's distance to its farthest reachable peer; its maximum is
-//!   the diameter of Table I.
-//!
-//! Betweenness uses Brandes' algorithm (`O(N·E)` for unweighted graphs); both betweenness
-//! and closeness have sampled estimators for large topologies.
+//! It uses Brandes' algorithm (`O(N·E)` for unweighted graphs), accumulated from a
+//! sample of sources; sampling every node gives the exact score.
 
-use crate::traversal::bfs_distances;
 use crate::{GraphView, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -75,93 +64,6 @@ impl CentralityScores {
     pub fn max(&self) -> f64 {
         self.scores.iter().copied().fold(0.0, f64::max)
     }
-}
-
-/// Computes degree centrality: `degree / (N - 1)` for every node.
-pub fn degree_centrality<G: GraphView + ?Sized>(graph: &G) -> CentralityScores {
-    let n = graph.node_count();
-    let denom = if n > 1 { (n - 1) as f64 } else { 1.0 };
-    let scores = graph
-        .degrees()
-        .into_iter()
-        .map(|d| d as f64 / denom)
-        .collect();
-    CentralityScores { scores }
-}
-
-/// Computes closeness centrality for every node by running a BFS from each of them.
-///
-/// The harmonic variant is used — `C(v) = Σ_{u ≠ v} 1 / d(v, u)`, normalized by `N - 1` —
-/// because it remains well-defined on disconnected graphs (unreachable peers simply
-/// contribute zero), which matters for CM topologies with `m = 1`.
-pub fn closeness_centrality<G: GraphView + ?Sized>(graph: &G) -> CentralityScores {
-    let sources: Vec<NodeId> = graph.nodes().collect();
-    closeness_from_sources(graph, &sources)
-}
-
-/// Estimates closeness centrality from `samples` random BFS sources.
-///
-/// Each sampled BFS contributes `1 / d(source, v)` to every other node's score; the result
-/// is scaled so that it estimates the same quantity as [`closeness_centrality`].
-pub fn closeness_centrality_sampled<G: GraphView + ?Sized, R: Rng + ?Sized>(
-    graph: &G,
-    samples: usize,
-    rng: &mut R,
-) -> CentralityScores {
-    let mut sources: Vec<NodeId> = graph.nodes().collect();
-    sources.shuffle(rng);
-    sources.truncate(samples.max(1).min(graph.node_count()));
-    let mut result = closeness_from_sources(graph, &sources);
-    // Scale the partial sums up to the full-sweep estimate: a full sweep uses N - 1 other
-    // sources per node, the sampled sweep used |sources| of them.
-    if !sources.is_empty() && graph.node_count() > 1 {
-        let scale = (graph.node_count() - 1) as f64 / sources.len() as f64;
-        for score in &mut result.scores {
-            *score *= scale;
-        }
-    }
-    result
-}
-
-fn closeness_from_sources<G: GraphView + ?Sized>(
-    graph: &G,
-    sources: &[NodeId],
-) -> CentralityScores {
-    let n = graph.node_count();
-    let mut scores = vec![0.0f64; n];
-    if n <= 1 {
-        return CentralityScores { scores };
-    }
-    for &source in sources {
-        let distances = bfs_distances(graph, source);
-        for v in graph.nodes() {
-            if v == source {
-                continue;
-            }
-            if let Some(d) = distances[v.index()] {
-                if d > 0 {
-                    scores[v.index()] += 1.0 / d as f64;
-                }
-            }
-        }
-    }
-    let denom = (n - 1) as f64;
-    for score in &mut scores {
-        *score /= denom;
-    }
-    CentralityScores { scores }
-}
-
-/// Computes exact betweenness centrality with Brandes' algorithm.
-///
-/// Scores are normalized by `(N - 1)(N - 2) / 2`, so a node through which every shortest
-/// path passes scores 1. Cost is `O(N·E)`; use [`betweenness_centrality_sampled`] beyond a
-/// few thousand nodes.
-pub fn betweenness_centrality<G: GraphView + ?Sized>(graph: &G) -> CentralityScores {
-    let sources: Vec<NodeId> = graph.nodes().collect();
-    let mut scores = betweenness_from_sources(graph, &sources);
-    normalize_betweenness(&mut scores, graph.node_count(), sources.len());
-    CentralityScores { scores }
 }
 
 /// Estimates betweenness centrality by accumulating Brandes' dependencies from `samples`
@@ -240,40 +142,6 @@ fn betweenness_from_sources<G: GraphView + ?Sized>(graph: &G, sources: &[NodeId]
     centrality
 }
 
-/// Returns the eccentricity of every node (its hop distance to the farthest reachable
-/// node), plus the graph's diameter and radius over the reachable pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EccentricityReport {
-    /// Eccentricity of every node, indexed by node id (0 for isolated nodes).
-    pub eccentricities: Vec<u32>,
-    /// Maximum eccentricity (the diameter of the reachable portion).
-    pub diameter: u32,
-    /// Minimum eccentricity over nodes with at least one neighbor (the radius), or 0.
-    pub radius: u32,
-}
-
-/// Computes the eccentricity of every node by running a BFS from each of them.
-pub fn eccentricities<G: GraphView + ?Sized>(graph: &G) -> EccentricityReport {
-    let n = graph.node_count();
-    let mut ecc = vec![0u32; n];
-    for v in graph.nodes() {
-        let distances = bfs_distances(graph, v);
-        ecc[v.index()] = distances.iter().filter_map(|d| *d).max().unwrap_or(0);
-    }
-    let diameter = ecc.iter().copied().max().unwrap_or(0);
-    let radius = graph
-        .nodes()
-        .filter(|&v| graph.degree(v) > 0)
-        .map(|v| ecc[v.index()])
-        .min()
-        .unwrap_or(0);
-    EccentricityReport {
-        eccentricities: ecc,
-        diameter,
-        radius,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,34 +172,10 @@ mod tests {
         g
     }
 
-    #[test]
-    fn degree_centrality_of_star() {
-        let scores = degree_centrality(&star5());
-        assert!((scores.score(n(0)) - 1.0).abs() < 1e-12);
-        assert!((scores.score(n(1)) - 0.25).abs() < 1e-12);
-        assert_eq!(scores.most_central(), Some(n(0)));
-        assert_eq!(scores.ranking()[0], n(0));
-    }
-
-    #[test]
-    fn closeness_prefers_the_center_of_a_path() {
-        let scores = closeness_centrality(&path5());
-        assert_eq!(scores.most_central(), Some(n(2)));
-        assert!(scores.score(n(2)) > scores.score(n(0)));
-        // Symmetric ends have equal scores.
-        assert!((scores.score(n(0)) - scores.score(n(4))).abs() < 1e-12);
-    }
-
-    #[test]
-    fn harmonic_closeness_handles_disconnected_graphs() {
-        let mut g = Graph::with_nodes(4);
-        g.add_edge(n(0), n(1)).unwrap();
-        g.add_edge(n(2), n(3)).unwrap();
-        let scores = closeness_centrality(&g);
-        // Each node reaches exactly one other node at distance 1 out of N - 1 = 3.
-        for v in g.nodes() {
-            assert!((scores.score(v) - 1.0 / 3.0).abs() < 1e-12);
-        }
+    /// Exact betweenness: Brandes' dependencies accumulated from every source.
+    fn betweenness_centrality(graph: &Graph) -> CentralityScores {
+        let mut rng = StdRng::seed_from_u64(0);
+        betweenness_centrality_sampled(graph, graph.node_count(), &mut rng)
     }
 
     #[test]
@@ -363,10 +207,8 @@ mod tests {
     #[test]
     fn ring_nodes_are_interchangeable() {
         let g = ring_graph(8, 1).unwrap();
-        let closeness = closeness_centrality(&g);
         let betweenness = betweenness_centrality(&g);
         for v in g.nodes() {
-            assert!((closeness.score(v) - closeness.score(n(0))).abs() < 1e-9);
             assert!((betweenness.score(v) - betweenness.score(n(0))).abs() < 1e-9);
         }
     }
@@ -382,30 +224,8 @@ mod tests {
     }
 
     #[test]
-    fn sampled_closeness_identifies_the_hub() {
-        let g = star5();
-        let mut rng = StdRng::seed_from_u64(7);
-        let sampled = closeness_centrality_sampled(&g, 3, &mut rng);
-        assert_eq!(sampled.most_central(), Some(n(0)));
-    }
-
-    #[test]
-    fn eccentricity_of_path_and_star() {
-        let path = eccentricities(&path5());
-        assert_eq!(path.diameter, 4);
-        assert_eq!(path.radius, 2);
-        assert_eq!(path.eccentricities[0], 4);
-        assert_eq!(path.eccentricities[2], 2);
-
-        let star = eccentricities(&star5());
-        assert_eq!(star.diameter, 2);
-        assert_eq!(star.radius, 1);
-        assert_eq!(star.eccentricities[0], 1);
-    }
-
-    #[test]
     fn scores_helpers_on_empty_graph() {
-        let scores = degree_centrality(&Graph::new());
+        let scores = betweenness_centrality(&Graph::new());
         assert_eq!(scores.most_central(), None);
         assert_eq!(scores.mean(), 0.0);
         assert_eq!(scores.max(), 0.0);
@@ -414,7 +234,7 @@ mod tests {
 
     #[test]
     fn mean_and_max_are_consistent() {
-        let scores = degree_centrality(&star5());
+        let scores = betweenness_centrality(&star5());
         assert!(scores.max() >= scores.mean());
         assert!((scores.max() - 1.0).abs() < 1e-12);
     }

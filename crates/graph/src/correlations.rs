@@ -17,7 +17,7 @@ use crate::{GraphView, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Average degree of each node's neighbors, indexed by node id (`0.0` for isolated nodes).
-pub fn average_neighbor_degree<G: GraphView + ?Sized>(graph: &G) -> Vec<f64> {
+pub(crate) fn average_neighbor_degree<G: GraphView + ?Sized>(graph: &G) -> Vec<f64> {
     graph
         .nodes()
         .map(|v| {
@@ -51,11 +51,11 @@ pub struct KnnPoint {
 /// # Example
 ///
 /// ```
-/// use sfo_graph::{correlations, generators::complete_graph};
+/// use sfo_graph::generators::complete_graph;
 ///
 /// # fn main() -> Result<(), sfo_graph::GraphError> {
 /// let g = complete_graph(5)?;
-/// let knn = correlations::knn_by_degree(&g);
+/// let knn = sfo_graph::knn_by_degree(&g);
 /// assert_eq!(knn.len(), 1);
 /// assert_eq!(knn[0].degree, 4);
 /// assert!((knn[0].average_neighbor_degree - 4.0).abs() < 1e-12);
@@ -130,44 +130,6 @@ pub fn rich_club_coefficients<G: GraphView>(graph: &G) -> Vec<RichClubPoint> {
             }
         })
         .collect()
-}
-
-/// Summary of the degree-correlation structure of a graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CorrelationReport {
-    /// The `k_nn(k)` curve.
-    pub knn: Vec<KnnPoint>,
-    /// Pearson degree assortativity (same value as
-    /// [`crate::metrics::degree_assortativity`]), if defined.
-    pub assortativity: Option<f64>,
-    /// Fraction of all edges that connect two nodes whose degree is at least the mean
-    /// degree ("hub-hub" edges in a loose sense).
-    pub high_high_edge_fraction: f64,
-}
-
-/// Computes a combined degree-correlation report.
-pub fn correlation_report<G: GraphView>(graph: &G) -> CorrelationReport {
-    let knn = knn_by_degree(graph);
-    let assortativity = crate::metrics::degree_assortativity(graph);
-    let mean_degree = graph.average_degree();
-    let mut high_high = 0usize;
-    let mut total = 0usize;
-    for (a, b) in graph.edges() {
-        total += 1;
-        if graph.degree(a) as f64 >= mean_degree && graph.degree(b) as f64 >= mean_degree {
-            high_high += 1;
-        }
-    }
-    let high_high_edge_fraction = if total == 0 {
-        0.0
-    } else {
-        high_high as f64 / total as f64
-    };
-    CorrelationReport {
-        knn,
-        assortativity,
-        high_high_edge_fraction,
-    }
 }
 
 /// Returns the fraction of nodes whose degree equals the histogram mode (the most common
@@ -276,17 +238,6 @@ mod tests {
     fn rich_club_is_empty_for_edgeless_graphs() {
         assert!(rich_club_coefficients(&Graph::with_nodes(4)).is_empty());
         assert!(rich_club_coefficients(&Graph::new()).is_empty());
-    }
-
-    #[test]
-    fn correlation_report_on_a_ring() {
-        let g = ring_graph(10, 1).unwrap();
-        let report = correlation_report(&g);
-        assert_eq!(report.knn.len(), 1);
-        // Every edge joins two degree-2 nodes, and the mean degree is 2.
-        assert!((report.high_high_edge_fraction - 1.0).abs() < 1e-12);
-        // A regular ring has zero degree variance, so assortativity is undefined.
-        assert!(report.assortativity.is_none() || report.assortativity.unwrap().is_finite());
     }
 
     #[test]

@@ -2,12 +2,9 @@
 //!
 //! * [`complete_graph`] — the fully connected seed of `m + 1` nodes the preferential
 //!   attachment variants start from (paper, Appendix A and C).
-//! * [`ring_graph`] and [`watts_strogatz`] — small-world baselines referenced in the
-//!   paper's discussion of `O(ln N)` search on small-world topologies.
-//! * [`erdos_renyi`] — the homogeneous random-graph baseline.
+//! * [`ring_graph`] — the regular ring lattice, a fixture of the search and wire tests.
 
 use crate::{Graph, GraphError, NodeId, Result};
-use rand::Rng;
 
 /// Generates the complete graph on `n` nodes.
 ///
@@ -57,78 +54,10 @@ pub fn ring_graph(n: usize, k: usize) -> Result<Graph> {
     Ok(g)
 }
 
-/// Generates an Erdős–Rényi `G(n, p)` random graph: every unordered node pair is linked
-/// independently with probability `p`.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `p` is not within `[0, 1]`.
-pub fn erdos_renyi<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Result<Graph> {
-    if !(0.0..=1.0).contains(&p) || p.is_nan() {
-        return Err(GraphError::InvalidParameter {
-            reason: "edge probability must be within [0, 1]",
-        });
-    }
-    let mut g = Graph::with_nodes(n);
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if rng.gen::<f64>() < p {
-                g.add_edge(NodeId::new(i), NodeId::new(j))?;
-            }
-        }
-    }
-    Ok(g)
-}
-
-/// Generates a Watts-Strogatz small-world graph: a ring of `n` nodes each linked to `k`
-/// neighbors per side, with every edge rewired to a uniformly random target with
-/// probability `beta`.
-///
-/// Rewiring keeps the edge's lower endpoint and redraws the other endpoint, skipping
-/// self-loops and duplicates (the edge is left in place if no valid target is found after a
-/// bounded number of attempts), so the graph keeps exactly `n·k` edges.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] under the same conditions as [`ring_graph`], or
-/// if `beta` is outside `[0, 1]`.
-pub fn watts_strogatz<R: Rng + ?Sized>(
-    n: usize,
-    k: usize,
-    beta: f64,
-    rng: &mut R,
-) -> Result<Graph> {
-    if !(0.0..=1.0).contains(&beta) || beta.is_nan() {
-        return Err(GraphError::InvalidParameter {
-            reason: "rewiring probability must be within [0, 1]",
-        });
-    }
-    let mut g = ring_graph(n, k)?;
-    let edges: Vec<(NodeId, NodeId)> = g.edges().collect();
-    for (a, b) in edges {
-        if rng.gen::<f64>() >= beta {
-            continue;
-        }
-        // Try a bounded number of random targets to preserve the edge count.
-        for _ in 0..32 {
-            let target = NodeId::new(rng.gen_range(0..n));
-            if target == a || g.contains_edge(a, target) {
-                continue;
-            }
-            g.remove_edge(a, b).expect("edge listed by edges() exists");
-            g.add_edge(a, target).expect("checked for duplicates above");
-            break;
-        }
-    }
-    Ok(g)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::traversal;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn complete_graph_has_all_edges() {
@@ -159,67 +88,5 @@ mod tests {
         assert!(ring_graph(0, 1).is_err());
         assert!(ring_graph(10, 0).is_err());
         assert!(ring_graph(6, 3).is_err());
-    }
-
-    #[test]
-    fn erdos_renyi_edge_count_matches_expectation() {
-        let mut rng = StdRng::seed_from_u64(19);
-        let n = 400;
-        let p = 0.02;
-        let g = erdos_renyi(n, p, &mut rng).unwrap();
-        let expected = p * (n * (n - 1) / 2) as f64;
-        let observed = g.edge_count() as f64;
-        assert!(
-            (observed - expected).abs() < 4.0 * expected.sqrt(),
-            "observed {observed} edges, expected about {expected}"
-        );
-        g.assert_consistent();
-    }
-
-    #[test]
-    fn erdos_renyi_extremes() {
-        let mut rng = StdRng::seed_from_u64(1);
-        assert_eq!(erdos_renyi(20, 0.0, &mut rng).unwrap().edge_count(), 0);
-        assert_eq!(erdos_renyi(20, 1.0, &mut rng).unwrap().edge_count(), 190);
-        assert!(erdos_renyi(20, 1.5, &mut rng).is_err());
-        assert!(erdos_renyi(20, f64::NAN, &mut rng).is_err());
-    }
-
-    #[test]
-    fn watts_strogatz_preserves_edge_count() {
-        let mut rng = StdRng::seed_from_u64(23);
-        let g = watts_strogatz(200, 3, 0.2, &mut rng).unwrap();
-        assert_eq!(g.edge_count(), 600);
-        g.assert_consistent();
-    }
-
-    #[test]
-    fn watts_strogatz_with_zero_beta_is_the_ring() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let ws = watts_strogatz(50, 2, 0.0, &mut rng).unwrap();
-        let ring = ring_graph(50, 2).unwrap();
-        assert_eq!(ws, ring);
-    }
-
-    #[test]
-    fn watts_strogatz_rewiring_shrinks_average_path() {
-        let mut rng = StdRng::seed_from_u64(31);
-        let ring = ring_graph(300, 2).unwrap();
-        let ws = watts_strogatz(300, 2, 0.3, &mut rng).unwrap();
-        let ring_stats = crate::metrics::path_statistics_sampled(&ring, 40, &mut rng);
-        let ws_stats = crate::metrics::path_statistics_sampled(&ws, 40, &mut rng);
-        assert!(
-            ws_stats.average_shortest_path < ring_stats.average_shortest_path,
-            "rewiring should introduce shortcuts ({} >= {})",
-            ws_stats.average_shortest_path,
-            ring_stats.average_shortest_path
-        );
-    }
-
-    #[test]
-    fn watts_strogatz_rejects_bad_beta() {
-        let mut rng = StdRng::seed_from_u64(4);
-        assert!(watts_strogatz(20, 2, -0.1, &mut rng).is_err());
-        assert!(watts_strogatz(20, 2, f64::NAN, &mut rng).is_err());
     }
 }

@@ -12,7 +12,7 @@ mod geometric;
 mod mesh;
 mod structured;
 
-pub use classic::{complete_graph, erdos_renyi, ring_graph, watts_strogatz};
+pub use classic::{complete_graph, ring_graph};
 pub use geometric::{GeometricRandomNetwork, Point};
 pub use mesh::{mesh_2d, MeshConfig};
-pub use structured::{balanced_tree, path_graph, random_regular, star_graph};
+pub use structured::{path_graph, random_regular, star_graph};

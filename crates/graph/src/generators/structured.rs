@@ -1,15 +1,13 @@
-//! Structured and regular generators: stars, paths, balanced trees, and random regular
-//! graphs.
+//! Structured and regular generators: stars, paths, and random regular graphs.
 //!
 //! These serve three roles in the workspace:
 //!
-//! * **analytic fixtures** — stars, paths, and balanced trees have closed-form degree
+//! * **analytic fixtures** — stars and paths have closed-form degree
 //!   distributions, diameters, and centralities, which makes them the reference points the
 //!   metric and search tests validate against;
 //! * **extreme topologies** — the star is the limit HAPA converges to without a hard
 //!   cutoff (paper, §IV-A: "this procedure makes the topology of the system a star-like
-//!   topology if the network is not limited by a cutoff"), and the balanced tree is the
-//!   `m = 1` flooding worst case;
+//!   topology if the network is not limited by a cutoff");
 //! * **degree-homogeneous baselines** — the random regular graph is what an overlay looks
 //!   like when the hard cutoff equals the minimum degree (`k_c = m`), the tightest cutoff
 //!   the paper's sweeps approach.
@@ -50,48 +48,6 @@ pub fn path_graph(n: usize) -> Result<Graph> {
     let mut g = Graph::with_nodes(n);
     for i in 1..n {
         g.add_edge(NodeId::new(i - 1), NodeId::new(i))?;
-    }
-    Ok(g)
-}
-
-/// Generates a balanced tree of the given branching factor and depth (depth 0 is a single
-/// root). Node 0 is the root; children are numbered breadth-first.
-///
-/// # Errors
-///
-/// Returns [`GraphError::InvalidParameter`] if `branching == 0`, or if the requested tree
-/// would exceed `u32::MAX` nodes.
-pub fn balanced_tree(branching: usize, depth: u32) -> Result<Graph> {
-    if branching == 0 {
-        return Err(GraphError::InvalidParameter {
-            reason: "balanced tree needs a positive branching factor",
-        });
-    }
-    // Node count: (b^(depth+1) - 1) / (b - 1), or depth + 1 when b = 1.
-    let mut node_count: usize = 1;
-    let mut level_size: usize = 1;
-    for _ in 0..depth {
-        level_size = level_size
-            .checked_mul(branching)
-            .ok_or(GraphError::InvalidParameter {
-                reason: "balanced tree is too large",
-            })?;
-        node_count = node_count
-            .checked_add(level_size)
-            .ok_or(GraphError::InvalidParameter {
-                reason: "balanced tree is too large",
-            })?;
-    }
-    if node_count > u32::MAX as usize {
-        return Err(GraphError::InvalidParameter {
-            reason: "balanced tree is too large",
-        });
-    }
-    let mut g = Graph::with_nodes(node_count);
-    // Parent of node i (i >= 1) in a breadth-first numbering is (i - 1) / branching.
-    for i in 1..node_count {
-        let parent = (i - 1) / branching;
-        g.add_edge(NodeId::new(parent), NodeId::new(i))?;
     }
     Ok(g)
 }
@@ -222,33 +178,6 @@ mod tests {
         assert!(traversal::is_connected(&g));
         assert_eq!(path_graph(1).unwrap().edge_count(), 0);
         assert!(path_graph(0).is_err());
-    }
-
-    #[test]
-    fn balanced_tree_counts() {
-        // Binary tree of depth 3: 1 + 2 + 4 + 8 = 15 nodes, 14 edges.
-        let g = balanced_tree(2, 3).unwrap();
-        assert_eq!(g.node_count(), 15);
-        assert_eq!(g.edge_count(), 14);
-        assert_eq!(g.degree(n(0)), 2, "root has `branching` children");
-        assert_eq!(g.degree(n(1)), 3, "internal node has parent plus children");
-        assert_eq!(g.degree(n(14)), 1, "leaves are pendant");
-        assert!(traversal::is_connected(&g));
-    }
-
-    #[test]
-    fn balanced_tree_depth_zero_and_branching_one() {
-        assert_eq!(balanced_tree(3, 0).unwrap().node_count(), 1);
-        // Branching 1 is a path of depth + 1 nodes.
-        let g = balanced_tree(1, 4).unwrap();
-        assert_eq!(g.node_count(), 5);
-        assert_eq!(g.edge_count(), 4);
-        assert!(balanced_tree(0, 2).is_err());
-    }
-
-    #[test]
-    fn balanced_tree_rejects_absurd_sizes() {
-        assert!(balanced_tree(10, 32).is_err());
     }
 
     #[test]

@@ -380,7 +380,7 @@ impl GraphView for Graph {
 /// Each edge is yielded exactly once as `(a, b)` with `a < b`. This is the shared
 /// [`ViewEdges`](crate::ViewEdges) iterator instantiated for the adjacency-list backend,
 /// so both backends iterate edges through one implementation.
-pub type EdgeIter<'a> = crate::ViewEdges<'a, Graph>;
+pub(crate) type EdgeIter<'a> = crate::ViewEdges<'a, Graph>;
 
 /// Iterator over the neighbors of a node, produced by [`Graph::neighbor_iter`].
 #[derive(Debug, Clone)]

@@ -75,13 +75,13 @@ impl Error for EdgeListError {}
 /// # Example
 ///
 /// ```
-/// use sfo_graph::{io, Graph, NodeId};
+/// use sfo_graph::{Graph, NodeId};
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let mut g = Graph::with_nodes(3);
 /// g.add_edge(NodeId::new(0), NodeId::new(2))?;
-/// let text = io::write_edge_list(&g);
-/// let parsed = io::parse_edge_list(&text)?;
+/// let text = sfo_graph::write_edge_list(&g);
+/// let parsed = sfo_graph::parse_edge_list(&text)?;
 /// assert_eq!(parsed, g);
 /// # Ok(())
 /// # }
@@ -152,21 +152,10 @@ pub fn parse_edge_list(text: &str) -> Result<Graph, EdgeListError> {
     Ok(graph)
 }
 
-/// Serializes the degree sequence of `graph` as one degree per line, in node-id order.
-///
-/// This is the input format expected by external degree-distribution fitting scripts.
-pub fn write_degree_sequence(graph: &Graph) -> String {
-    let mut out = String::with_capacity(4 * graph.node_count());
-    for d in graph.degrees() {
-        out.push_str(&format!("{d}\n"));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::generators::{complete_graph, ring_graph};
+    use crate::generators::ring_graph;
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
@@ -259,14 +248,6 @@ mod tests {
         assert!(EdgeListError::DuplicateEdge { line: 2 }
             .to_string()
             .contains("line 2"));
-    }
-
-    #[test]
-    fn degree_sequence_output_matches_degrees() {
-        let g = complete_graph(4).unwrap();
-        let text = write_degree_sequence(&g);
-        let parsed: Vec<usize> = text.lines().map(|l| l.parse().unwrap()).collect();
-        assert_eq!(parsed, g.degrees());
     }
 
     #[test]

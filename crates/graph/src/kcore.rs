@@ -12,7 +12,7 @@
 //! (Batagelj & Zaveršnik), and is generic over [`GraphView`], so it runs on a mutable
 //! [`Graph`] or on a frozen [`CsrGraph`](crate::CsrGraph) snapshot alike.
 
-use crate::{Graph, GraphView, NodeId};
+use crate::{GraphView, NodeId};
 use serde::{Deserialize, Serialize};
 
 /// Result of a k-core decomposition.
@@ -62,11 +62,11 @@ impl CoreDecomposition {
 /// # Example
 ///
 /// ```
-/// use sfo_graph::{generators::complete_graph, kcore};
+/// use sfo_graph::generators::complete_graph;
 ///
 /// # fn main() -> Result<(), sfo_graph::GraphError> {
 /// let g = complete_graph(5)?;
-/// let decomposition = kcore::core_decomposition(&g);
+/// let decomposition = sfo_graph::core_decomposition(&g);
 /// assert_eq!(decomposition.degeneracy, 4);
 /// assert!(decomposition.core_numbers.iter().all(|&c| c == 4));
 /// # Ok(())
@@ -135,31 +135,11 @@ pub fn core_decomposition<G: GraphView + ?Sized>(graph: &G) -> CoreDecomposition
     }
 }
 
-/// Returns the subgraph induced by the `k`-core as a new graph over the same node ids
-/// (nodes outside the core are kept but left isolated), together with the member list.
-///
-/// Keeping the node-id space intact means search algorithms and metrics can be applied to
-/// the core directly without remapping identifiers.
-pub fn k_core_subgraph<G: GraphView + ?Sized>(graph: &G, k: usize) -> (Graph, Vec<NodeId>) {
-    let decomposition = core_decomposition(graph);
-    let members = decomposition.core_members(k);
-    let in_core: Vec<bool> = decomposition.core_numbers.iter().map(|&c| c >= k).collect();
-    let mut sub = Graph::with_nodes(graph.node_count());
-    for a in graph.nodes() {
-        for &b in graph.neighbors(a) {
-            if a.index() < b.index() && in_core[a.index()] && in_core[b.index()] {
-                sub.add_edge(a, b)
-                    .expect("edge endpoints exist and are unique");
-            }
-        }
-    }
-    (sub, members)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{complete_graph, ring_graph};
+    use crate::Graph;
 
     #[test]
     fn decomposition_is_identical_on_frozen_snapshots() {
@@ -168,10 +148,6 @@ mod tests {
         g.add_edge(NodeId::new(0), NodeId::new(6)).unwrap();
         let frozen = g.freeze();
         assert_eq!(core_decomposition(&g), core_decomposition(&frozen));
-        let (sub_g, members_g) = k_core_subgraph(&g, 2);
-        let (sub_c, members_c) = k_core_subgraph(&frozen, 2);
-        assert_eq!(members_g, members_c);
-        assert_eq!(sub_g.edge_count(), sub_c.edge_count());
     }
 
     fn n(i: usize) -> NodeId {
@@ -254,19 +230,6 @@ mod tests {
         for w in sizes.windows(2) {
             assert!(w[0] >= w[1], "core sizes must be monotone non-increasing");
         }
-    }
-
-    #[test]
-    fn k_core_subgraph_drops_edges_outside_the_core() {
-        let mut g = complete_graph(4).unwrap();
-        let pendant = g.add_node();
-        g.add_edge(n(0), pendant).unwrap();
-        let (sub, members) = k_core_subgraph(&g, 3);
-        assert_eq!(members, vec![n(0), n(1), n(2), n(3)]);
-        assert_eq!(sub.node_count(), g.node_count());
-        assert_eq!(sub.edge_count(), 6);
-        assert_eq!(sub.degree(pendant), 0);
-        sub.assert_consistent();
     }
 
     #[test]

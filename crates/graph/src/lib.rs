@@ -15,31 +15,30 @@
 //!   [`CsrGraph::thaw`] converts back, round-tripping exactly.
 //! * [`GraphView`]: the shared read trait (counts, degrees, neighbor slices) both
 //!   backends implement. Everything downstream that only reads — the search algorithms
-//!   in `sfo-search`, [`traversal`], [`metrics`], [`centrality`], [`correlations`] — is
-//!   generic over it, and both backends report neighbors in the same order, so a fixed
-//!   seed produces identical results on either one.
+//!   in `sfo-search`, [`traversal`] and the measures below — is generic over it, and
+//!   both backends report neighbors in the same order, so a fixed seed produces
+//!   identical results on either one.
 //! * [`MultiGraph`]: an undirected multigraph permitting self-loops and parallel edges,
 //!   needed by the configuration model which wires stubs at random and only afterwards
 //!   deletes self-loops and duplicate links (paper, Alg. 2).
-//! * [`traversal`]: breadth-first search, connected components, and giant-component
-//!   extraction.
-//! * [`metrics`]: degree distributions, shortest-path statistics, diameter estimation,
-//!   clustering and assortativity — everything the paper's figures are computed from.
+//! * [`traversal`]: breadth-first search and connected components.
 //! * [`generators`]: substrate-network generators — the geometric random network (GRN)
-//!   and the two-dimensional mesh used as the DAPA substrate, plus classic random graphs
-//!   used in tests and baselines.
-//! * [`centrality`], [`kcore`], [`correlations`]: load and embeddedness measures (degree /
-//!   closeness / betweenness centrality, core numbers, `k_nn(k)`, rich-club coefficients)
-//!   used to quantify how hard cutoffs redistribute hub load.
-//! * [`io`]: plain-text edge-list serialization for replaying topologies across tools.
+//!   and the two-dimensional mesh used as the DAPA substrate, plus the ring, complete,
+//!   path, star and random regular graphs used as seeds, baselines and test fixtures.
 //! * [`snapshot`]: the binary `SFOS` snapshot codec — versioned, checksummed CSR
 //!   topology files ([`CsrGraph::save`]/[`CsrGraph::load`]) with optional shard
 //!   manifests and provenance, the persistence and wire format of the workspace
 //!   (byte layout in `docs/FORMATS.md`).
-//! * [`percolation`]: the Molloy-Reed giant-component criterion and random-removal
-//!   thresholds behind the paper's connectivity and robustness observations.
-//! * [`rewire`]: degree-preserving double-edge-swap randomization (null models) and the
-//!   Erdős-Gallai graphicality test for prescribed degree sequences.
+//! * The measures the figures and the extension experiments are computed from, exported
+//!   at the crate root: [`degree_histogram`], [`path_statistics_sampled`] and
+//!   [`degree_assortativity`]; [`betweenness_centrality_sampled`],
+//!   [`core_decomposition`], [`knn_by_degree`] and [`rich_club_coefficients`], which
+//!   quantify how hard cutoffs redistribute hub load; [`robustness_profile`] for the
+//!   attack experiments; and the plain-text edge list ([`write_edge_list`],
+//!   [`parse_edge_list`]).
+//!
+//! A module is `pub` only where a consumer names its path; everything else is reached
+//! through the re-exports below.
 //!
 //! # Example
 //!
@@ -64,33 +63,42 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+mod centrality;
+mod correlations;
 mod csr;
 mod error;
 mod graph;
+mod io;
+mod kcore;
+mod metrics;
 #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
 mod mmap;
 mod multigraph;
 mod node;
+mod resilience;
 mod slice;
 mod view;
 
-pub mod centrality;
-pub mod correlations;
 pub mod generators;
-pub mod io;
-pub mod kcore;
-pub mod metrics;
-pub mod percolation;
-pub mod resilience;
-pub mod rewire;
 pub mod snapshot;
 pub mod traversal;
 
+pub use centrality::{betweenness_centrality_sampled, CentralityScores};
+pub use correlations::{
+    knn_by_degree, modal_degree_fraction, rich_club_coefficients, KnnPoint, RichClubPoint,
+};
 pub use csr::CsrGraph;
 pub use error::GraphError;
-pub use graph::{EdgeIter, Graph, NeighborIter};
+pub use graph::{Graph, NeighborIter};
+pub use io::{parse_edge_list, write_edge_list, EdgeListError};
+pub use kcore::{core_decomposition, CoreDecomposition};
+pub use metrics::{
+    degree_assortativity, degree_histogram, path_statistics_sampled, reachable_within,
+    DegreeHistogram, PathStatistics,
+};
 pub use multigraph::{MultiGraph, SimplifyReport};
 pub use node::NodeId;
+pub use resilience::{robustness_profile, RemovalStrategy, RobustnessPoint};
 pub use slice::{CsrSlice, ShardView};
 pub use view::{GraphView, NodeIds, ViewEdges};
 

@@ -1,5 +1,4 @@
-//! Topological metrics: degree distributions, path lengths, diameter, clustering,
-//! assortativity.
+//! Topological metrics: degree distributions, path lengths, diameter, assortativity.
 //!
 //! Every figure in the paper is computed from one of these quantities: the degree
 //! distribution `P(k)` (Figs. 1-4), the average shortest path / diameter (Table I), and the
@@ -16,12 +15,12 @@ use serde::{Deserialize, Serialize};
 /// # Example
 ///
 /// ```
-/// use sfo_graph::{Graph, NodeId, metrics};
+/// use sfo_graph::{Graph, NodeId};
 ///
 /// # fn main() -> Result<(), sfo_graph::GraphError> {
 /// let mut g = Graph::with_nodes(3);
 /// g.add_edge(NodeId::new(0), NodeId::new(1))?;
-/// let hist = metrics::degree_histogram(&g);
+/// let hist = sfo_graph::degree_histogram(&g);
 /// assert_eq!(hist.counts, vec![1, 2]);
 /// # Ok(())
 /// # }
@@ -100,16 +99,6 @@ pub struct PathStatistics {
     pub pairs_counted: usize,
 }
 
-/// Computes shortest-path statistics by running BFS from every node.
-///
-/// Unreachable pairs are ignored (the statistics describe the connected portions of the
-/// graph). Cost is O(N·(N+E)); prefer [`path_statistics_sampled`] for graphs beyond a few
-/// thousand nodes.
-pub fn path_statistics_exact<G: GraphView + ?Sized>(graph: &G) -> PathStatistics {
-    let sources: Vec<NodeId> = graph.nodes().collect();
-    path_statistics_from_sources(graph, &sources)
-}
-
 /// Computes shortest-path statistics from `samples` BFS sources chosen uniformly at random.
 ///
 /// This is the estimator used for Table I style diameter-scaling measurements on large
@@ -156,35 +145,6 @@ fn path_statistics_from_sources<G: GraphView + ?Sized>(
         sources_sampled: sources.len(),
         pairs_counted: pairs,
     }
-}
-
-/// Computes the average local clustering coefficient of the graph.
-///
-/// For each node of degree at least 2 the local coefficient is the fraction of neighbor
-/// pairs that are themselves connected; nodes of degree 0 or 1 contribute 0, following the
-/// usual convention. Returns 0.0 for the empty graph.
-pub fn average_clustering_coefficient<G: GraphView + ?Sized>(graph: &G) -> f64 {
-    if graph.node_count() == 0 {
-        return 0.0;
-    }
-    let mut total = 0.0;
-    for node in graph.nodes() {
-        let neighbors = graph.neighbors(node);
-        let k = neighbors.len();
-        if k < 2 {
-            continue;
-        }
-        let mut links = 0usize;
-        for (i, &a) in neighbors.iter().enumerate() {
-            for &b in &neighbors[i + 1..] {
-                if graph.contains_edge(a, b) {
-                    links += 1;
-                }
-            }
-        }
-        total += 2.0 * links as f64 / (k * (k - 1)) as f64;
-    }
-    total / graph.node_count() as f64
 }
 
 /// Computes the degree assortativity coefficient (Pearson correlation of the degrees at the
@@ -237,6 +197,11 @@ mod tests {
 
     fn n(i: usize) -> NodeId {
         NodeId::new(i)
+    }
+
+    /// Exact statistics: a BFS from every node.
+    fn path_statistics_exact(graph: &Graph) -> PathStatistics {
+        path_statistics_from_sources(graph, &graph.nodes().collect::<Vec<_>>())
     }
 
     fn star_graph(leaves: usize) -> Graph {
@@ -305,17 +270,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let stats = path_statistics_sampled(&g, 100, &mut rng);
         assert_eq!(stats.sources_sampled, 5);
-    }
-
-    #[test]
-    fn clustering_of_triangle_and_star() {
-        let mut triangle = Graph::with_nodes(3);
-        triangle.add_edge(n(0), n(1)).unwrap();
-        triangle.add_edge(n(1), n(2)).unwrap();
-        triangle.add_edge(n(2), n(0)).unwrap();
-        assert!((average_clustering_coefficient(&triangle) - 1.0).abs() < 1e-12);
-        assert_eq!(average_clustering_coefficient(&star_graph(5)), 0.0);
-        assert_eq!(average_clustering_coefficient(&Graph::new()), 0.0);
     }
 
     #[test]

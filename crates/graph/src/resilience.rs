@@ -39,7 +39,7 @@ pub struct RobustnessPoint {
 ///
 /// For [`RemovalStrategy::HighestDegree`] ties are broken by node id so results are
 /// deterministic; for [`RemovalStrategy::Random`] the RNG decides.
-pub fn select_victims<G: GraphView + ?Sized, R: Rng + ?Sized>(
+pub(crate) fn select_victims<G: GraphView + ?Sized, R: Rng + ?Sized>(
     graph: &G,
     strategy: RemovalStrategy,
     count: usize,
@@ -71,7 +71,7 @@ pub fn select_victims<G: GraphView + ?Sized, R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Panics if `fraction` is not within `[0, 1]`.
-pub fn degrade<G: GraphView + ?Sized, R: Rng + ?Sized>(
+pub(crate) fn degrade<G: GraphView + ?Sized, R: Rng + ?Sized>(
     graph: &G,
     strategy: RemovalStrategy,
     fraction: f64,

@@ -9,7 +9,7 @@ use crate::{GraphView, NodeId};
 use std::collections::VecDeque;
 
 /// Hop distance from a breadth-first source to a node, `None` when unreachable.
-pub type Distances = Vec<Option<u32>>;
+pub(crate) type Distances = Vec<Option<u32>>;
 
 /// Computes the hop distance from `source` to every node of `graph`.
 ///
@@ -45,7 +45,7 @@ pub fn bfs_distances<G: GraphView + ?Sized>(graph: &G, source: NodeId) -> Distan
 /// # Panics
 ///
 /// Panics if `source` is out of bounds.
-pub fn bfs_distances_bounded<G: GraphView + ?Sized>(
+pub(crate) fn bfs_distances_bounded<G: GraphView + ?Sized>(
     graph: &G,
     source: NodeId,
     max_depth: u32,
@@ -128,21 +128,12 @@ pub fn connected_components<G: GraphView + ?Sized>(graph: &G) -> Vec<Vec<NodeId>
 }
 
 /// Returns the number of nodes in the largest connected component, or 0 for an empty graph.
-pub fn giant_component_size<G: GraphView + ?Sized>(graph: &G) -> usize {
+pub(crate) fn giant_component_size<G: GraphView + ?Sized>(graph: &G) -> usize {
     connected_components(graph)
         .iter()
         .map(Vec::len)
         .max()
         .unwrap_or(0)
-}
-
-/// Returns the node set of the largest connected component, or an empty vector for an empty
-/// graph. Ties are broken in favor of the component containing the smallest node id.
-pub fn giant_component<G: GraphView + ?Sized>(graph: &G) -> Vec<NodeId> {
-    connected_components(graph)
-        .into_iter()
-        .max_by(|a, b| a.len().cmp(&b.len()).then_with(|| b[0].cmp(&a[0])))
-        .unwrap_or_default()
 }
 
 /// Returns `true` if the graph is connected (every node reachable from every other).
@@ -236,7 +227,6 @@ mod tests {
         assert_eq!(comps[1], vec![n(3), n(4)]);
         assert_eq!(comps[2], vec![n(5)]);
         assert_eq!(giant_component_size(&g), 3);
-        assert_eq!(giant_component(&g), vec![n(0), n(1), n(2)]);
         assert!((giant_component_fraction(&g) - 0.5).abs() < 1e-12);
         Ok(())
     }
@@ -254,7 +244,6 @@ mod tests {
     #[test]
     fn giant_component_of_empty_graph_is_empty() {
         assert_eq!(giant_component_size(&Graph::new()), 0);
-        assert!(giant_component(&Graph::new()).is_empty());
         assert_eq!(giant_component_fraction(&Graph::new()), 0.0);
     }
 

@@ -24,7 +24,7 @@ use crate::NetError;
 use std::io::{Read, Write};
 
 /// The four magic bytes opening every frame.
-pub const FRAME_MAGIC: [u8; 4] = *b"SFNF";
+pub(crate) const FRAME_MAGIC: [u8; 4] = *b"SFNF";
 
 /// The protocol version this build speaks and the only one it accepts.
 pub const PROTOCOL_VERSION: u16 = 1;
@@ -39,7 +39,7 @@ pub const MAX_PAYLOAD_LEN: u32 = 64 << 20;
 pub const FRAME_HEADER_LEN: usize = 12;
 
 /// Size of the trailing checksum.
-pub const FRAME_TRAILER_LEN: usize = 8;
+pub(crate) const FRAME_TRAILER_LEN: usize = 8;
 
 /// The frame trailer checksum is byte-for-byte the `SFOS` container's: the same
 /// function, shared (not copied) from the snapshot codec so the two formats cannot
@@ -51,7 +51,7 @@ pub use sfo_graph::snapshot::{fnv1a64, fnv1a64_update};
 /// what it is waiting for. One constant because both answer the same question — how
 /// much wire data one connection may hold in memory per direction while small frames
 /// stream.
-pub const IO_BUFFER_LEN: usize = 64 << 10;
+pub(crate) const IO_BUFFER_LEN: usize = 64 << 10;
 
 /// Total wire size of a frame carrying `payload_len` payload bytes.
 pub const fn frame_len(payload_len: usize) -> usize {
@@ -68,7 +68,7 @@ pub const fn frame_len(payload_len: usize) -> usize {
 ///
 /// Panics if the payload exceeds [`MAX_PAYLOAD_LEN`]; writers build payloads, so an
 /// oversized one is a programming error on this side of the wire, not bad input.
-pub fn encode_frame_into(
+pub(crate) fn encode_frame_into(
     out: &mut Vec<u8>,
     message_type: u16,
     write_payload: impl FnOnce(&mut Vec<u8>),
@@ -90,12 +90,12 @@ pub fn encode_frame_into(
     out.len() - start
 }
 
-/// Encodes one frame to its wire bytes — [`encode_frame_into`] for callers that want
+/// Encodes one frame to its wire bytes — `encode_frame_into` for callers that want
 /// the bytes of a single frame by themselves (tests, pre-encoding load generators).
 ///
 /// # Panics
 ///
-/// As [`encode_frame_into`].
+/// As `encode_frame_into`.
 pub fn encode_frame(message_type: u16, payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(frame_len(payload.len()));
     encode_frame_into(&mut out, message_type, |out| out.extend_from_slice(payload));
@@ -131,7 +131,7 @@ impl<W: Write> FrameWriter<W> {
     ///
     /// # Panics
     ///
-    /// As [`encode_frame_into`].
+    /// As `encode_frame_into`.
     pub fn queue_frame(
         &mut self,
         message_type: u16,
@@ -146,7 +146,7 @@ impl<W: Write> FrameWriter<W> {
     }
 
     /// Writes every queued frame. The outbox keeps its allocation for the next frames
-    /// unless one oversized frame grew it past [`IO_BUFFER_LEN`].
+    /// unless one oversized frame grew it past `IO_BUFFER_LEN`.
     ///
     /// # Errors
     ///
@@ -198,7 +198,7 @@ pub struct FrameReader<R> {
 
 impl<R: Read> FrameReader<R> {
     /// Wraps `source`, which this reader must be the only consumer of: it reads ahead
-    /// up to [`IO_BUFFER_LEN`] bytes. The buffer is allocated by the first fill.
+    /// up to `IO_BUFFER_LEN` bytes. The buffer is allocated by the first fill.
     pub fn new(source: R) -> Self {
         FrameReader::with_read_ahead(source, true)
     }

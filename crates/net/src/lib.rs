@@ -16,14 +16,14 @@
 //!   never panics, and declared lengths are bounded before allocation. A connection
 //!   owns one [`frame::FrameReader`] and one [`frame::FrameWriter`]: a buffered reader
 //!   that takes every frame a `read` delivered, and an outbox whose owner decides when
-//!   it is written — every TCP socket runs with `TCP_NODELAY` ([`stream`]).
+//!   it is written — every TCP socket runs with `TCP_NODELAY` (`stream`).
 //! * [`message`] — the worker vocabulary: `Hello` / `LoadSnapshot` / `SubmitBatch` /
 //!   `BatchResult` / `Error`, plus the observability pair `StatsRequest` /
 //!   `StatsReport` carrying a worker's `sfo-obs` [`MetricsSnapshot`](sfo_obs::MetricsSnapshot).
-//! * [`server`] — [`WorkerServer`], the `sfo serve` daemon: loads one `.sfos` snapshot
+//! * `server` — [`WorkerServer`], the `sfo serve` daemon: loads one `.sfos` snapshot
 //!   into a sharded store and serves query batches from any number of clients over one
 //!   persistent engine pool.
-//! * [`client`] / [`dispatcher`] — [`WorkerClient`] for one connection, and
+//! * `client` / `dispatcher` — [`WorkerClient`] for one connection, and
 //!   [`RemoteDispatcher`], which implements the scenario layer's
 //!   [`RemoteSweepExecutor`](sfo_scenario::RemoteSweepExecutor) seam: it splits a
 //!   snapshot sweep's job grid into contiguous ranges, one per worker, and merges the
@@ -36,7 +36,7 @@
 //!   worker `i` exactly shard `i`'s rows, and the dispatcher loop that routes every
 //!   search to the owner of the row it needs next, hopping between hosts as
 //!   `ForwardFrontier`/`FrontierResult` frames (`sweep.placed`, `sfo serve --shard`).
-//! * [`loadtest`] — the open-loop load driver behind `sfo loadtest`: replays a
+//! * `loadtest` — the open-loop load driver behind `sfo loadtest`: replays a
 //!   [`WorkloadSpec`](sfo_scenario::WorkloadSpec) arrival schedule against one or
 //!   many workers over concurrent pipelined connections, recording client-side
 //!   latency percentiles, in-flight depth, and achieved-vs-offered rate into
@@ -97,17 +97,17 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod client;
+mod dispatcher;
 mod error;
+mod loadtest;
+mod server;
+mod stream;
 
-pub mod client;
-pub mod dispatcher;
 pub mod frame;
-pub mod loadtest;
 pub mod message;
 pub mod overlay;
 pub mod placed;
-pub mod server;
-pub mod stream;
 
 pub use client::WorkerClient;
 pub use dispatcher::{

@@ -32,7 +32,7 @@ use crate::NetError;
 use sfo_engine::{PlacedAlgorithm, PlacedState, QueryBatch};
 use sfo_graph::{CsrSlice, NodeId};
 use sfo_obs::{HistogramSnapshot, MetricsSnapshot, BUCKET_COUNT};
-use sfo_overlay::protocol::{OverlayMessage, PeerRef};
+use sfo_overlay::{OverlayMessage, PeerRef};
 use sfo_scenario::json::{FromJson, JsonValue, ToJson};
 use sfo_scenario::SearchSpec;
 use sfo_search::SearchOutcome;
@@ -49,27 +49,27 @@ pub const TYPE_BATCH_RESULT: u16 = 4;
 /// Frame type tag of [`Message::Error`].
 pub const TYPE_ERROR: u16 = 5;
 /// Frame type tag of [`OverlayMessage::Join`].
-pub const TYPE_JOIN: u16 = 6;
+pub(crate) const TYPE_JOIN: u16 = 6;
 /// Frame type tag of [`OverlayMessage::ForwardJoin`].
-pub const TYPE_FORWARD_JOIN: u16 = 7;
+pub(crate) const TYPE_FORWARD_JOIN: u16 = 7;
 /// Frame type tag of [`OverlayMessage::Shuffle`].
 pub const TYPE_SHUFFLE: u16 = 8;
 /// Frame type tag of [`OverlayMessage::Probe`].
-pub const TYPE_PROBE: u16 = 9;
+pub(crate) const TYPE_PROBE: u16 = 9;
 /// Frame type tag of [`OverlayMessage::Leave`].
-pub const TYPE_LEAVE: u16 = 10;
+pub(crate) const TYPE_LEAVE: u16 = 10;
 /// Frame type tag of [`Message::StatsRequest`].
-pub const TYPE_STATS_REQUEST: u16 = 11;
+pub(crate) const TYPE_STATS_REQUEST: u16 = 11;
 /// Frame type tag of [`Message::StatsReport`].
-pub const TYPE_STATS_REPORT: u16 = 12;
+pub(crate) const TYPE_STATS_REPORT: u16 = 12;
 /// Frame type tag of [`Message::LoadShard`].
 pub const TYPE_LOAD_SHARD: u16 = 13;
 /// Frame type tag of [`Message::ForwardFrontier`].
-pub const TYPE_FORWARD_FRONTIER: u16 = 14;
+pub(crate) const TYPE_FORWARD_FRONTIER: u16 = 14;
 /// Frame type tag of [`Message::FrontierResult`].
-pub const TYPE_FRONTIER_RESULT: u16 = 15;
+pub(crate) const TYPE_FRONTIER_RESULT: u16 = 15;
 /// Frame type tag of [`Message::Overloaded`].
-pub const TYPE_OVERLOADED: u16 = 16;
+pub(crate) const TYPE_OVERLOADED: u16 = 16;
 
 /// [`Hello::shard_index`] value of a worker serving the whole snapshot rather than
 /// one placed shard.
@@ -188,7 +188,7 @@ pub enum Message {
         message: String,
     },
     /// One live-membership message of `sfo-overlay`, carried one-to-one on its own
-    /// frame type ([`TYPE_JOIN`] through [`TYPE_LEAVE`]) — the wire side of the
+    /// frame type (`TYPE_JOIN` through `TYPE_LEAVE`) — the wire side of the
     /// `sfo overlay` daemon.
     Overlay(OverlayMessage),
     /// Client → worker: send me your metrics snapshot. Empty payload.

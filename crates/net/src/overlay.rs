@@ -1,8 +1,8 @@
 //! The socket transport of the live membership protocol: `sfo overlay` daemons.
 //!
 //! [`OverlayNode`] runs one `sfo-overlay` [`Peer`] over real sockets. Each of the five
-//! protocol messages travels as its own SFNF frame type ([`crate::message::TYPE_JOIN`]
-//! through [`crate::message::TYPE_LEAVE`]), one frame per connection: a send dials the
+//! protocol messages travels as its own SFNF frame type (`crate::message::TYPE_JOIN`
+//! through `crate::message::TYPE_LEAVE`), one frame per connection: a send dials the
 //! target, writes the frame, and hangs up, so a peer needs no connection table and an
 //! unreachable target is simply a dropped message — exactly the loss model the
 //! protocol's failure detector is built for.
@@ -17,10 +17,10 @@ use crate::frame::{FrameReader, FrameWriter};
 use crate::message::Message;
 use crate::stream::{NetListener, NetStream};
 use crate::NetError;
-use sfo_overlay::protocol::Peer;
-use sfo_overlay::transport::OverlayTransport;
+use sfo_overlay::OverlayTransport;
+use sfo_overlay::Peer;
 
-pub use sfo_overlay::protocol::{OverlayMessage, PeerRef, ProtocolConfig};
+pub use sfo_overlay::{OverlayMessage, PeerRef, ProtocolConfig};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 

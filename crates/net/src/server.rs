@@ -70,7 +70,7 @@ use sfo_engine::{
 use sfo_graph::snapshot::{read_identity, Provenance, SnapshotFile};
 use sfo_graph::{CsrSlice, ShardView};
 use sfo_obs::{Counter, Histogram, Registry};
-use sfo_scenario::spec::BuiltSearch;
+use sfo_scenario::BuiltSearch;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, RwLock};

@@ -20,7 +20,7 @@ use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 
 /// Prefix selecting a Unix-domain socket address.
-pub const UNIX_PREFIX: &str = "unix:";
+pub(crate) const UNIX_PREFIX: &str = "unix:";
 
 /// One established connection, TCP or Unix.
 #[derive(Debug)]

@@ -78,7 +78,7 @@ pub const BUCKET_COUNT: usize = 65;
 /// The bucket a sample lands in: 0 for 0, otherwise the sample's bit width
 /// (`64 - leading_zeros`), so bucket `b ≥ 1` spans `[2^(b-1), 2^b - 1]`.
 #[must_use]
-pub fn bucket_index(value: u64) -> usize {
+pub(crate) fn bucket_index(value: u64) -> usize {
     (64 - value.leading_zeros()) as usize
 }
 
@@ -89,7 +89,7 @@ pub fn bucket_index(value: u64) -> usize {
 ///
 /// Panics if `bucket >= BUCKET_COUNT`.
 #[must_use]
-pub fn bucket_bound(bucket: usize) -> u64 {
+pub(crate) fn bucket_bound(bucket: usize) -> u64 {
     assert!(bucket < BUCKET_COUNT, "bucket {bucket} out of range");
     match bucket {
         0 => 0,

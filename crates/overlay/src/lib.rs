@@ -6,7 +6,7 @@
 //! The ICDCS'07 paper argues that limited scale-free overlays should emerge from peers
 //! following a local attachment rule. This crate provides that rule as a protocol:
 //!
-//! * [`protocol`] — the transport-agnostic peer state machine. Each peer keeps a
+//! * `protocol` — the transport-agnostic peer state machine. Each peer keeps a
 //!   HyParView-style pair of views: a capacity-bounded **active view** whose cap *is*
 //!   the paper's hard cutoff `k_c`, and a larger **passive view** of fallback contacts
 //!   refreshed by periodic shuffles. Joins attach by random walks ([`protocol::OverlayMessage::ForwardJoin`]):
@@ -15,9 +15,9 @@
 //!   saturated endpoints redirect the walk — which reproduces the hard cutoff. SWIM-style
 //!   probe/suspect/confirm failure detection removes dead neighbors and repairs the view
 //!   with a fresh one-walk join, so the shape survives churn.
-//! * [`transport`] — the [`transport::OverlayTransport`] trait the state machine pumps
+//! * `transport` — the [`transport::OverlayTransport`] trait the state machine pumps
 //!   messages through. The protocol core performs no I/O of its own.
-//! * [`sim`] — the deterministic in-process transport: N peers, a session-model
+//! * `sim` — the deterministic in-process transport: N peers, a session-model
 //!   arrival/departure schedule, tick-synchronous FIFO delivery, and per-peer RNG
 //!   streams derived with the workspace's `stream_rng`/`label_salt` discipline — the
 //!   same seed grows a byte-identical overlay, extending the repo's headline
@@ -31,8 +31,8 @@
 //! # Example
 //!
 //! ```
-//! use sfo_overlay::protocol::ProtocolConfig;
-//! use sfo_overlay::sim::{grow, LiveConfig};
+//! use sfo_overlay::ProtocolConfig;
+//! use sfo_overlay::{grow, LiveConfig};
 //!
 //! # fn main() -> Result<(), sfo_overlay::OverlayError> {
 //! let config = LiveConfig::small();
@@ -47,12 +47,14 @@
 #![warn(missing_docs)]
 
 mod error;
-
-pub mod protocol;
-pub mod sim;
-pub mod transport;
+mod protocol;
+mod sim;
+mod transport;
 
 pub use error::OverlayError;
+pub use protocol::{OverlayMessage, OverlayMetrics, Peer, PeerRef, ProtocolConfig};
+pub use sim::{grow, grow_metered, LiveConfig, LiveOutcome, LiveStats};
+pub use transport::OverlayTransport;
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T, E = OverlayError> = std::result::Result<T, E>;

@@ -250,7 +250,7 @@ struct ProbeState {
 }
 
 /// Outbound envelopes a handler produced: `(target, message)` pairs.
-pub type Outbox = Vec<(PeerRef, OverlayMessage)>;
+pub(crate) type Outbox = Vec<(PeerRef, OverlayMessage)>;
 
 /// One peer's complete protocol state.
 ///

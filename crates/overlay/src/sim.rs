@@ -28,11 +28,11 @@ use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 use sfo_graph::{Graph, NodeId};
 use sfo_search::experiment::{label_salt, stream_rng};
-use sfo_sim::churn::SessionModel;
+use sfo_sim::SessionModel;
 
 /// Salt separating per-peer protocol streams from the master schedule stream
 /// (ASCII `"PEERSALT"`), in the tradition of the scenario layer's trace salt.
-pub const PEER_STREAM_SALT: u64 = 0x5045_4552_5341_4c54;
+pub(crate) const PEER_STREAM_SALT: u64 = 0x5045_4552_5341_4c54;
 
 /// Configuration of one live growth run.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

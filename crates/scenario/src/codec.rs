@@ -13,15 +13,15 @@ use crate::table::{json_enum, json_record};
 use crate::ScenarioError;
 use sfo_core::fitness::FitnessDistribution;
 use sfo_core::DegreeCutoff;
-use sfo_overlay::protocol::ProtocolConfig;
-use sfo_overlay::sim::LiveConfig;
-use sfo_sim::churn::{ChurnTraceConfig, SessionModel};
+use sfo_overlay::LiveConfig;
+use sfo_overlay::ProtocolConfig;
 use sfo_sim::overlay::{JoinStrategy, OverlayConfig};
-use sfo_sim::query::QueryMethod;
-use sfo_sim::replication::ReplicationStrategy;
 use sfo_sim::simulation::{OverlaySample, SimulationConfig};
-use sfo_sim::trace_runner::TraceRunConfig;
-use sfo_sim::workload::Workload;
+use sfo_sim::QueryMethod;
+use sfo_sim::ReplicationStrategy;
+use sfo_sim::TraceRunConfig;
+use sfo_sim::Workload;
+use sfo_sim::{ChurnTraceConfig, SessionModel};
 
 // ---------------------------------------------------------------------------------------
 // sfo-core types.

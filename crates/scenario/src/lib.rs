@@ -7,12 +7,12 @@
 //!
 //! The layer has three pieces:
 //!
-//! * **Specs** ([`spec`]): [`TopologySpec`] covers every generator family in `sfo-core`,
+//! * **Specs** (`spec`): [`TopologySpec`] covers every generator family in `sfo-core`,
 //!   [`SearchSpec`] every search algorithm in `sfo-search`, [`DynamicsSpec`] selects
 //!   static snapshots, rate-driven churn, trace replay, or live protocol growth
 //!   (`sfo-overlay`), and [`SweepSpec`] spans the `m × k_c × τ` grid. A top-level [`ScenarioSpec`] bundles them with a seed and a
 //!   realization count, and round-trips through JSON files ([`json`]).
-//! * **Runner** ([`runner`]): [`ScenarioRunner`] executes any spec end to end —
+//! * **Runner** (`runner`): [`ScenarioRunner`] executes any spec end to end —
 //!   generating realizations, freezing them to CSR snapshots, fanning
 //!   `(curve, realization)` tasks across threads with the workspace's single
 //!   `stream_rng` derivation, or routing dynamic specs into `sfo-sim`.
@@ -62,16 +62,16 @@
 
 mod codec;
 mod error;
+mod metrics_json;
+mod remote;
+mod runner;
+mod snapshot_build;
+mod spec;
 mod table;
+mod workload;
 
 pub mod json;
-pub mod metrics_json;
-pub mod remote;
 pub mod report;
-pub mod runner;
-pub mod snapshot_build;
-pub mod spec;
-pub mod workload;
 
 pub use error::ScenarioError;
 pub use remote::{RemoteSweepExecutor, RemoteSweepRequest};

@@ -12,30 +12,30 @@ use crate::json::{FromJson, JsonValue, ToJson};
 use crate::table::{json_enum, json_record, Tagged};
 use crate::ScenarioError;
 use serde::{Deserialize, Serialize};
-use sfo_core::attractiveness::InitialAttractiveness;
-use sfo_core::cm::ConfigurationModel;
-use sfo_core::dapa::{DapaOverGrn, DapaOverMesh};
 use sfo_core::fitness::{FitnessDistribution, FitnessModel};
-use sfo_core::hapa::HopAndAttempt;
-use sfo_core::local_events::LocalEventsModel;
-use sfo_core::nonlinear::NonlinearPreferentialAttachment;
 use sfo_core::pa::PreferentialAttachment;
-use sfo_core::ucm::UncorrelatedConfigurationModel;
+use sfo_core::ConfigurationModel;
+use sfo_core::HopAndAttempt;
+use sfo_core::InitialAttractiveness;
+use sfo_core::LocalEventsModel;
+use sfo_core::NonlinearPreferentialAttachment;
+use sfo_core::UncorrelatedConfigurationModel;
+use sfo_core::{DapaOverGrn, DapaOverMesh};
 use sfo_core::{DegreeCutoff, DynTopologyGenerator};
 use sfo_graph::{CsrGraph, GraphView};
-use sfo_overlay::sim::LiveConfig;
-use sfo_search::biased_walk::DegreeBiasedWalk;
-use sfo_search::expanding_ring::ExpandingRing;
+use sfo_overlay::LiveConfig;
 use sfo_search::flooding::Flooding;
-use sfo_search::normalized::NormalizedFlooding;
-use sfo_search::probabilistic::ProbabilisticFlooding;
-use sfo_search::random_walk::{MultipleRandomWalk, RandomWalk};
+use sfo_search::DegreeBiasedWalk;
+use sfo_search::ExpandingRing;
+use sfo_search::NormalizedFlooding;
+use sfo_search::ProbabilisticFlooding;
 use sfo_search::SearchAlgorithm;
+use sfo_search::{MultipleRandomWalk, RandomWalk};
 use sfo_sim::catalog::Catalog;
-use sfo_sim::churn::ChurnTraceConfig;
-use sfo_sim::query::QueryMethod;
 use sfo_sim::simulation::SimulationConfig;
-use sfo_sim::trace_runner::TraceRunConfig;
+use sfo_sim::ChurnTraceConfig;
+use sfo_sim::QueryMethod;
+use sfo_sim::TraceRunConfig;
 
 fn cutoff_label(cutoff: Option<usize>) -> String {
     match cutoff {
@@ -1652,7 +1652,7 @@ mod tests {
     #[test]
     fn invalid_dynamic_specs_yield_typed_errors() {
         use sfo_sim::catalog::ItemId;
-        use sfo_sim::workload::Workload;
+        use sfo_sim::Workload;
 
         let mut sim = SimulationConfig::small();
         sim.initial_peers = 0;
@@ -1662,7 +1662,7 @@ mod tests {
         let trace_cfg = ChurnTraceConfig {
             duration: 100,
             arrival_rate: 0.5,
-            sessions: sfo_sim::churn::SessionModel::Exponential { mean: 40.0 },
+            sessions: sfo_sim::SessionModel::Exponential { mean: 40.0 },
             crash_fraction: 0.2,
         };
         let mut run = TraceRunConfig::small();
@@ -1701,7 +1701,7 @@ mod tests {
             ChurnTraceConfig {
                 duration: 300,
                 arrival_rate: 0.4,
-                sessions: sfo_sim::churn::SessionModel::Pareto {
+                sessions: sfo_sim::SessionModel::Pareto {
                     shape: 1.6,
                     minimum: 30.0,
                 },

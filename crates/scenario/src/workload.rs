@@ -86,7 +86,7 @@ impl ArrivalSpec {
 
 /// One open-loop load test: arrival process, duration, job mix, and fan-out.
 ///
-/// See the [module docs](self) for the derivation rules that make a workload both
+/// See the module docs for the derivation rules that make a workload both
 /// reproducible and incapable of perturbing batch results.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WorkloadSpec {

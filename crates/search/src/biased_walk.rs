@@ -25,7 +25,7 @@ use sfo_graph::{GraphView, NodeId};
 /// ```
 /// use sfo_graph::generators::star_graph;
 /// use sfo_graph::NodeId;
-/// use sfo_search::{biased_walk::DegreeBiasedWalk, SearchAlgorithm};
+/// use sfo_search::{DegreeBiasedWalk, SearchAlgorithm};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {

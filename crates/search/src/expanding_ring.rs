@@ -29,7 +29,7 @@ use sfo_graph::{GraphView, NodeId};
 /// ```
 /// use sfo_graph::generators::ring_graph;
 /// use sfo_graph::NodeId;
-/// use sfo_search::{expanding_ring::ExpandingRing, SearchAlgorithm};
+/// use sfo_search::{ExpandingRing, SearchAlgorithm};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {

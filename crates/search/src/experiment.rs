@@ -53,8 +53,8 @@ impl AveragedOutcome {
 /// Derives the RNG for stream `index` of a family labelled by `salt` under a master
 /// `seed`.
 ///
-/// This is the single stream-derivation rule of the workspace: the parallel search
-/// harness below uses it for per-thread streams (`salt = 0`), and the figure harness in
+/// This is the single stream-derivation rule of the workspace: the engine's batches use
+/// it for per-job streams, and the figure harness in
 /// `sfo-experiments` uses it for per-realization streams (`salt` hashed from the series
 /// label) — so independent streams are derived identically everywhere. The golden-ratio
 /// multiply decorrelates consecutive indices; the salt rotation keeps label families
@@ -153,52 +153,6 @@ pub fn rw_normalized_to_nf<G: GraphView + ?Sized>(
         .collect()
 }
 
-/// Parallel variant of [`average_over_sources`]: the searches are split across `threads`
-/// worker threads, each with an independent RNG stream derived from `seed` via
-/// [`stream_rng`].
-///
-/// Results are deterministic for a fixed `(seed, threads, searches)` triple.
-///
-/// # Panics
-///
-/// Panics if `graph` has no nodes or `threads` is zero.
-pub fn average_over_sources_parallel<G: GraphView + Sync + ?Sized>(
-    graph: &G,
-    algorithm: &(dyn SearchAlgorithm<G> + Sync),
-    ttl: u32,
-    searches: usize,
-    threads: usize,
-    seed: u64,
-) -> AveragedOutcome {
-    assert!(graph.node_count() > 0, "cannot search an empty graph");
-    assert!(threads > 0, "at least one worker thread is required");
-    let threads = threads.min(searches.max(1));
-    let per_thread = searches / threads;
-    let remainder = searches % threads;
-
-    let all_outcomes = std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let count = per_thread + usize::from(t < remainder);
-            handles.push(scope.spawn(move || {
-                let mut rng = stream_rng(seed, 0, t);
-                (0..count)
-                    .map(|_| {
-                        let source = random_source(graph, &mut rng);
-                        algorithm.search(graph, source, ttl, &mut rng)
-                    })
-                    .collect::<Vec<SearchOutcome>>()
-            }));
-        }
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("search worker panicked"))
-            .collect::<Vec<SearchOutcome>>()
-    });
-
-    AveragedOutcome::from_outcomes(ttl, &all_outcomes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,11 +213,11 @@ mod tests {
     #[test]
     fn parallel_average_matches_search_count_and_is_deterministic() {
         let g = ring_graph(80, 2).unwrap();
-        let a = average_over_sources_parallel(&g, &Flooding::new(), 3, 37, 4, 99);
-        let b = average_over_sources_parallel(&g, &Flooding::new(), 3, 37, 4, 99);
+        let a = average_over_sources(&g, &Flooding::new(), 3, 37, &mut stream_rng(99, 0, 4));
+        let b = average_over_sources(&g, &Flooding::new(), 3, 37, &mut stream_rng(99, 0, 4));
         assert_eq!(a, b);
         assert_eq!(a.searches, 37);
-        // The cycle is vertex transitive, so the parallel average equals the exact value.
+        // The cycle is vertex transitive, so the sampled average equals the exact value.
         assert!(
             (a.mean_hits - average_over_sources(&g, &Flooding::new(), 3, 5, &mut rng(1)).mean_hits)
                 .abs()
@@ -275,16 +229,9 @@ mod tests {
     fn parallel_average_runs_on_a_frozen_snapshot() {
         let g = ring_graph(80, 2).unwrap();
         let frozen = g.freeze();
-        let on_graph = average_over_sources_parallel(&g, &Flooding::new(), 3, 16, 4, 5);
-        let on_csr = average_over_sources_parallel(&frozen, &Flooding::new(), 3, 16, 4, 5);
+        let on_graph = average_over_sources(&g, &Flooding::new(), 3, 16, &mut rng(5));
+        let on_csr = average_over_sources(&frozen, &Flooding::new(), 3, 16, &mut rng(5));
         assert_eq!(on_graph, on_csr);
-    }
-
-    #[test]
-    fn parallel_with_more_threads_than_searches_still_works() {
-        let g = ring_graph(20, 1).unwrap();
-        let avg = average_over_sources_parallel(&g, &Flooding::new(), 2, 3, 16, 7);
-        assert_eq!(avg.searches, 3);
     }
 
     #[test]
@@ -303,12 +250,5 @@ mod tests {
     fn empty_graph_is_rejected() {
         let g = Graph::new();
         let _ = average_over_sources(&g, &Flooding::new(), 1, 1, &mut rng(1));
-    }
-
-    #[test]
-    #[should_panic(expected = "worker thread")]
-    fn zero_threads_is_rejected() {
-        let g = ring_graph(10, 1).unwrap();
-        let _ = average_over_sources_parallel(&g, &Flooding::new(), 1, 1, 0, 1);
     }
 }

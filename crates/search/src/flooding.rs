@@ -207,7 +207,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use sfo_graph::generators::{complete_graph, ring_graph};
-    use sfo_graph::metrics::reachable_within;
+    use sfo_graph::reachable_within;
     use sfo_graph::Graph;
 
     fn rng() -> StdRng {

@@ -6,20 +6,20 @@
 //! * [`flooding`] — Flooding (FL): every node forwards the query to all neighbors except
 //!   the one it came from, up to a time-to-live `τ`. The best possible coverage, at an
 //!   unscalable message cost.
-//! * [`normalized`] — Normalized Flooding (NF): nodes forward to at most `k_min` randomly
+//! * `normalized` — Normalized Flooding (NF): nodes forward to at most `k_min` randomly
 //!   chosen neighbors, giving flooding-like parallelism with far better granularity.
-//! * [`random_walk`] — Random Walk (RW) and multiple parallel walks: one message hops
+//! * `random_walk` — Random Walk (RW) and multiple parallel walks: one message hops
 //!   through the network, trading delivery time for minimal traffic.
 //!
 //! Beyond the paper's three algorithms, the crate implements the practical variants its
 //! related-work section points to, so they can be compared on the same topologies:
 //!
-//! * [`probabilistic`] — gossip-style probabilistic flooding (refs. \[29, 30\]);
-//! * [`expanding_ring`] — successive floods of growing radius (Lv et al., ref. \[23\]);
-//! * [`biased_walk`] — the high-degree-seeking walk of Adamic et al. (ref. \[62\]);
-//! * [`coverage`] — coverage-curve, granularity, and item-hit-probability metrics.
+//! * `probabilistic` — gossip-style probabilistic flooding (refs. \[29, 30\]);
+//! * `expanding_ring` — successive floods of growing radius (Lv et al., ref. \[23\]);
+//! * `biased_walk` — the high-degree-seeking walk of Adamic et al. (ref. \[62\]);
+//! * `coverage` — coverage-curve, granularity, and item-hit-probability metrics.
 //!
-//! [`forwarding`] holds the one copy of each flooding rule and the level loop that runs
+//! `forwarding` holds the one copy of each flooding rule and the level loop that runs
 //! it; [`random_walk::next_hop`] is the one walker step. Placed execution and the item
 //! lookups call both, so every path runs a rule with the same RNG draws.
 //!
@@ -48,18 +48,27 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod biased_walk;
+mod coverage;
+mod expanding_ring;
+mod forwarding;
+mod normalized;
 mod outcome;
+mod probabilistic;
+mod random_walk;
 mod scratch;
 
-pub mod biased_walk;
-pub mod coverage;
-pub mod expanding_ring;
 pub mod experiment;
 pub mod flooding;
-pub mod forwarding;
-pub mod normalized;
-pub mod probabilistic;
-pub mod random_walk;
 
+pub use biased_walk::DegreeBiasedWalk;
+pub use coverage::{
+    coverage_curve, granularity, success_probability, CoveragePoint, GranularityPoint,
+};
+pub use expanding_ring::ExpandingRing;
+pub use forwarding::Forwarding;
+pub use normalized::NormalizedFlooding;
 pub use outcome::{SearchAlgorithm, SearchInfo, SearchOutcome};
+pub use probabilistic::ProbabilisticFlooding;
+pub use random_walk::{next_hop, MultipleRandomWalk, RandomWalk};
 pub use scratch::{SearchScratch, VisitedSet};

@@ -20,7 +20,7 @@ use sfo_graph::{GraphView, NodeId};
 /// ```
 /// use sfo_graph::generators::complete_graph;
 /// use sfo_graph::NodeId;
-/// use sfo_search::{normalized::NormalizedFlooding, SearchAlgorithm};
+/// use sfo_search::{NormalizedFlooding, SearchAlgorithm};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {

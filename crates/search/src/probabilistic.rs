@@ -21,7 +21,7 @@ use sfo_graph::{GraphView, NodeId};
 /// ```
 /// use sfo_graph::generators::complete_graph;
 /// use sfo_graph::NodeId;
-/// use sfo_search::{probabilistic::ProbabilisticFlooding, SearchAlgorithm};
+/// use sfo_search::{ProbabilisticFlooding, SearchAlgorithm};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {

@@ -19,7 +19,7 @@ use sfo_graph::{GraphView, NodeId};
 /// ```
 /// use sfo_graph::generators::ring_graph;
 /// use sfo_graph::NodeId;
-/// use sfo_search::{random_walk::RandomWalk, SearchAlgorithm};
+/// use sfo_search::{RandomWalk, SearchAlgorithm};
 /// use rand::SeedableRng;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {

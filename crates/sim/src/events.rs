@@ -9,11 +9,11 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Simulation time in abstract ticks.
-pub type Tick = u64;
+pub(crate) type Tick = u64;
 
 /// The kinds of events the overlay simulation processes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventKind {
+pub(crate) enum EventKind {
     /// A new peer joins the overlay.
     PeerJoin,
     /// A randomly chosen peer leaves gracefully (neighbors are notified and may repair).
@@ -28,7 +28,7 @@ pub enum EventKind {
 
 /// A scheduled event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Event {
+pub(crate) struct Event {
     /// When the event fires.
     pub time: Tick,
     /// What happens.
@@ -36,21 +36,8 @@ pub struct Event {
 }
 
 /// A time-ordered event queue with deterministic tie-breaking.
-///
-/// # Example
-///
-/// ```
-/// use sfo_sim::events::{Event, EventKind, EventQueue};
-///
-/// let mut queue = EventQueue::new();
-/// queue.schedule(Event { time: 5, kind: EventKind::Query });
-/// queue.schedule(Event { time: 1, kind: EventKind::PeerJoin });
-/// assert_eq!(queue.pop().unwrap().kind, EventKind::PeerJoin);
-/// assert_eq!(queue.pop().unwrap().time, 5);
-/// assert!(queue.pop().is_none());
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct EventQueue {
+pub(crate) struct EventQueue {
     heap: BinaryHeap<Reverse<(Tick, u64)>>,
     payloads: Vec<Option<EventKind>>,
     next_seq: u64,
@@ -58,12 +45,12 @@ pub struct EventQueue {
 
 impl EventQueue {
     /// Creates an empty queue.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         EventQueue::default()
     }
 
     /// Schedules an event.
-    pub fn schedule(&mut self, event: Event) {
+    pub(crate) fn schedule(&mut self, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
         self.payloads.push(Some(event.kind));
@@ -72,7 +59,7 @@ impl EventQueue {
     }
 
     /// Removes and returns the earliest event, or `None` when the queue is empty.
-    pub fn pop(&mut self) -> Option<Event> {
+    pub(crate) fn pop(&mut self) -> Option<Event> {
         let Reverse((time, seq)) = self.heap.pop()?;
         let kind = self.payloads[seq as usize]
             .take()
@@ -81,17 +68,20 @@ impl EventQueue {
     }
 
     /// Returns the time of the earliest pending event without removing it.
-    pub fn peek_time(&self) -> Option<Tick> {
+    #[cfg(test)]
+    pub(crate) fn peek_time(&self) -> Option<Tick> {
         self.heap.peek().map(|Reverse((time, _))| *time)
     }
 
     /// Returns the number of pending events.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.heap.len()
     }
 
     /// Returns `true` when no events are pending.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.heap.is_empty()
     }
 }

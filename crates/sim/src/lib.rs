@@ -13,16 +13,16 @@
 //!   gracefully or crash, and optionally trigger neighbor-rewiring repair.
 //! * [`catalog`] — data items with Zipf popularity and replication, the workload
 //!   unstructured searches serve.
-//! * [`query`] — item lookups over the live overlay by flooding, normalized flooding, or
+//! * `query` — item lookups over the live overlay by flooding, normalized flooding, or
 //!   random walks, with early termination on the first replica found.
-//! * [`events`] — the discrete-event queue driving joins, leaves, and queries.
+//! * `events` — the discrete-event queue driving joins, leaves, and queries.
 //! * [`simulation`] — the end-to-end simulation loop and its report (overlay health and
 //!   query success over time).
-//! * [`replication`] — uniform / proportional / square-root replica allocation (Cohen &
+//! * `replication` — uniform / proportional / square-root replica allocation (Cohen &
 //!   Shenker, ref. \[22\]) and placement over the live overlay.
-//! * [`churn`] — heavy-tailed session-time models and reproducible churn traces.
-//! * [`workload`] — stationary Zipf and flash-crowd query workloads.
-//! * [`trace_runner`] — replays a churn trace (plus a workload) against the live overlay,
+//! * `churn` — heavy-tailed session-time models and reproducible churn traces.
+//! * `workload` — stationary Zipf and flash-crowd query workloads.
+//! * `trace_runner` — replays a churn trace (plus a workload) against the live overlay,
 //!   so different overlay configurations can be compared under identical churn.
 //!
 //! # Example
@@ -43,19 +43,28 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod churn;
 mod error;
+mod events;
+mod query;
+mod replication;
+mod trace_runner;
+mod workload;
 
 pub mod catalog;
-pub mod churn;
-pub mod events;
 pub mod overlay;
-pub mod query;
-pub mod replication;
 pub mod simulation;
-pub mod trace_runner;
-pub mod workload;
 
+pub use churn::{
+    generate_trace, ChurnAction, ChurnEvent, ChurnTrace, ChurnTraceConfig, SessionModel,
+};
 pub use error::SimError;
+pub use query::{run_query, QueryMethod, QueryOutcome};
+pub use replication::{
+    allocate, expected_search_size, place, ReplicaAllocation, ReplicationStrategy,
+};
+pub use trace_runner::{run_trace, TraceRunConfig, TraceRunReport};
+pub use workload::Workload;
 
 /// Convenience result alias used throughout this crate.
 pub type Result<T, E = SimError> = std::result::Result<T, E>;

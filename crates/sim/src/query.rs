@@ -38,7 +38,7 @@ pub enum QueryMethod {
 
 /// One item lookup of a batch: who asks, for what, and how deep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct BatchQuery {
+pub(crate) struct BatchQuery {
     /// The peer issuing the lookup.
     pub source: PeerId,
     /// The item looked for.
@@ -197,7 +197,7 @@ fn walk_lookup<'a, T: Copy + PartialEq + 'a, R: Rng + ?Sized>(
 /// must be discarded and re-captured (the simulation does exactly that, re-freezing
 /// lazily on the first query after a churn event).
 #[derive(Debug, Clone)]
-pub struct QuerySnapshot {
+pub(crate) struct QuerySnapshot {
     graph: CsrGraph,
     /// Peer of each dense node id, ordered as at capture time.
     peers: Vec<PeerId>,
@@ -211,7 +211,7 @@ impl QuerySnapshot {
     /// (no intermediate [`Graph`](sfo_graph::Graph)). Per-peer neighbor order is
     /// preserved, so queries served from the snapshot consume the same RNG stream as
     /// [`run_query`] on the live overlay.
-    pub fn capture(overlay: &OverlayNetwork) -> Self {
+    pub(crate) fn capture(overlay: &OverlayNetwork) -> Self {
         let peers: Vec<PeerId> = overlay.peers().collect();
         let index: HashMap<PeerId, NodeId> = peers
             .iter()
@@ -233,17 +233,19 @@ impl QuerySnapshot {
     }
 
     /// Returns the frozen topology.
-    pub fn graph(&self) -> &CsrGraph {
+    pub(crate) fn graph(&self) -> &CsrGraph {
         &self.graph
     }
 
     /// Returns the peer ids by dense node id, as captured.
-    pub fn peers(&self) -> &[PeerId] {
+    #[cfg(test)]
+    pub(crate) fn peers(&self) -> &[PeerId] {
         &self.peers
     }
 
     /// Returns the number of peers in the snapshot.
-    pub fn peer_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn peer_count(&self) -> usize {
         self.peers.len()
     }
 
@@ -260,7 +262,7 @@ impl QuerySnapshot {
     /// Returns [`SimError::UnknownPeer`] if `source` was not part of the overlay when the
     /// snapshot was captured and [`SimError::InvalidConfig`] if a normalized flood is
     /// configured with a zero fan-out.
-    pub fn run_query<R: Rng + ?Sized>(
+    pub(crate) fn run_query<R: Rng + ?Sized>(
         &self,
         overlay: &OverlayNetwork,
         method: QueryMethod,
@@ -294,7 +296,7 @@ impl QuerySnapshot {
     /// Returns [`SimError::UnknownPeer`] if any source was not part of the overlay when
     /// the snapshot was captured and [`SimError::InvalidConfig`] for a zero NF fan-out;
     /// both are checked before any lookup runs.
-    pub fn run_query_batch(
+    pub(crate) fn run_query_batch(
         &self,
         overlay: &OverlayNetwork,
         method: QueryMethod,
@@ -333,7 +335,7 @@ impl QuerySnapshot {
 
     /// Below this batch size, [`QuerySnapshot::run_query_batch`] runs inline: spawning
     /// scoped worker threads costs more than a handful of lookups.
-    pub const PARALLEL_BATCH_MIN: usize = 16;
+    pub(crate) const PARALLEL_BATCH_MIN: usize = 16;
 
     /// One lookup over the frozen topology through a caller-owned arena: a flood by
     /// `rule` on the arena's level loop, or the walk when `rule` is `None`.

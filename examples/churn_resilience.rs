@@ -8,7 +8,7 @@
 
 use rand::SeedableRng;
 use sfoverlay::prelude::*;
-use sfoverlay::sim::query::QueryMethod;
+use sfoverlay::sim::QueryMethod;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (label, cutoff) in [

@@ -10,11 +10,10 @@
 //! ```
 
 use rand::SeedableRng;
-use sfoverlay::analysis::powerlaw_fit::fit_exponent_from_counts;
-use sfoverlay::graph::metrics;
+use sfoverlay::analysis::fit_exponent_from_counts;
 use sfoverlay::prelude::*;
 use sfoverlay::search::experiment::{rw_normalized_to_nf, ttl_sweep};
-use sfoverlay::topology::cutoff::pa_natural_cutoff;
+use sfoverlay::topology::pa_natural_cutoff;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let n = 4_000;
@@ -33,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_cutoff(degree_cutoff)
             .generate(&mut rng)?;
 
-        let histogram = metrics::degree_histogram(&overlay);
+        let histogram = sfoverlay::graph::degree_histogram(&overlay);
         let fit_max = cutoff
             .map(|k| k - 1)
             .unwrap_or(overlay.max_degree().unwrap());

@@ -11,10 +11,10 @@
 
 use rand::SeedableRng;
 use sfoverlay::graph::generators::GeometricRandomNetwork;
-use sfoverlay::graph::{metrics, traversal};
+use sfoverlay::graph::traversal;
 use sfoverlay::prelude::*;
 use sfoverlay::search::experiment::ttl_sweep;
-use sfoverlay::topology::dapa::DiscoverAndAttempt;
+use sfoverlay::topology::DiscoverAndAttempt;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);
@@ -35,7 +35,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .with_cutoff(DegreeCutoff::hard(40))
             .generate_on(&substrate, &mut rng)?;
         let graph = &overlay.graph;
-        let histogram = metrics::degree_histogram(graph);
+        let histogram = sfoverlay::graph::degree_histogram(graph);
         let nf = ttl_sweep(graph, &NormalizedFlooding::new(2), &[4, 8], 50, &mut rng);
         println!(
             "\ntau_sub = {tau_sub:>2}: max degree {:>3}, mean degree {:.2}, peers at cutoff {:>3}, failed discoveries {}",

@@ -6,8 +6,7 @@
 //! ```
 
 use rand::SeedableRng;
-use sfoverlay::analysis::powerlaw_fit::fit_exponent_from_counts;
-use sfoverlay::graph::metrics;
+use sfoverlay::analysis::fit_exponent_from_counts;
 use sfoverlay::prelude::*;
 use sfoverlay::search::experiment::{average_over_sources, ttl_sweep};
 
@@ -29,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // 2. Look at its degree distribution and fitted power-law exponent.
-    let histogram = metrics::degree_histogram(&overlay);
+    let histogram = sfoverlay::graph::degree_histogram(&overlay);
     if let Some(fit) = fit_exponent_from_counts(&histogram.counts, 2, 19) {
         println!(
             "degree distribution: gamma ~= {:.2} (R^2 = {:.3})",

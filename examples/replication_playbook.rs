@@ -14,9 +14,9 @@
 use rand::SeedableRng;
 use sfoverlay::prelude::*;
 use sfoverlay::sim::catalog::{Catalog, ItemId};
-use sfoverlay::sim::query::{run_query, QueryMethod};
-use sfoverlay::sim::replication::{allocate, expected_search_size, place};
-use sfoverlay::sim::workload::Workload;
+use sfoverlay::sim::Workload;
+use sfoverlay::sim::{allocate, expected_search_size, place};
+use sfoverlay::sim::{run_query, QueryMethod};
 
 const PEERS: usize = 1_500;
 const ITEMS: usize = 80;

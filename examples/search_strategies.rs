@@ -13,8 +13,8 @@
 
 use rand::SeedableRng;
 use sfoverlay::prelude::*;
-use sfoverlay::search::coverage::success_probability;
 use sfoverlay::search::experiment::ttl_sweep;
+use sfoverlay::search::success_probability;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = rand::rngs::StdRng::seed_from_u64(7);

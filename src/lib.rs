@@ -25,7 +25,7 @@
 //! * [`overlay`] — the live membership protocol ([`sfo_overlay`]): a HyParView-style
 //!   peer state machine whose capped attachment walks grow the paper's scale-free
 //!   topologies *by protocol execution*, over a deterministic simulated transport
-//!   ([`sfo_overlay::sim::grow`]) or real sockets (`sfo overlay`, via [`sfo_net`]).
+//!   ([`sfo_overlay::grow`]) or real sockets (`sfo overlay`, via [`sfo_net`]).
 //! * [`scenario`] — the declarative scenario layer ([`sfo_scenario`]): serializable
 //!   [`ScenarioSpec`](sfo_scenario::ScenarioSpec)s covering topologies × searches ×
 //!   dynamics × sweeps, executed by one
@@ -38,7 +38,7 @@
 //!   engine pool, with a bounded per-connection queue that sheds overload as typed
 //!   frames), the [`RemoteDispatcher`](sfo_net::RemoteDispatcher) that splits a
 //!   spec's job grid across workers with byte-identical results, and the open-loop
-//!   load driver behind `sfo loadtest` ([`sfo_net::loadtest`]).
+//!   load driver behind `sfo loadtest` (`sfo_net::loadtest`).
 //! * [`obs`] — the workspace telemetry layer ([`sfo_obs`]): lock-free counters,
 //!   log-bucketed latency histograms, phase timers, and the named-metric
 //!   [`Registry`](sfo_obs::Registry) instrumenting the engine, the wire protocol, the
@@ -47,6 +47,10 @@
 //!   `docs/ARCHITECTURE.md`).
 //! * [`experiments`] — reproductions of every figure and table of the paper
 //!   ([`sfo_experiments`]), built on the scenario layer.
+//!
+//! Each crate exports only what another crate, the `sfo` binary, `benchmark/`, a bench
+//! target or an integration test uses (see `docs/ARCHITECTURE.md`), so these modules
+//! are the workspace's whole public surface.
 //!
 //! The [`prelude`] collects the types needed for the common "generate a topology, run a
 //! search on it" workflow, plus the scenario and churn-simulation entry points.
@@ -86,17 +90,13 @@ pub use sfo_sim as sim;
 /// The most commonly used types, re-exported for convenient glob imports.
 pub mod prelude {
     pub use sfo_analysis::{DataPoint, DataSeries, FigureData, Summary};
-    pub use sfo_core::attractiveness::InitialAttractiveness;
-    pub use sfo_core::cm::ConfigurationModel;
-    pub use sfo_core::dapa::{DapaOverGrn, DiscoverAndAttempt};
     pub use sfo_core::fitness::{FitnessDistribution, FitnessModel};
-    pub use sfo_core::hapa::HopAndAttempt;
-    pub use sfo_core::local_events::LocalEventsModel;
-    pub use sfo_core::nonlinear::NonlinearPreferentialAttachment;
     pub use sfo_core::pa::PreferentialAttachment;
-    pub use sfo_core::ucm::UncorrelatedConfigurationModel;
     pub use sfo_core::{
-        DegreeCutoff, DynTopologyGenerator, Locality, StubCount, TopologyError, TopologyGenerator,
+        ConfigurationModel, DapaOverGrn, DegreeCutoff, DiscoverAndAttempt, DynTopologyGenerator,
+        HopAndAttempt, InitialAttractiveness, LocalEventsModel, Locality,
+        NonlinearPreferentialAttachment, StubCount, TopologyError, TopologyGenerator,
+        UncorrelatedConfigurationModel,
     };
     pub use sfo_engine::{
         batched_rw_normalized_to_nf, batched_ttl_sweep, placed_advance, placed_start,
@@ -119,29 +119,27 @@ pub mod prelude {
     pub use sfo_obs::{
         Counter, Histogram, HistogramSnapshot, MetricsSnapshot, PhaseTimer, Registry,
     };
-    pub use sfo_overlay::protocol::{
-        OverlayMessage, OverlayMetrics, Peer, PeerRef, ProtocolConfig,
+    pub use sfo_overlay::{
+        grow, grow_metered, LiveConfig, LiveOutcome, LiveStats, OverlayMessage, OverlayMetrics,
+        Peer, PeerRef, ProtocolConfig,
     };
-    pub use sfo_overlay::sim::{grow, grow_metered, LiveConfig, LiveOutcome, LiveStats};
     pub use sfo_scenario::{
         build_snapshot, ArrivalSpec, DegreeCurve, DynamicsSpec, LiveRealization, MeasureSpec,
         RemoteSweepExecutor, RemoteSweepRequest, ScenarioError, ScenarioReport, ScenarioRunner,
         ScenarioSpec, SearchSpec, SweepMetric, SweepSpec, TopologySpec, WorkloadSpec,
     };
-    pub use sfo_search::biased_walk::DegreeBiasedWalk;
-    pub use sfo_search::expanding_ring::ExpandingRing;
     pub use sfo_search::flooding::Flooding;
-    pub use sfo_search::normalized::NormalizedFlooding;
-    pub use sfo_search::probabilistic::ProbabilisticFlooding;
-    pub use sfo_search::random_walk::{MultipleRandomWalk, RandomWalk};
-    pub use sfo_search::{SearchAlgorithm, SearchOutcome, SearchScratch, VisitedSet};
-    pub use sfo_sim::churn::{generate_trace, ChurnTrace, ChurnTraceConfig, SessionModel};
+    pub use sfo_search::{
+        DegreeBiasedWalk, ExpandingRing, MultipleRandomWalk, NormalizedFlooding,
+        ProbabilisticFlooding, RandomWalk, SearchAlgorithm, SearchOutcome, SearchScratch,
+        VisitedSet,
+    };
     pub use sfo_sim::overlay::{JoinStrategy, OverlayConfig, OverlayNetwork};
-    pub use sfo_sim::query::QueryMethod;
-    pub use sfo_sim::replication::ReplicationStrategy;
     pub use sfo_sim::simulation::{Simulation, SimulationConfig};
-    pub use sfo_sim::trace_runner::{run_trace, TraceRunConfig};
-    pub use sfo_sim::workload::Workload;
+    pub use sfo_sim::{
+        generate_trace, run_trace, ChurnTrace, ChurnTraceConfig, QueryMethod, ReplicationStrategy,
+        SessionModel, TraceRunConfig, Workload,
+    };
 }
 
 #[cfg(test)]

@@ -5,18 +5,18 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sfoverlay::analysis::kmin::select_k_min;
-use sfoverlay::analysis::stats::{bootstrap_mean_ci, pearson_correlation};
+use sfoverlay::analysis::select_k_min;
+use sfoverlay::analysis::{bootstrap_mean_ci, pearson_correlation};
 use sfoverlay::experiments::{run_experiment, Scale};
 use sfoverlay::graph::generators::{random_regular, star_graph};
-use sfoverlay::graph::{centrality, correlations, io, kcore, metrics, traversal, NodeId};
+use sfoverlay::graph::{traversal, NodeId};
 use sfoverlay::prelude::*;
-use sfoverlay::search::coverage::{coverage_curve, granularity};
 use sfoverlay::search::experiment::ttl_sweep;
+use sfoverlay::search::{coverage_curve, granularity};
 use sfoverlay::sim::catalog::Catalog;
-use sfoverlay::sim::churn::{generate_trace, ChurnTraceConfig, SessionModel};
-use sfoverlay::sim::query::{run_query, QueryMethod};
-use sfoverlay::sim::replication::{allocate, place};
+use sfoverlay::sim::{allocate, place};
+use sfoverlay::sim::{generate_trace, ChurnTraceConfig, SessionModel};
+use sfoverlay::sim::{run_query, QueryMethod};
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -177,7 +177,7 @@ fn structural_metrics_are_mutually_consistent_on_pa_overlays() {
         .with_cutoff(DegreeCutoff::hard(25))
         .generate(&mut rng(41))
         .unwrap();
-    let decomposition = kcore::core_decomposition(&graph);
+    let decomposition = sfoverlay::graph::core_decomposition(&graph);
     assert!(decomposition.degeneracy <= 25);
     assert!(
         decomposition.degeneracy >= 3,
@@ -186,7 +186,7 @@ fn structural_metrics_are_mutually_consistent_on_pa_overlays() {
     for node in graph.nodes() {
         assert!(decomposition.core_numbers[node.index()] <= graph.degree(node));
     }
-    let knn = correlations::knn_by_degree(&graph);
+    let knn = sfoverlay::graph::knn_by_degree(&graph);
     assert!(knn.len() > 3);
     let low_k = knn.first().unwrap().average_neighbor_degree;
     let high_k = knn.last().unwrap().average_neighbor_degree;
@@ -195,7 +195,7 @@ fn structural_metrics_are_mutually_consistent_on_pa_overlays() {
         "PA overlays are not assortative: knn at low degree ({low_k}) should not be far below \
          knn at the top degree ({high_k})"
     );
-    let betweenness = centrality::betweenness_centrality_sampled(&graph, 50, &mut rng(42));
+    let betweenness = sfoverlay::graph::betweenness_centrality_sampled(&graph, 50, &mut rng(42));
     let top = betweenness.most_central().unwrap();
     assert!(
         graph.degree(top) as f64 >= graph.average_degree(),
@@ -212,13 +212,13 @@ fn edge_list_round_trip_preserves_degree_structure() {
         .with_cutoff(DegreeCutoff::hard(20))
         .generate(&mut rng(51))
         .unwrap();
-    let text = io::write_edge_list(&graph);
-    let parsed = io::parse_edge_list(&text).unwrap();
+    let text = sfoverlay::graph::write_edge_list(&graph);
+    let parsed = sfoverlay::graph::parse_edge_list(&text).unwrap();
     assert_eq!(parsed.node_count(), graph.node_count());
     assert_eq!(parsed.edge_count(), graph.edge_count());
     assert_eq!(
-        metrics::degree_histogram(&parsed).counts,
-        metrics::degree_histogram(&graph).counts
+        sfoverlay::graph::degree_histogram(&parsed).counts,
+        sfoverlay::graph::degree_histogram(&graph).counts
     );
 }
 
@@ -287,16 +287,16 @@ fn churn_trace_replays_against_the_live_overlay() {
     let mut alive = std::collections::HashMap::new();
     for event in &trace.events {
         match event.action {
-            sfoverlay::sim::churn::ChurnAction::Arrive => {
+            sfoverlay::sim::ChurnAction::Arrive => {
                 let outcome = overlay.join(&mut r);
                 alive.insert(event.session, outcome.peer);
             }
-            sfoverlay::sim::churn::ChurnAction::DepartGracefully => {
+            sfoverlay::sim::ChurnAction::DepartGracefully => {
                 if let Some(peer) = alive.remove(&event.session) {
                     overlay.leave(peer, &mut r).unwrap();
                 }
             }
-            sfoverlay::sim::churn::ChurnAction::Crash => {
+            sfoverlay::sim::ChurnAction::Crash => {
                 if let Some(peer) = alive.remove(&event.session) {
                     overlay.crash(peer).unwrap();
                 }

@@ -6,12 +6,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sfoverlay::analysis::powerlaw_fit::fit_exponent_from_counts;
+use sfoverlay::analysis::fit_exponent_from_counts;
 use sfoverlay::graph::generators::GeometricRandomNetwork;
-use sfoverlay::graph::{metrics, traversal};
+use sfoverlay::graph::traversal;
 use sfoverlay::prelude::*;
 use sfoverlay::search::experiment::{average_over_sources, rw_normalized_to_nf, ttl_sweep};
-use sfoverlay::topology::dapa::DiscoverAndAttempt;
+use sfoverlay::topology::DiscoverAndAttempt;
 
 const N: usize = 2_000;
 const SEARCHES: usize = 40;
@@ -39,7 +39,7 @@ fn harder_cutoffs_lower_the_pa_degree_exponent() {
             .with_cutoff(DegreeCutoff::hard(k_c))
             .generate(&mut rng(1))
             .unwrap();
-        let hist = metrics::degree_histogram(&graph);
+        let hist = sfoverlay::graph::degree_histogram(&graph);
         assert!(
             hist.count(k_c) > hist.count(k_c - 1),
             "k_c={k_c}: no accumulation at the cutoff"

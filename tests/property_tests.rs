@@ -8,9 +8,9 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sfoverlay::graph::{metrics, traversal, Graph, NodeId};
+use sfoverlay::graph::{traversal, Graph, NodeId};
 use sfoverlay::prelude::*;
-use sfoverlay::topology::powerlaw::BoundedPowerLaw;
+use sfoverlay::topology::BoundedPowerLaw;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -47,7 +47,7 @@ fn graph_edge_insertion_invariants() {
         assert_eq!(graph.total_degree(), 2 * graph.edge_count(), "case {case}");
         assert_eq!(graph.edges().count(), graph.edge_count(), "case {case}");
         // BFS from node 0 never reports more reachable nodes than exist.
-        let reachable = metrics::reachable_within(&graph, NodeId::new(0), 40);
+        let reachable = sfoverlay::graph::reachable_within(&graph, NodeId::new(0), 40);
         assert!(reachable < graph.node_count(), "case {case}");
     });
 }
@@ -172,7 +172,7 @@ fn search_algorithms_respect_reachability_bounds() {
             .generate(&mut rng(seed))
             .unwrap();
         let source = NodeId::new((seed as usize) % graph.node_count());
-        let reachable = metrics::reachable_within(&graph, source, ttl);
+        let reachable = sfoverlay::graph::reachable_within(&graph, source, ttl);
 
         let fl = Flooding::new().search(&graph, source, ttl, &mut rng(seed));
         assert_eq!(fl.hits, reachable, "case {case}");
@@ -312,7 +312,7 @@ fn ucm_invariants() {
 /// and the sorted edge set are preserved.
 #[test]
 fn edge_list_round_trip() {
-    use sfoverlay::graph::io::{parse_edge_list, write_edge_list};
+    use sfoverlay::graph::{parse_edge_list, write_edge_list};
     for_cases(16, |case, input| {
         let graph = random_graph(30, 120, input);
         let parsed = parse_edge_list(&write_edge_list(&graph)).unwrap();
@@ -330,7 +330,7 @@ fn edge_list_round_trip() {
 /// degree, for arbitrary graphs.
 #[test]
 fn core_numbers_are_bounded_by_degrees() {
-    use sfoverlay::graph::kcore::core_decomposition;
+    use sfoverlay::graph::core_decomposition;
     for_cases(16, |case, input| {
         let graph = random_graph(25, 100, input);
         let decomposition = core_decomposition(&graph);
@@ -356,7 +356,7 @@ fn core_numbers_are_bounded_by_degrees() {
 /// replica count.
 #[test]
 fn success_probability_is_monotone() {
-    use sfoverlay::search::coverage::success_probability;
+    use sfoverlay::search::success_probability;
     for_cases(16, |case, input| {
         let hits: usize = input.gen_range(0..500);
         let replicas: usize = input.gen_range(0..50);
@@ -378,8 +378,8 @@ fn success_probability_is_monotone() {
 /// one copy, for every strategy and catalog skew.
 #[test]
 fn replica_allocation_spends_the_budget() {
+    use sfoverlay::sim::allocate;
     use sfoverlay::sim::catalog::Catalog;
-    use sfoverlay::sim::replication::allocate;
     for_cases(16, |case, input| {
         let items: usize = input.gen_range(1..60);
         let spare: usize = input.gen_range(0..200);
@@ -402,7 +402,7 @@ fn replica_allocation_spends_the_budget() {
 /// time-ordered with departures never preceding their arrivals.
 #[test]
 fn churn_traces_are_well_formed() {
-    use sfoverlay::sim::churn::{generate_trace, ChurnAction, ChurnTraceConfig, SessionModel};
+    use sfoverlay::sim::{generate_trace, ChurnAction, ChurnTraceConfig, SessionModel};
     for_cases(16, |case, input| {
         let duration: u64 = input.gen_range(50..400);
         let rate: f64 = input.gen_range(0.05..1.5);

@@ -4,13 +4,14 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sfoverlay::analysis::histogram::log_binned_distribution;
+use sfoverlay::analysis::log_binned_distribution;
 use sfoverlay::analysis::{DataPoint, DataSeries, FigureData, Summary};
 use sfoverlay::experiments::{run_experiment, Scale};
-use sfoverlay::graph::{metrics, traversal};
+use sfoverlay::graph::traversal;
 use sfoverlay::prelude::*;
-use sfoverlay::search::experiment::{average_over_sources_parallel, ttl_sweep};
-use sfoverlay::sim::query::QueryMethod;
+use sfoverlay::search::experiment::ttl_sweep;
+use sfoverlay::sim::QueryMethod;
+use std::sync::Arc;
 
 fn rng(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
@@ -89,7 +90,7 @@ fn topology_search_analysis_pipeline_produces_a_figure() {
     assert!(bins.iter().all(|b| b.density > 0.0));
 }
 
-/// The parallel search runner gives the same kind of answer as the sequential one.
+/// The engine's pooled search sweep gives the same kind of answer as the sequential one.
 #[test]
 fn parallel_and_sequential_search_averages_agree_roughly() {
     let graph = ConfigurationModel::new(1_500, 2.6, 3)
@@ -98,7 +99,16 @@ fn parallel_and_sequential_search_averages_agree_roughly() {
         .generate(&mut rng(7))
         .unwrap();
     let sequential = ttl_sweep(&graph, &Flooding::new(), &[4], 60, &mut rng(7))[0].mean_hits;
-    let parallel = average_over_sources_parallel(&graph, &Flooding::new(), 4, 60, 4, 7).mean_hits;
+    let pool = WorkerPool::new(EngineConfig::with_workers(4));
+    let parallel = batched_ttl_sweep(
+        &pool,
+        &Arc::new(graph),
+        Box::new(Flooding::new()),
+        &[4],
+        60,
+        7,
+    )[0]
+    .mean_hits;
     let ratio = parallel / sequential;
     assert!(
         (0.7..=1.4).contains(&ratio),
@@ -130,7 +140,7 @@ fn live_overlay_snapshot_supports_static_analysis_and_search() {
     assert_eq!(peers.len(), 350);
     assert!(graph.max_degree().unwrap() <= 15);
     assert!(traversal::giant_component_fraction(&graph) > 0.9);
-    let hist = metrics::degree_histogram(&graph);
+    let hist = sfoverlay::graph::degree_histogram(&graph);
     assert_eq!(hist.node_count, 350);
 
     let outcome = NormalizedFlooding::new(3).search(&graph, NodeId::new(0), 5, &mut r);

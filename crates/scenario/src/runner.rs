@@ -25,7 +25,7 @@ use crate::spec::{
 };
 use crate::ScenarioError;
 use rand::RngCore;
-use sfo_analysis::histogram::log_binned_distribution;
+use sfo_analysis::log_binned_distribution;
 use sfo_analysis::Summary;
 use sfo_engine::{
     average_per_ttl, batched_rw_normalized_to_nf, batched_ttl_sweep, EngineConfig, ShardedCsr,
@@ -37,9 +37,9 @@ use sfo_obs::{PhaseTimer, Registry};
 use sfo_search::experiment::{
     label_salt, rw_normalized_to_nf, stream_rng, ttl_sweep, AveragedOutcome,
 };
-use sfo_sim::churn::{generate_trace, ChurnTraceConfig};
 use sfo_sim::simulation::{Simulation, SimulationConfig};
-use sfo_sim::trace_runner::{run_trace, TraceRunConfig};
+use sfo_sim::{generate_trace, ChurnTraceConfig};
+use sfo_sim::{run_trace, TraceRunConfig};
 use std::sync::Arc;
 
 /// Stream family of the per-realization churn traces. Deliberately independent of the
@@ -402,15 +402,15 @@ impl ScenarioRunner {
     fn run_live(
         &self,
         spec: &ScenarioSpec,
-        live: &sfo_overlay::sim::LiveConfig,
+        live: &sfo_overlay::LiveConfig,
         snapshot: &str,
     ) -> Result<ScenarioResult, ScenarioError> {
         let overlay_metrics = self
             .metrics
             .as_deref()
-            .map(sfo_overlay::protocol::OverlayMetrics::register);
+            .map(sfo_overlay::OverlayMetrics::register);
         let grow_timer = PhaseTimer::start();
-        let outcome = sfo_overlay::sim::grow_metered(live, spec.seed, overlay_metrics)?;
+        let outcome = sfo_overlay::grow_metered(live, spec.seed, overlay_metrics)?;
         observe_phase(
             self.metrics.as_deref(),
             "scenario.generate_micros",
@@ -763,15 +763,11 @@ fn record_boundary_fraction(metrics: Option<&Registry>, fraction: f64) {
     }
 }
 
+/// The engine's worker rule (0 = all cores), clamped to the task count.
 fn effective_threads(requested: usize, tasks: usize) -> usize {
-    let threads = if requested == 0 {
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    } else {
-        requested
-    };
-    threads.clamp(1, tasks.max(1))
+    EngineConfig::with_workers(requested)
+        .effective_workers()
+        .clamp(1, tasks.max(1))
 }
 
 /// Runs `count` independent tasks on `threads` workers and returns their results in task
@@ -855,8 +851,8 @@ where
 mod tests {
     use super::*;
     use sfo_core::DegreeCutoff;
-    use sfo_sim::churn::SessionModel;
     use sfo_sim::overlay::{JoinStrategy, OverlayConfig};
+    use sfo_sim::SessionModel;
 
     fn pa_spec(threads: usize) -> ScenarioSpec {
         let mut spec = ScenarioSpec::sweep(
@@ -1265,7 +1261,7 @@ mod tests {
 
     #[test]
     fn live_scenarios_grow_deterministic_provenance_tagged_snapshots() {
-        use sfo_overlay::sim::LiveConfig;
+        use sfo_overlay::LiveConfig;
         let dir = std::env::temp_dir().join(format!("sfo-runner-live-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("grown.sfos");

@@ -3,7 +3,7 @@
 //! Statistics used to turn raw topology and search measurements into the paper's figures
 //! and tables:
 //!
-//! * `histogram` — linear and logarithmically binned empirical distributions (the degree
+//! * `histogram` — logarithmically binned empirical distributions (the degree
 //!   distributions of Figs. 1-4 are log-binned).
 //! * `powerlaw_fit` — estimation of the degree-distribution exponent `γ`, both by
 //!   least-squares regression on the log-log distribution (what the paper plots in

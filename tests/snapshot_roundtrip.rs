@@ -215,6 +215,83 @@ fn corrupt_snapshot_files_yield_typed_errors_not_panics() {
         Err(SnapshotError::ChecksumMismatch { .. })
     ));
 
+    // Structural faults behind a valid checksum: each edit re-hashes the trailer, so
+    // only the structural checks can refuse the file, each with its exact reason.
+    let layout = section_layout(&path).unwrap();
+    let offsets_at = layout.offsets_bytes.start as usize;
+    let targets_at = layout.targets_bytes.start as usize;
+    let manifest_at = layout.manifest_bytes.clone().unwrap().start as usize;
+    let word = |at: usize| u32::from_le_bytes(pristine[at..at + 4].try_into().unwrap());
+    let row0_len = word(offsets_at + 4) as usize;
+    let row0: Vec<u32> = (0..row0_len).map(|i| word(targets_at + 4 * i)).collect();
+    let absent = (1..600u32).find(|v| !row0.contains(v)).unwrap();
+    let first_record = manifest_at + 24;
+    let (source, target) = (word(first_record), word(first_record + 4));
+    let rows: [(&str, usize, u32, String); 6] = [
+        (
+            "unmirrored entry",
+            targets_at,
+            absent,
+            format!("adjacency is not mirrored: n0 lists n{absent} but not vice versa"),
+        ),
+        (
+            "out-of-range target",
+            targets_at,
+            600,
+            "node 0 lists out-of-range neighbor n600".to_string(),
+        ),
+        (
+            "self-loop",
+            targets_at,
+            0,
+            "node 0 has a self-loop".to_string(),
+        ),
+        (
+            "parallel edge",
+            targets_at,
+            row0[1],
+            "node 0 lists a neighbor twice (parallel edge)".to_string(),
+        ),
+        (
+            "non-monotone offsets",
+            offsets_at + 4,
+            u32::MAX,
+            "offsets are not monotone".to_string(),
+        ),
+        (
+            "lying boundary record",
+            first_record + 8,
+            0,
+            format!(
+                "shard 0 boundary table does not list the cross-shard entry \
+                 n{source}->n{target} its rows produce"
+            ),
+        ),
+    ];
+    for (name, at, value, reason) in rows {
+        let mut bytes = pristine[..pristine.len() - 8].to_vec();
+        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        let checksum = sfoverlay::graph::snapshot::fnv1a64(&bytes);
+        bytes.extend_from_slice(&checksum.to_le_bytes());
+        write(&bytes);
+        let expected = format!("corrupt snapshot: {reason}");
+        assert_eq!(
+            SnapshotFile::load(&path).unwrap_err().to_string(),
+            expected,
+            "{name}"
+        );
+        assert_eq!(
+            SnapshotFile::load_mmap(&path).unwrap_err().to_string(),
+            expected,
+            "{name}"
+        );
+        assert_eq!(
+            ShardedCsr::load(&path).unwrap_err().to_string(),
+            expected,
+            "{name}"
+        );
+    }
+
     // And the pristine bytes still load — the errors above were the file's fault.
     write(&pristine);
     SnapshotFile::load(&path).unwrap();

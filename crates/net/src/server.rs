@@ -676,8 +676,12 @@ fn handle_connection(stream: NetStream, state: &ServerState, conn: u64, peer: &s
     let mut pinned = state.store.read().expect("store lock").clone();
     // Per-connection traversal arena for placed frontiers, reused across requests.
     let mut scratch = SearchScratch::new();
-    let (frames, writer) = match stream.split() {
-        Ok(halves) => halves,
+    // Declared before the outbox, so it drops after the last flush.
+    let (_hang_up, (frames, writer)) = match stream.try_clone().and_then(|handle| {
+        let halves = stream.split()?;
+        Ok((HangUp(handle), halves))
+    }) {
+        Ok(parts) => parts,
         Err(e) => {
             eprintln!("sfo serve: conn#{conn} ({peer}): cannot split the stream: {e}");
             return;
@@ -736,6 +740,8 @@ fn handle_connection(stream: NetStream, state: &ServerState, conn: u64, peer: &s
         let Ok(event) = next_event(&queue, &mut outbox) else {
             return;
         };
+        #[cfg(test)]
+        tests::maybe_panic(peer);
         let began = Instant::now();
         let request = match event {
             ConnEvent::Request(request) => request,
@@ -837,6 +843,17 @@ fn handle_connection(stream: NetStream, state: &ServerState, conn: u64, peer: &s
         if outbox.answer(&reply, began, served).is_err() {
             return;
         }
+    }
+}
+
+/// A connection's socket, shut down both ways when the executor thread leaves
+/// [`handle_connection`] by any path, unwinding included: the reader thread's blocked
+/// read returns and the client sees EOF instead of waiting on a socket nobody serves.
+struct HangUp(NetStream);
+
+impl Drop for HangUp {
+    fn drop(&mut self) {
+        let _ = self.0.shutdown();
     }
 }
 
@@ -1140,6 +1157,41 @@ mod tests {
             panic!("expected a Hello on connect");
         };
         (stream, hello)
+    }
+
+    /// The client address whose next request panics its connection's executor thread,
+    /// outside `catch_unwind`. Each test arms it with its own client's address.
+    static PANIC_PEER: Mutex<Option<String>> = Mutex::new(None);
+
+    pub(super) fn maybe_panic(peer: &str) {
+        let mut armed = PANIC_PEER.lock().unwrap_or_else(|e| e.into_inner());
+        if armed.as_deref() == Some(peer) {
+            *armed = None;
+            drop(armed);
+            panic!("injected executor panic for {peer}");
+        }
+    }
+
+    #[test]
+    fn an_executor_panic_ends_in_eof_at_the_client() {
+        let path = snapshot_fixture("panic");
+        let (handle, _) = serve(&path, None, 1);
+        let (mut stream, _) = connect(handle.addr());
+        let NetStream::Tcp(tcp) = &stream else {
+            panic!("a TCP connection");
+        };
+        tcp.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        *PANIC_PEER.lock().unwrap() = Some(tcp.local_addr().unwrap().to_string());
+        send_message(&mut stream, &Message::StatsRequest).unwrap();
+        let started = Instant::now();
+        let mut byte = [0u8; 1];
+        let read = std::io::Read::read(&mut stream, &mut byte);
+        assert!(
+            matches!(read, Ok(0)),
+            "expected EOF, got {read:?} after {:?}",
+            started.elapsed()
+        );
+        handle.stop();
     }
 
     #[test]

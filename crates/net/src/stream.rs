@@ -87,6 +87,16 @@ impl NetStream {
         }
         .map_err(|e| NetError::io("clone stream", &e))
     }
+
+    /// Shuts the connection down in both directions, for every handle of the socket:
+    /// a read blocked on another handle returns end-of-stream, and the peer sees EOF.
+    pub(crate) fn shutdown(&self) -> std::io::Result<()> {
+        match self {
+            NetStream::Tcp(stream) => stream.shutdown(std::net::Shutdown::Both),
+            #[cfg(unix)]
+            NetStream::Unix(stream) => stream.shutdown(std::net::Shutdown::Both),
+        }
+    }
 }
 
 impl Read for NetStream {

@@ -18,7 +18,7 @@
 //! `ShardedCsr` from any number of worker threads.
 
 use serde::{Deserialize, Serialize};
-use sfo_graph::snapshot::{BoundaryRecord, ShardRecord, SnapshotError, SnapshotFile};
+use sfo_graph::snapshot::{ShardRecord, SnapshotError, SnapshotFile};
 use sfo_graph::{CsrGraph, Graph, GraphView, NodeId};
 use std::path::Path;
 
@@ -175,9 +175,7 @@ impl ShardedCsr {
     pub fn from_csr_owned(csr: CsrGraph, shards: usize) -> Self {
         let node_count = csr.node_count();
         let (offsets, targets) = csr.raw_parts();
-        let shard_count = shards.clamp(1, node_count.max(1));
-        let base = node_count / shard_count;
-        let big_shards = node_count % shard_count;
+        let (shard_count, base, big_shards) = partition(node_count, shards);
 
         let mut built = Vec::with_capacity(shard_count);
         let mut start = 0usize;
@@ -319,41 +317,39 @@ impl ShardedCsr {
         self.csr.degree(node)
     }
 
-    /// The store's partition as the snapshot codec's manifest records.
-    fn manifest_records(&self) -> Vec<ShardRecord> {
-        self.shards
-            .iter()
-            .map(|shard| ShardRecord {
-                start: shard.start as u64,
-                end: shard.end as u64,
-                boundary: shard
-                    .boundary
-                    .edges()
-                    .iter()
-                    .map(|edge| BoundaryRecord {
-                        source: edge.source.as_u32(),
-                        target: edge.target.as_u32(),
-                        target_shard: edge.target_shard as u32,
-                    })
-                    .collect(),
+    /// The shard ranges [`ShardedCsr::from_csr_owned`] cuts `node_count` nodes into,
+    /// as the snapshot codec's manifest records — the partition without its boundary
+    /// tables, which the codec derives from the rows.
+    pub fn manifest(node_count: usize, shards: usize) -> Vec<ShardRecord> {
+        let (shard_count, base, big_shards) = partition(node_count, shards);
+        let mut start = 0u64;
+        (0..shard_count)
+            .map(|s| {
+                let len = (base + usize::from(s < big_shards)) as u64;
+                start += len;
+                ShardRecord {
+                    start: start - len,
+                    end: start,
+                }
             })
             .collect()
     }
 
     /// Packs the store into a [`SnapshotFile`]: the flat CSR arrays plus a shard
-    /// manifest recording every shard's node range and [`BoundaryTable`], with no
-    /// provenance (callers like `sfo snapshot build` attach their own before saving).
+    /// manifest recording every shard's node range (the file's boundary tables are
+    /// derived from them), with no provenance (callers like `sfo snapshot build`
+    /// attach their own before saving).
     pub fn to_snapshot_file(&self) -> SnapshotFile {
         SnapshotFile {
             csr: self.to_csr(),
-            shards: Some(self.manifest_records()),
+            shards: Some(ShardedCsr::manifest(self.node_count(), self.shard_count())),
             provenance: None,
         }
     }
 
     /// Writes the store to `path` in the binary `SFOS` snapshot format: the flat CSR
     /// arrays plus a shard manifest recording every shard's node range and
-    /// [`BoundaryTable`].
+    /// [`BoundaryTable`]. The arrays are written straight from the store.
     ///
     /// A shard host deployment ships exactly what one manifest record describes — the
     /// shard's contiguous [`ShardedCsr::shard_targets`] rows plus its boundary table as
@@ -363,7 +359,8 @@ impl ShardedCsr {
     ///
     /// Returns [`SnapshotError::Io`] when the file cannot be written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        self.to_snapshot_file().save(path)
+        let manifest = ShardedCsr::manifest(self.node_count(), self.shard_count());
+        sfo_graph::snapshot::save(path, &self.csr, Some(&manifest), None)
     }
 
     /// Reads a sharded store back from an `SFOS` snapshot file written by
@@ -400,23 +397,42 @@ impl ShardedCsr {
         Self::from_snapshot_file(SnapshotFile::load_mmap(path)?)
     }
 
-    /// Shared tail of the loaders: require a manifest, rebuild the partition over the
-    /// decoded arrays, and accept only if it matches the stored manifest exactly.
-    fn from_snapshot_file(file: SnapshotFile) -> Result<Self, SnapshotError> {
+    /// Builds the store from a loaded snapshot — the shared tail of the loaders: require
+    /// a manifest whose ranges are exactly the partition [`ShardedCsr::from_csr_owned`]
+    /// cuts, then rebuild the boundary tables over the arrays as it does. (The loader
+    /// has already checked every stored boundary entry against the rows.)
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapshotError::MissingSection`] when the file has no shard manifest
+    /// and [`SnapshotError::Corrupt`] when its ranges are not that partition.
+    pub fn from_snapshot_file(file: SnapshotFile) -> Result<Self, SnapshotError> {
         let Some(stored) = file.shards else {
             return Err(SnapshotError::MissingSection {
                 section: "shard manifest",
             });
         };
-        let rebuilt = ShardedCsr::from_csr_owned(file.csr, stored.len());
-        if rebuilt.manifest_records() != stored {
+        if ShardedCsr::manifest(file.csr.node_count(), stored.len()) != stored {
             return Err(SnapshotError::Corrupt {
                 reason: "shard manifest does not match the partition of the stored topology"
                     .to_string(),
             });
         }
-        Ok(rebuilt)
+        Ok(ShardedCsr::from_csr_owned(file.csr, stored.len()))
     }
+}
+
+/// The canonical partition of `node_count` nodes into `shards` contiguous ranges, as
+/// `(shard_count, base, big_shards)`: the count is clamped to `[1, node_count]` (one
+/// empty shard for an empty graph), the first `big_shards` shards hold `base + 1`
+/// nodes and the rest `base`.
+fn partition(node_count: usize, shards: usize) -> (usize, usize, usize) {
+    let shard_count = shards.clamp(1, node_count.max(1));
+    (
+        shard_count,
+        node_count / shard_count,
+        node_count % shard_count,
+    )
 }
 
 /// O(1) shard lookup: the first `big_shards` shards hold `base + 1` nodes, the rest
@@ -760,27 +776,46 @@ mod tests {
     }
 
     #[test]
-    fn manifests_that_disagree_with_the_topology_are_rejected() {
-        // Write a file whose manifest passes the codec's structural checks but lies
-        // about the partition: empty boundary tables on a topology with cross-shard
-        // edges. The load-time comparison against the recomputed partition catches it.
+    fn manifests_that_disagree_with_the_partition_are_rejected() {
+        // A file whose ranges tile the node ids — so the codec accepts it, boundary
+        // tables and all — but are not the partition this store cuts.
         let g = sample(20);
         let store = ShardedCsr::from_graph(&g, 4);
-        let mut records = store.manifest_records();
-        for record in &mut records {
-            record.boundary.clear();
-        }
+        let mut ranges = ShardedCsr::manifest(20, 4);
+        ranges[0].end -= 1;
+        ranges[1].start -= 1;
         let file = SnapshotFile {
             csr: store.to_csr(),
-            shards: Some(records),
+            shards: Some(ranges),
             provenance: None,
         };
         let path = temp_path("bad-manifest.sfos");
         file.save(&path).unwrap();
-        assert!(matches!(
+        SnapshotFile::load(&path).unwrap();
+        assert_eq!(
             ShardedCsr::load(&path),
-            Err(SnapshotError::Corrupt { .. })
-        ));
+            Err(SnapshotError::Corrupt {
+                reason: "shard manifest does not match the partition of the stored topology"
+                    .to_string()
+            })
+        );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn manifest_ranges_are_the_partition_the_store_cuts() {
+        for (nodes, shards) in [(0usize, 4usize), (1, 8), (23, 7), (30, 4), (9, 1)] {
+            let store = ShardedCsr::from_graph(&Graph::with_nodes(nodes), shards);
+            let ranges: Vec<_> = store
+                .shards()
+                .iter()
+                .map(|s| (s.node_range().start as u64, s.node_range().end as u64))
+                .collect();
+            let manifest: Vec<_> = ShardedCsr::manifest(nodes, shards)
+                .iter()
+                .map(|r| (r.start, r.end))
+                .collect();
+            assert_eq!(manifest, ranges, "{nodes} nodes, {shards} shards");
+        }
     }
 }

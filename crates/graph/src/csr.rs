@@ -199,9 +199,9 @@ impl CsrGraph {
         (self.offsets(), self.targets())
     }
 
-    /// Assembles a snapshot directly from raw arrays the caller has already proven
-    /// consistent. Only the snapshot codec constructs graphs this way, after its full
-    /// structural validation pass; everything else goes through
+    /// Assembles a snapshot directly from raw arrays. Only the snapshot codec constructs
+    /// graphs this way, and it returns one only after its full structural validation
+    /// pass has proven the arrays consistent; everything else goes through
     /// [`CsrGraph::from_neighbor_lists`].
     pub(crate) fn from_raw_parts(offsets: Vec<u32>, targets: Vec<NodeId>) -> Self {
         debug_assert!(!offsets.is_empty());
@@ -244,7 +244,7 @@ impl CsrGraph {
         &self,
         path: impl AsRef<std::path::Path>,
     ) -> Result<(), crate::snapshot::SnapshotError> {
-        crate::snapshot::write_bytes(path.as_ref(), &crate::snapshot::encode(self, None, None))
+        crate::snapshot::save(path, self, None, None)
     }
 
     /// Reads a topology from an `SFOS` snapshot file, verifying its checksum and full

@@ -24,8 +24,8 @@
 //!
 //! Safety caveat shared by every mmap consumer: the mapping is only as immutable as the
 //! file. Snapshots in this workspace are written once by `sfo snapshot build` (or
-//! `save`) and never appended to, and the checksum is verified against the mapping right
-//! after it is established; truncating a snapshot while a process serves it would fault
+//! `save`) and never appended to, and the checksum is verified by reading the same open
+//! file the mapping was made from, right after it is established; truncating a snapshot while a process serves it would fault
 //! that process, exactly as it would any mmap-based store.
 
 #![allow(unsafe_code)]
@@ -33,7 +33,6 @@
 use crate::NodeId;
 use std::ffi::c_void;
 use std::ops::Range;
-use std::path::Path;
 use std::sync::Arc;
 
 /// `PROT_READ` on every unix this workspace targets.
@@ -69,24 +68,23 @@ unsafe impl Send for MappedFile {}
 unsafe impl Sync for MappedFile {}
 
 impl MappedFile {
-    /// Maps `path` read-only in its entirety.
+    /// Maps the open `file` read-only in its entirety.
     ///
     /// # Errors
     ///
-    /// Returns the underlying OS error when the file cannot be opened or mapped. Empty
-    /// files are reported as an error (`mmap` rejects zero-length mappings); callers
-    /// fall back to the read-based loader, which produces the same typed snapshot error
-    /// a zero-length file always produced.
-    pub(crate) fn map(path: &Path) -> std::io::Result<MappedFile> {
+    /// Returns the underlying OS error when the file cannot be mapped. Empty files are
+    /// reported as an error (`mmap` rejects zero-length mappings); callers fall back to
+    /// the read-based loader, which produces the same typed snapshot error a zero-length
+    /// file always produced.
+    pub(crate) fn map(file: &std::fs::File) -> std::io::Result<MappedFile> {
         use std::os::unix::io::AsRawFd;
-        let file = std::fs::File::open(path)?;
         let len = usize::try_from(file.metadata()?.len())
             .map_err(|_| std::io::Error::other("file too large to map"))?;
         if len == 0 {
             return Err(std::io::Error::other("cannot map an empty file"));
         }
-        // SAFETY: a fresh anonymous-address read-only mapping of a file descriptor we
-        // own for the duration of the call; the kernel validates every argument and
+        // SAFETY: a fresh anonymous-address read-only mapping of a file descriptor the
+        // caller keeps open for the duration of the call; the kernel validates every argument and
         // returns MAP_FAILED (-1) on any problem.
         let ptr = unsafe {
             mmap(
@@ -189,6 +187,7 @@ impl MappedCsr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::path::Path;
 
     fn temp_file(name: &str, bytes: &[u8]) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("sfo-mmap-test-{}", std::process::id()));
@@ -198,11 +197,15 @@ mod tests {
         path
     }
 
+    fn map_path(path: &Path) -> std::io::Result<MappedFile> {
+        MappedFile::map(&std::fs::File::open(path)?)
+    }
+
     #[test]
     fn mapping_reads_the_file_back_verbatim() {
         let payload: Vec<u8> = (0..=255u8).cycle().take(10_000).collect();
         let path = temp_file("verbatim.bin", &payload);
-        let mapped = MappedFile::map(&path).unwrap();
+        let mapped = map_path(&path).unwrap();
         assert_eq!(mapped.bytes(), payload.as_slice());
         drop(mapped);
         std::fs::remove_file(&path).unwrap();
@@ -211,9 +214,9 @@ mod tests {
     #[test]
     fn empty_and_missing_files_error_instead_of_mapping() {
         let path = temp_file("empty.bin", b"");
-        assert!(MappedFile::map(&path).is_err());
+        assert!(map_path(&path).is_err());
         std::fs::remove_file(&path).unwrap();
-        assert!(MappedFile::map(Path::new("/definitely/not/a/file")).is_err());
+        assert!(map_path(Path::new("/definitely/not/a/file")).is_err());
     }
 
     #[test]
@@ -226,7 +229,7 @@ mod tests {
             bytes.extend_from_slice(&v.to_le_bytes());
         }
         let path = temp_file("csr.bin", &bytes);
-        let file = Arc::new(MappedFile::map(&path).unwrap());
+        let file = Arc::new(map_path(&path).unwrap());
         let csr = MappedCsr::new(Arc::clone(&file), 0..16, 16..52).unwrap();
         assert_eq!(csr.offsets(), &[0, 2, 5, 9]);
         let targets: Vec<u32> = csr.targets().iter().map(|n| n.as_u32()).collect();
@@ -241,7 +244,7 @@ mod tests {
     #[test]
     fn misaligned_or_out_of_bounds_sections_are_refused() {
         let path = temp_file("misaligned.bin", &[0u8; 64]);
-        let file = Arc::new(MappedFile::map(&path).unwrap());
+        let file = Arc::new(map_path(&path).unwrap());
         // Misaligned start.
         assert!(MappedCsr::new(Arc::clone(&file), 2..10, 12..16).is_none());
         // Length not a multiple of 4.

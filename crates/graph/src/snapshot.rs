@@ -15,16 +15,21 @@
 //!   continues the *identical* RNG discipline as one run against the inline generator.
 //!
 //! The full byte layout is documented in `docs/FORMATS.md` at the workspace root (and
-//! in [`SnapshotFile`]'s docs). Readers are strict: wrong magic, unknown versions or
-//! flags, truncation, trailing bytes, checksum mismatches, and structurally invalid
-//! topologies (non-monotone offsets, out-of-range targets, self-loops, unmirrored
-//! adjacency) all yield a typed [`SnapshotError`] — never a panic, and never a silently
-//! wrong graph.
+//! in [`SnapshotFile`]'s docs). Both directions stream through one fixed-size buffer:
+//! the writer computes each boundary table from the rows and the ranges as it writes
+//! it, and the reader hashes every byte as it arrives, decodes the arrays straight
+//! into the vectors it returns, and checks each stored boundary entry against the same
+//! computation as it streams past — boundary tables are derived data on both sides.
+//! Readers are strict: wrong magic, unknown versions or flags, truncation, trailing
+//! bytes, checksum mismatches, and structurally invalid topologies (non-monotone
+//! offsets, out-of-range targets, self-loops, unmirrored adjacency) all yield a typed
+//! [`SnapshotError`] — never a panic, and never a silently wrong graph.
 
 use crate::{CsrGraph, NodeId};
 use std::error::Error;
 use std::fmt;
-use std::io::Read;
+use std::fs::File;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::ops::Range;
 use std::path::Path;
 
@@ -48,6 +53,16 @@ const KNOWN_FLAGS: u16 = FLAG_SHARD_MANIFEST | FLAG_PROVENANCE | FLAG_ORIGIN;
 const HEADER_LEN: usize = 32;
 /// Size of the trailing checksum.
 const TRAILER_LEN: usize = 8;
+/// Bytes of one stored boundary entry: `source`, `target`, `target_shard`.
+const BOUNDARY_ENTRY_LEN: u64 = 12;
+
+/// Size of the one buffer a snapshot is read or written through.
+const IO_BUFFER_LEN: usize = 64 * 1024;
+/// Incoming entries one block of the mirror check transposes at a time (2 MiB).
+const BLOCK_ENTRIES: usize = 1 << 19;
+
+/// The FNV-1a 64 offset basis.
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// Errors produced while reading or writing a snapshot file.
 ///
@@ -152,7 +167,7 @@ impl Error for SnapshotError {}
 /// non-contiguous sections), so the cross-format "same function, same constants"
 /// guarantee is enforced by sharing code, not by keeping copies in sync.
 pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    fnv1a64_update(0xcbf2_9ce4_8422_2325, bytes)
+    fnv1a64_update(FNV_OFFSET, bytes)
 }
 
 /// Continues an FNV-1a fold from `hash` over `bytes` — `fnv1a64(a ++ b)` equals
@@ -186,26 +201,81 @@ pub struct SnapshotHeader {
     pub has_origin: bool,
 }
 
-/// One directed cross-shard adjacency entry of a stored shard manifest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BoundaryRecord {
-    /// The node inside the shard that owns this record.
-    pub source: u32,
-    /// Its neighbor in another shard.
-    pub target: u32,
-    /// The shard that owns `target`.
-    pub target_shard: u32,
-}
-
-/// One shard of a stored manifest: a contiguous node range plus its boundary table.
+/// One shard of a stored manifest: a contiguous node range.
+///
+/// The file stores each shard's boundary table too — the directed adjacency entries
+/// leaving the range, in frozen adjacency order, each with the shard owning its
+/// target — but the table is derived data: the writer computes it from the rows and
+/// the ranges, and the reader checks every stored entry against the same computation,
+/// so only the range is kept.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardRecord {
     /// First global node id of the shard.
     pub start: u64,
     /// One past the last global node id of the shard.
     pub end: u64,
-    /// The directed adjacency entries leaving the shard, in frozen adjacency order.
-    pub boundary: Vec<BoundaryRecord>,
+}
+
+impl ShardRecord {
+    /// The number of directed adjacency entries of `csr` leaving this shard's range:
+    /// the length of the boundary table stored for it.
+    pub fn boundary_len(&self, csr: &CsrGraph) -> usize {
+        let (offsets, targets) = csr.raw_parts();
+        CrossEntries::new(offsets, targets, self).count()
+    }
+}
+
+/// The entries of a shard's rows whose neighbor lies outside the shard, in frozen
+/// adjacency order: its boundary table without the target shards. A range beyond the
+/// node count is cut at it.
+struct CrossEntries<'a> {
+    offsets: &'a [u32],
+    targets: &'a [NodeId],
+    range: Range<usize>,
+    node: usize,
+    at: usize,
+}
+
+impl<'a> CrossEntries<'a> {
+    fn new(offsets: &'a [u32], targets: &'a [NodeId], shard: &ShardRecord) -> Self {
+        let node_count = offsets.len() - 1;
+        let cut = |id: u64| usize::try_from(id).map_or(node_count, |id| id.min(node_count));
+        let range = cut(shard.start)..cut(shard.end);
+        CrossEntries {
+            offsets,
+            targets,
+            at: offsets[range.start] as usize,
+            node: range.start,
+            range,
+        }
+    }
+}
+
+impl Iterator for CrossEntries<'_> {
+    type Item = (usize, NodeId);
+
+    fn next(&mut self) -> Option<(usize, NodeId)> {
+        while self.node < self.range.end {
+            let row_end = self.offsets[self.node + 1] as usize;
+            while self.at < row_end {
+                let neighbor = self.targets[self.at];
+                self.at += 1;
+                if !self.range.contains(&neighbor.index()) {
+                    return Some((self.node, neighbor));
+                }
+            }
+            self.node += 1;
+        }
+        None
+    }
+}
+
+/// The shard owning `node` when `shards` tile the node ids; the first shard for any
+/// node before the first range.
+fn owner_of(shards: &[ShardRecord], node: NodeId) -> u32 {
+    shards
+        .partition_point(|shard| shard.start <= node.index() as u64)
+        .saturating_sub(1) as u32
 }
 
 /// How a snapshot's topology came to exist: drawn offline by a generator, or frozen
@@ -293,10 +363,13 @@ pub struct Provenance {
 /// `origin: None`, which keeps every pre-origin snapshot loading unchanged.
 /// The shard manifest is `shard_count` records of `start (u64)`, `end (u64)`,
 /// `boundary_len (u64)` and `boundary_len` boundary entries of `source`, `target`,
-/// `target_shard` (each `u32`). Placing provenance *before* the arrays keeps
-/// [`read_meta`] a small prefix read; padding the label keeps the `offsets`/`targets`
-/// sections on 4-byte file offsets, which is what lets the zero-copy mmap loader
-/// ([`SnapshotFile::load_mmap`]) borrow them in place (see `docs/FORMATS.md`).
+/// `target_shard` (each `u32`): the shard's directed entries that leave its range, in
+/// frozen adjacency order. The entries follow from the rows and the ranges, so
+/// [`SnapshotFile::shards`] keeps only the ranges. Placing provenance *before* the
+/// arrays keeps [`read_meta`] a small prefix read; padding the label keeps the
+/// `offsets`/`targets` sections on 4-byte file offsets, which is what lets the
+/// zero-copy mmap loader ([`SnapshotFile::load_mmap`]) borrow them in place (see
+/// `docs/FORMATS.md`).
 ///
 /// # Example
 ///
@@ -322,7 +395,7 @@ pub struct Provenance {
 pub struct SnapshotFile {
     /// The stored topology.
     pub csr: CsrGraph,
-    /// The shard manifest, when the file was written by a sharded store.
+    /// The shard ranges, when the file was written by a sharded store.
     pub shards: Option<Vec<ShardRecord>>,
     /// The provenance record, when the file was written by `sfo snapshot build`.
     pub provenance: Option<Provenance>,
@@ -351,9 +424,18 @@ impl SnapshotFile {
         }
     }
 
-    /// Encodes the snapshot to its on-disk byte representation, including the trailer.
+    /// Encodes the snapshot to its on-disk byte representation, including the trailer:
+    /// exactly the bytes [`SnapshotFile::save`] writes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        encode(&self.csr, self.shards.as_deref(), self.provenance.as_ref())
+        let csr = &self.csr;
+        let estimate = HEADER_LEN + TRAILER_LEN + 4 * (csr.node_count() + 1) + 8 * csr.edge_count();
+        encode(
+            csr,
+            self.shards.as_deref(),
+            self.provenance.as_ref(),
+            Vec::with_capacity(estimate),
+        )
+        .expect("writing to a vector cannot fail")
     }
 
     /// Writes the snapshot to `path`, replacing any existing file.
@@ -362,10 +444,19 @@ impl SnapshotFile {
     ///
     /// Returns [`SnapshotError::Io`] when the file cannot be written.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        write_bytes(path.as_ref(), &self.to_bytes())
+        save(
+            path,
+            &self.csr,
+            self.shards.as_deref(),
+            self.provenance.as_ref(),
+        )
     }
 
     /// Reads and fully validates a snapshot from `path`.
+    ///
+    /// The file is read once, front to back, through one fixed-size buffer: the arrays
+    /// are decoded straight into the vectors the returned graph owns, and nothing else
+    /// of the file is held (see `docs/FORMATS.md`, "Reader guarantees").
     ///
     /// # Errors
     ///
@@ -373,24 +464,29 @@ impl SnapshotFile {
     /// error of [`SnapshotFile::from_bytes`].
     pub fn load(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         let path = path.as_ref();
-        let bytes = std::fs::read(path).map_err(|e| SnapshotError::io(path, &e))?;
-        SnapshotFile::from_bytes(&bytes)
+        let file = File::open(path).map_err(|e| SnapshotError::io(path, &e))?;
+        let len = file
+            .metadata()
+            .map_err(|e| SnapshotError::io(path, &e))?
+            .len();
+        read_snapshot(file, path, len, Arrays::Owned)
     }
 
     /// Like [`SnapshotFile::load`], but borrows the `offsets`/`targets` arrays straight
     /// out of a read-only file mapping instead of copying them into the heap.
     ///
-    /// Verify once, then borrow: the checksum and the full structural validation pass
-    /// run against the mapped bytes exactly as the read-based loader runs them against
-    /// a heap copy, after which the returned [`CsrGraph`] traverses the page cache in
-    /// place ([`CsrGraph::is_mapped`] reports which storage a load produced). The
-    /// fallbacks, in order:
+    /// Verify once, then borrow: the file streams through the same single pass as
+    /// [`SnapshotFile::load`] (checksum, sections, manifest), the structural validation
+    /// runs over the mapped arrays, and the returned [`CsrGraph`] then traverses the
+    /// page cache in place ([`CsrGraph::is_mapped`] reports which storage a load
+    /// produced). Only the array pages of the mapping are ever touched. The fallbacks,
+    /// in order:
     ///
     /// * the mapping cannot be established (unsupported filesystem, empty file, …) —
     ///   retry as [`SnapshotFile::load`], so callers see the reader's usual errors;
     /// * the array sections are not 4-byte-aligned in the file (files written by this
     ///   build always are, via label padding; see `docs/FORMATS.md`) — decode an owned
-    ///   copy from the *same* mapped bytes, no second read of the file.
+    ///   copy in the same pass.
     ///
     /// Decoding errors — bad magic, checksum mismatch, structural corruption — are
     /// never masked by either fallback.
@@ -400,32 +496,15 @@ impl SnapshotFile {
     /// The same errors as [`SnapshotFile::load`].
     #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
     pub fn load_mmap(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
-        use std::sync::Arc;
         let path = path.as_ref();
-        let file = match crate::mmap::MappedFile::map(path) {
-            Ok(file) => Arc::new(file),
+        let file = File::open(path).map_err(|e| SnapshotError::io(path, &e))?;
+        // The pass reads the very file the mapping was made from.
+        let mapping = match crate::mmap::MappedFile::map(&file) {
+            Ok(mapping) => std::sync::Arc::new(mapping),
             Err(_) => return Self::load(path),
         };
-        let bytes = file.bytes();
-        let layout = decode_layout(bytes)?;
-        match crate::mmap::MappedCsr::new(
-            Arc::clone(&file),
-            layout.offsets.clone(),
-            layout.targets.clone(),
-        ) {
-            Some(mapped) => {
-                validate_topology(mapped.offsets(), mapped.targets())?;
-                if let Some(shards) = &layout.shards {
-                    validate_manifest(shards, mapped.offsets(), mapped.targets())?;
-                }
-                Ok(SnapshotFile {
-                    csr: CsrGraph::from_mapped(mapped),
-                    shards: layout.shards,
-                    provenance: layout.provenance,
-                })
-            }
-            None => build_owned(bytes, layout),
-        }
+        let len = mapping.bytes().len() as u64;
+        read_snapshot(file, path, len, Arrays::Mapped(mapping))
     }
 
     /// Read-based stand-in on targets without mmap support: same validation, same
@@ -434,11 +513,44 @@ impl SnapshotFile {
     pub fn load_mmap(path: impl AsRef<Path>) -> Result<Self, SnapshotError> {
         Self::load(path)
     }
+
+    /// Decodes a snapshot from its on-disk byte representation.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapshotError`] on wrong magic, an unsupported version, unknown
+    /// flags, truncation, trailing bytes, a checksum mismatch, or any structural
+    /// inconsistency between the header, the arrays, and the manifest.
+    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
+        read_snapshot(
+            std::io::Cursor::new(bytes),
+            Path::new("<bytes>"),
+            bytes.len() as u64,
+            Arrays::Owned,
+        )
+    }
 }
 
-/// Writes `bytes` to `path`, mapping failures to [`SnapshotError::Io`].
-pub(crate) fn write_bytes(path: &Path, bytes: &[u8]) -> Result<(), SnapshotError> {
-    std::fs::write(path, bytes).map_err(|e| SnapshotError::io(path, &e))
+/// Writes a topology plus optional sections to `path` in the on-disk format, replacing
+/// any existing file — the borrowing core behind [`SnapshotFile::save`],
+/// [`CsrGraph::save`] and the sharded store's `save`. Nothing of the file is held but
+/// one fixed-size buffer; each shard's boundary table is computed from the rows as it
+/// is written.
+///
+/// # Errors
+///
+/// Returns [`SnapshotError::Io`] when the file cannot be written.
+pub fn save(
+    path: impl AsRef<Path>,
+    csr: &CsrGraph,
+    shards: Option<&[ShardRecord]>,
+    provenance: Option<&Provenance>,
+) -> Result<(), SnapshotError> {
+    let path = path.as_ref();
+    File::create(path)
+        .and_then(|file| encode(csr, shards, provenance, file))
+        .map(drop)
+        .map_err(|e| SnapshotError::io(path, &e))
 }
 
 /// Number of zero bytes written after a provenance label so the section that follows
@@ -447,15 +559,58 @@ fn label_pad(label_len: usize) -> usize {
     (4 - label_len % 4) % 4
 }
 
-/// Encodes a topology plus optional sections to the on-disk byte representation —
-/// the borrowing core behind [`SnapshotFile::to_bytes`] and [`CsrGraph::save`].
-pub fn encode(
+/// The snapshot writer: every byte passes through one fixed-size buffer and into the
+/// checksum on its way to `out`.
+struct Encoder<W> {
+    out: W,
+    buf: Vec<u8>,
+    hash: u64,
+}
+
+impl<W: Write> Encoder<W> {
+    fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        if self.buf.len() + bytes.len() > IO_BUFFER_LEN {
+            self.flush()?;
+            if bytes.len() > IO_BUFFER_LEN {
+                self.hash = fnv1a64_update(self.hash, bytes);
+                return self.out.write_all(bytes);
+            }
+        }
+        self.buf.extend_from_slice(bytes);
+        Ok(())
+    }
+
+    fn u32(&mut self, value: u32) -> std::io::Result<()> {
+        self.put(&value.to_le_bytes())
+    }
+
+    fn u64(&mut self, value: u64) -> std::io::Result<()> {
+        self.put(&value.to_le_bytes())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.hash = fnv1a64_update(self.hash, &self.buf);
+        self.out.write_all(&self.buf)?;
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Writes what is buffered, then the checksum trailer.
+    fn finish(mut self) -> std::io::Result<W> {
+        self.flush()?;
+        self.out.write_all(&self.hash.to_le_bytes())?;
+        Ok(self.out)
+    }
+}
+
+/// Encodes a topology plus optional sections to `out` in the on-disk format: the one
+/// encoder behind [`SnapshotFile::to_bytes`] and [`save`].
+fn encode<W: Write>(
     csr: &CsrGraph,
     shards: Option<&[ShardRecord]>,
     provenance: Option<&Provenance>,
-) -> Vec<u8> {
-    let node_count = csr.node_count();
-    let edge_count = csr.edge_count();
+    out: W,
+) -> std::io::Result<W> {
     let mut flags = 0u16;
     if shards.is_some() {
         flags |= FLAG_SHARD_MANIFEST;
@@ -467,127 +622,368 @@ pub fn encode(
         flags |= FLAG_ORIGIN;
     }
 
-    let mut out =
-        Vec::with_capacity(HEADER_LEN + TRAILER_LEN + 4 * (node_count + 1) + 8 * edge_count + 256);
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&flags.to_le_bytes());
-    out.extend_from_slice(&(node_count as u64).to_le_bytes());
-    out.extend_from_slice(&(edge_count as u64).to_le_bytes());
-    let shard_count = shards.map_or(0u32, |s| s.len() as u32);
-    out.extend_from_slice(&shard_count.to_le_bytes());
-    out.extend_from_slice(&0u32.to_le_bytes());
+    let mut out = Encoder {
+        out,
+        buf: Vec::with_capacity(IO_BUFFER_LEN),
+        hash: FNV_OFFSET,
+    };
+    out.put(&SNAPSHOT_MAGIC)?;
+    out.put(&SNAPSHOT_VERSION.to_le_bytes())?;
+    out.put(&flags.to_le_bytes())?;
+    out.u64(csr.node_count() as u64)?;
+    out.u64(csr.edge_count() as u64)?;
+    out.u32(shards.map_or(0u32, |s| s.len() as u32))?;
+    out.u32(0)?;
 
     if let Some(provenance) = provenance {
         let label = provenance.label.as_bytes();
-        out.extend_from_slice(&(label.len() as u32).to_le_bytes());
-        out.extend_from_slice(label);
+        out.u32(label.len() as u32)?;
+        out.put(label)?;
         // Zero-pad the label so the offsets/targets arrays that follow start on a
         // 4-byte file offset — the precondition for borrowing them out of a mapping.
-        out.extend_from_slice(&[0u8; 3][..label_pad(label.len())]);
-        out.extend_from_slice(&provenance.m.to_le_bytes());
-        out.extend_from_slice(&provenance.cutoff.unwrap_or(u64::MAX).to_le_bytes());
-        out.extend_from_slice(&provenance.seed.to_le_bytes());
-        out.extend_from_slice(&provenance.realization.to_le_bytes());
-        out.extend_from_slice(&provenance.sweep_seed.to_le_bytes());
+        out.put(&[0u8; 3][..label_pad(label.len())])?;
+        out.u64(provenance.m)?;
+        out.u64(provenance.cutoff.unwrap_or(u64::MAX))?;
+        out.u64(provenance.seed)?;
+        out.u64(provenance.realization)?;
+        out.u64(provenance.sweep_seed)?;
         if let Some(origin) = &provenance.origin {
             let (kind, params) = match origin {
                 SnapshotOrigin::Generator => (0u32, ""),
                 SnapshotOrigin::LiveOverlay { params } => (1u32, params.as_str()),
             };
             let params = params.as_bytes();
-            out.extend_from_slice(&kind.to_le_bytes());
-            out.extend_from_slice(&(params.len() as u32).to_le_bytes());
-            out.extend_from_slice(params);
+            out.u32(kind)?;
+            out.u32(params.len() as u32)?;
+            out.put(params)?;
             // The origin tail is padded like the label, so the arrays stay 4-aligned.
-            out.extend_from_slice(&[0u8; 3][..label_pad(params.len())]);
+            out.put(&[0u8; 3][..label_pad(params.len())])?;
         }
     }
 
     let (offsets, targets) = csr.raw_parts();
     for &offset in offsets {
-        out.extend_from_slice(&offset.to_le_bytes());
+        out.u32(offset)?;
     }
     for &target in targets {
-        out.extend_from_slice(&target.as_u32().to_le_bytes());
+        out.u32(target.as_u32())?;
     }
 
     if let Some(shards) = shards {
         for shard in shards {
-            out.extend_from_slice(&shard.start.to_le_bytes());
-            out.extend_from_slice(&shard.end.to_le_bytes());
-            out.extend_from_slice(&(shard.boundary.len() as u64).to_le_bytes());
-            for edge in &shard.boundary {
-                out.extend_from_slice(&edge.source.to_le_bytes());
-                out.extend_from_slice(&edge.target.to_le_bytes());
-                out.extend_from_slice(&edge.target_shard.to_le_bytes());
+            out.u64(shard.start)?;
+            out.u64(shard.end)?;
+            out.u64(CrossEntries::new(offsets, targets, shard).count() as u64)?;
+            for (source, target) in CrossEntries::new(offsets, targets, shard) {
+                out.u32(source as u32)?;
+                out.u32(target.as_u32())?;
+                out.u32(owner_of(shards, target))?;
             }
         }
     }
-
-    let checksum = fnv1a64(&out);
-    out.extend_from_slice(&checksum.to_le_bytes());
-    out
+    out.finish()
 }
 
-impl SnapshotFile {
-    /// Decodes a snapshot from its on-disk byte representation.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapshotError`] on wrong magic, an unsupported version, unknown
-    /// flags, truncation, trailing bytes, a checksum mismatch, or any structural
-    /// inconsistency between the header, the arrays, and the manifest.
-    pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
-        let layout = decode_layout(bytes)?;
-        build_owned(bytes, layout)
+/// Where a load puts the `offsets`/`targets` arrays.
+enum Arrays {
+    /// Decoded into owned vectors as they stream past.
+    Owned,
+    /// Borrowed from a read-only mapping of the file being read, when the sections are
+    /// 4-byte aligned in it; decoded as [`Arrays::Owned`] otherwise.
+    #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+    Mapped(std::sync::Arc<crate::mmap::MappedFile>),
+}
+
+/// A section of an `SFOS` file read front to back through one fixed-size buffer.
+///
+/// Every byte is folded into the checksum as it is pulled from the source, so the file
+/// is never held whole. Lengths read from the file are checked against the bytes left
+/// before anything is sized by them.
+struct Reader<'p, R> {
+    source: R,
+    /// The file, for I/O errors.
+    path: &'p Path,
+    buf: Vec<u8>,
+    /// The bytes read but not consumed are `buf[pos..filled]`.
+    pos: usize,
+    filled: usize,
+    /// Bytes of the section not yet pulled from the source.
+    unread: u64,
+    /// Length of the section.
+    len: u64,
+    hash: u64,
+}
+
+impl<'p, R: Read> Reader<'p, R> {
+    fn new(source: R, path: &'p Path, len: u64) -> Self {
+        Reader {
+            source,
+            path,
+            buf: vec![0; usize::try_from(len).map_or(IO_BUFFER_LEN, |len| len.min(IO_BUFFER_LEN))],
+            pos: 0,
+            filled: 0,
+            unread: len,
+            len,
+            hash: FNV_OFFSET,
+        }
+    }
+
+    fn io(&self, error: &std::io::Error) -> SnapshotError {
+        SnapshotError::io(self.path, error)
+    }
+
+    /// Bytes of the section not yet consumed.
+    fn remaining(&self) -> u64 {
+        (self.filled - self.pos) as u64 + self.unread
+    }
+
+    /// Bytes of the section consumed so far.
+    fn position(&self) -> u64 {
+        self.len - self.remaining()
+    }
+
+    /// Makes at least `want` bytes (at most the buffer, at most what remains) ready.
+    fn fill(&mut self, want: usize) -> Result<(), SnapshotError> {
+        if self.filled - self.pos >= want {
+            return Ok(());
+        }
+        self.buf.copy_within(self.pos..self.filled, 0);
+        self.filled -= self.pos;
+        self.pos = 0;
+        let more = usize::try_from(self.unread)
+            .map_or(self.buf.len(), |unread| unread)
+            .min(self.buf.len() - self.filled);
+        let fresh = &mut self.buf[self.filled..self.filled + more];
+        if let Err(e) = self.source.read_exact(fresh) {
+            return Err(self.io(&e));
+        }
+        self.hash = fnv1a64_update(self.hash, fresh);
+        self.filled += more;
+        self.unread -= more as u64;
+        Ok(())
+    }
+
+    fn array<const N: usize>(&mut self, section: &'static str) -> Result<[u8; N], SnapshotError> {
+        if N as u64 > self.remaining() {
+            return Err(SnapshotError::Truncated { section });
+        }
+        self.fill(N)?;
+        let bytes = self.buf[self.pos..self.pos + N]
+            .try_into()
+            .expect("N bytes are ready");
+        self.pos += N;
+        Ok(bytes)
+    }
+
+    fn u32(&mut self, section: &'static str) -> Result<u32, SnapshotError> {
+        self.array(section).map(u32::from_le_bytes)
+    }
+
+    fn u64(&mut self, section: &'static str) -> Result<u64, SnapshotError> {
+        self.array(section).map(u64::from_le_bytes)
+    }
+
+    /// Reads `len` bytes of a variable-length field.
+    fn bytes(&mut self, len: usize, section: &'static str) -> Result<Vec<u8>, SnapshotError> {
+        if len as u64 > self.remaining() {
+            return Err(SnapshotError::Truncated { section });
+        }
+        let mut out = Vec::with_capacity(len);
+        while out.len() < len {
+            self.fill(1)?;
+            let n = (self.filled - self.pos).min(len - out.len());
+            out.extend_from_slice(&self.buf[self.pos..self.pos + n]);
+            self.pos += n;
+        }
+        Ok(out)
+    }
+
+    /// Streams `count` little-endian `u32` words to `each`. The caller has checked that
+    /// the section holds them.
+    fn words(&mut self, count: usize, mut each: impl FnMut(u32)) -> Result<(), SnapshotError> {
+        let mut left = count;
+        while left > 0 {
+            self.fill(4)?;
+            let n = ((self.filled - self.pos) / 4).min(left);
+            for word in self.buf[self.pos..self.pos + 4 * n].chunks_exact(4) {
+                each(u32::from_le_bytes(word.try_into().expect("4 bytes")));
+            }
+            self.pos += 4 * n;
+            left -= n;
+        }
+        Ok(())
+    }
+
+    /// Consumes (and hashes) `len` bytes without decoding them.
+    fn skip(&mut self, len: u64) -> Result<(), SnapshotError> {
+        let mut left = len;
+        while left > 0 {
+            self.fill(1)?;
+            let n = ((self.filled - self.pos) as u64).min(left);
+            self.pos += n as usize;
+            left -= n;
+        }
+        Ok(())
+    }
+
+    /// Consumes the rest of the body and checks the trailer that follows it.
+    fn verify(&mut self) -> Result<(), SnapshotError> {
+        self.skip(self.remaining())?;
+        let mut trailer = [0u8; TRAILER_LEN];
+        if let Err(e) = self.source.read_exact(&mut trailer) {
+            return Err(self.io(&e));
+        }
+        let stored = u64::from_le_bytes(trailer);
+        if stored != self.hash {
+            return Err(SnapshotError::ChecksumMismatch {
+                stored,
+                computed: self.hash,
+            });
+        }
+        Ok(())
+    }
+
+    /// A UTF-8 text field followed by zero padding to a 4-byte boundary.
+    fn padded_text(
+        &mut self,
+        len: usize,
+        section: &'static str,
+        [not_utf8, dirty_pad]: [&str; 2],
+    ) -> Result<String, SnapshotError> {
+        let text = String::from_utf8(self.bytes(len, section)?)
+            .map_err(|_| SnapshotError::corrupt(not_utf8))?;
+        if self.bytes(label_pad(len), section)?.iter().any(|&b| b != 0) {
+            return Err(SnapshotError::corrupt(dirty_pad));
+        }
+        Ok(text)
+    }
+
+    fn provenance(&mut self, with_origin: bool) -> Result<Provenance, SnapshotError> {
+        let label_len = self.u32("provenance")? as usize;
+        let label = self.padded_text(
+            label_len,
+            "provenance",
+            [
+                "provenance label is not valid UTF-8",
+                "provenance label padding is not zero",
+            ],
+        )?;
+        let m = self.u64("provenance")?;
+        let cutoff = match self.u64("provenance")? {
+            u64::MAX => None,
+            value => Some(value),
+        };
+        let mut provenance = Provenance {
+            label,
+            m,
+            cutoff,
+            seed: self.u64("provenance")?,
+            realization: self.u64("provenance")?,
+            sweep_seed: self.u64("provenance")?,
+            origin: None,
+        };
+        if with_origin {
+            provenance.origin = Some(self.origin()?);
+        }
+        Ok(provenance)
+    }
+
+    fn origin(&mut self) -> Result<SnapshotOrigin, SnapshotError> {
+        let kind = self.u32("origin")?;
+        let params_len = self.u32("origin")? as usize;
+        let params = self.padded_text(
+            params_len,
+            "origin",
+            [
+                "origin params are not valid UTF-8",
+                "origin params padding is not zero",
+            ],
+        )?;
+        match kind {
+            0 if params.is_empty() => Ok(SnapshotOrigin::Generator),
+            0 => Err(SnapshotError::corrupt(
+                "generator origin carries protocol params",
+            )),
+            1 => Ok(SnapshotOrigin::LiveOverlay { params }),
+            other => Err(SnapshotError::corrupt(format!(
+                "unknown origin kind {other}"
+            ))),
+        }
+    }
+
+    fn into_source(self) -> R {
+        self.source
     }
 }
 
-/// The fully-verified shape of a snapshot body, before the arrays are materialized.
+/// The one loader: a single front-to-back pass over a `len`-byte source.
 ///
-/// [`decode_layout`] is the single parse both loaders share; it records *where* the
-/// `offsets`/`targets` sections live rather than copying them, so
-/// [`SnapshotFile::from_bytes`] can collect them into owned vectors while the mmap
-/// loader borrows the same ranges in place.
-struct DecodedLayout {
-    provenance: Option<Provenance>,
-    /// Absolute byte range of the `offsets` section within the input bytes.
-    offsets: Range<usize>,
-    /// Absolute byte range of the `targets` section within the input bytes.
-    targets: Range<usize>,
-    shards: Option<Vec<ShardRecord>>,
-}
-
-/// Verifies the checksum and decodes everything except the arrays themselves: header,
-/// provenance, array section bounds, shard manifest, and the no-trailing-bytes
-/// invariant. The topology/manifest *content* validation runs in the caller once the
-/// arrays are materialized (owned) or borrowed (mapped).
-fn decode_layout(bytes: &[u8]) -> Result<DecodedLayout, SnapshotError> {
-    let header = decode_header(bytes)?;
-    if bytes.len() < HEADER_LEN + TRAILER_LEN {
-        // decode_header only needs the fixed prefix; a file cut between the header
-        // and the trailer still has to be rejected before the checksum is "read".
+/// Verdicts come in a fixed order, whatever order the pass meets them in: header
+/// errors, then the checksum, then the sections' decoding errors in file order, then
+/// the topology, then the manifest's ranges, then its boundary entries. A structural
+/// fault found mid-pass is held until the trailer has been checked.
+fn read_snapshot<R: Read + Seek>(
+    source: R,
+    path: &Path,
+    len: u64,
+    arrays: Arrays,
+) -> Result<SnapshotFile, SnapshotError> {
+    if len < (HEADER_LEN + TRAILER_LEN) as u64 {
+        // Too short for a header and a trailer: the header decides what to report.
+        let mut prefix = Vec::with_capacity(HEADER_LEN);
+        source
+            .take(HEADER_LEN as u64)
+            .read_to_end(&mut prefix)
+            .map_err(|e| SnapshotError::io(path, &e))?;
+        decode_header(&prefix)?;
         return Err(SnapshotError::Truncated { section: "trailer" });
     }
-    let body = &bytes[..bytes.len() - TRAILER_LEN];
-    let stored = u64::from_le_bytes(
-        bytes[bytes.len() - TRAILER_LEN..]
-            .try_into()
-            .expect("trailer is 8 bytes"),
-    );
-    let computed = fnv1a64(body);
-    if stored != computed {
-        return Err(SnapshotError::ChecksumMismatch { stored, computed });
+    let mut reader = Reader::new(source, path, len - TRAILER_LEN as u64);
+    let header = decode_header(&reader.array::<HEADER_LEN>("header")?)?;
+    let body = match read_body(&mut reader, &header, arrays) {
+        Err(error @ SnapshotError::Io { .. }) => return Err(error),
+        body => body,
+    };
+    reader.verify()?;
+    let body = body?;
+    if let (Some(manifest_at), Some(shards)) = (body.mismatch_at, &body.shards) {
+        // The stored entries disagree with the rows somewhere: read the manifest again,
+        // now that every range is known, to name the first disagreement.
+        let mut source = reader.into_source();
+        source
+            .seek(SeekFrom::Start(manifest_at))
+            .map_err(|e| SnapshotError::io(path, &e))?;
+        let manifest_len = len - TRAILER_LEN as u64 - manifest_at;
+        let mut manifest = Reader::new(source, path, manifest_len);
+        first_boundary_mismatch(&mut manifest, shards, &body.csr)?;
     }
+    Ok(SnapshotFile {
+        csr: body.csr,
+        shards: body.shards,
+        provenance: body.provenance,
+    })
+}
 
-    let mut cursor = Cursor::new(&body[HEADER_LEN..]);
+/// A decoded body whose checksum has not been checked yet.
+struct Body {
+    provenance: Option<Provenance>,
+    csr: CsrGraph,
+    shards: Option<Vec<ShardRecord>>,
+    /// File offset of the manifest when a stored boundary entry disagrees with the rows.
+    mismatch_at: Option<u64>,
+}
+
+/// Everything after the header: sections in file order, then the held verdicts.
+fn read_body<R: Read>(
+    reader: &mut Reader<'_, R>,
+    header: &SnapshotHeader,
+    arrays: Arrays,
+) -> Result<Body, SnapshotError> {
     let provenance = if header.has_provenance {
-        Some(cursor.provenance(header.has_origin)?)
+        Some(reader.provenance(header.has_origin)?)
     } else {
         None
     };
-
     let node_count = usize::try_from(header.node_count)
         .ok()
         .filter(|&n| n < u32::MAX as usize)
@@ -599,97 +995,241 @@ fn decode_layout(bytes: &[u8]) -> Result<DecodedLayout, SnapshotError> {
         .filter(|&n| n <= u32::MAX as usize)
         .ok_or_else(|| SnapshotError::corrupt("edge count exceeds the u32 index space"))?;
 
-    // The array sections are bounds-checked as whole byte ranges, never element-wise:
-    // `take` proves the body holds them before anything downstream allocates, so the
-    // untrusted header counts can never size an allocation the file cannot back.
-    let array_len = |elements: usize, section: &'static str| {
-        elements
-            .checked_mul(4)
-            .ok_or(SnapshotError::Truncated { section })
+    // The array sections are bounds-checked as whole byte ranges before anything is
+    // allocated, so the untrusted header counts can never size an allocation the file
+    // cannot back.
+    let offsets_at = reader.position();
+    let offsets_len = 4 * (node_count as u64 + 1);
+    if offsets_len > reader.remaining() {
+        return Err(SnapshotError::Truncated { section: "offsets" });
+    }
+    let targets_len = 4 * entry_count as u64;
+    if offsets_len + targets_len > reader.remaining() {
+        return Err(SnapshotError::Truncated { section: "targets" });
+    }
+    let csr = match arrays {
+        #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
+        Arrays::Mapped(mapping) => {
+            let at = |start: u64, len: u64| start as usize..(start + len) as usize;
+            match crate::mmap::MappedCsr::new(
+                mapping,
+                at(offsets_at, offsets_len),
+                at(offsets_at + offsets_len, targets_len),
+            ) {
+                Some(mapped) => {
+                    reader.skip(offsets_len + targets_len)?;
+                    CsrGraph::from_mapped(mapped)
+                }
+                None => read_arrays(reader, node_count, entry_count)?,
+            }
+        }
+        Arrays::Owned => read_arrays(reader, node_count, entry_count)?,
     };
-    let offsets_len = array_len(node_count + 1, "offsets")?;
-    let offsets_start = HEADER_LEN + cursor.position();
-    cursor.take(offsets_len, "offsets")?;
-    let targets_len = array_len(entry_count, "targets")?;
-    let targets_start = HEADER_LEN + cursor.position();
-    cursor.take(targets_len, "targets")?;
+    let (offsets, targets) = csr.raw_parts();
+    let topology = validate_topology(offsets, targets);
 
+    let manifest_at = reader.position();
     let shards = if header.has_shard_manifest {
-        // Every record is at least 24 bytes, so a shard count the remaining bytes
-        // cannot possibly hold is rejected *before* sizing any allocation by it —
-        // lengths read from the file are untrusted until proven affordable.
-        if header.shard_count as u64 > (cursor.remaining() / 24) as u64 {
+        let rows = topology.is_ok().then_some((offsets, targets));
+        Some(read_manifest(
+            reader,
+            header.shard_count,
+            entry_count,
+            node_count,
+            rows,
+        )?)
+    } else {
+        None
+    };
+    if reader.remaining() != 0 {
+        return Err(SnapshotError::corrupt(format!(
+            "{} undeclared bytes between the last section and the trailer",
+            reader.remaining()
+        )));
+    }
+    topology?;
+    let (shards, mismatch_at) = match shards {
+        Some((_, Verdict::Corrupt(error))) => return Err(error),
+        Some((shards, Verdict::Mismatch)) => (Some(shards), Some(manifest_at)),
+        Some((shards, Verdict::Matches)) => (Some(shards), None),
+        None => (None, None),
+    };
+    Ok(Body {
+        provenance,
+        csr,
+        shards,
+        mismatch_at,
+    })
+}
+
+/// Decodes the two arrays into the vectors the loaded graph owns.
+fn read_arrays<R: Read>(
+    reader: &mut Reader<'_, R>,
+    node_count: usize,
+    entry_count: usize,
+) -> Result<CsrGraph, SnapshotError> {
+    let mut offsets = Vec::with_capacity(node_count + 1);
+    reader.words(node_count + 1, |word| offsets.push(word))?;
+    let mut targets = Vec::with_capacity(entry_count);
+    reader.words(entry_count, |word| targets.push(NodeId::from(word)))?;
+    Ok(CsrGraph::from_raw_parts(offsets, targets))
+}
+
+/// What the stored manifest says about the topology, judged after every decoding check.
+enum Verdict {
+    Matches,
+    /// A range does not tile the node ids, or the ranges do not cover them.
+    Corrupt(SnapshotError),
+    /// Some stored boundary entry is not the one the rows produce.
+    Mismatch,
+}
+
+/// Reads the shard manifest, checking each boundary entry against the rows as it
+/// streams past.
+///
+/// Decoding errors return at once. The verdict on the content comes second, in the
+/// order a reader holding the whole manifest would give it: the first range that does
+/// not tile, then coverage, then the boundary entries. `rows` is `None` when the
+/// topology failed validation, which outranks anything the manifest says.
+///
+/// An entry's target shard may lie beyond the shard being read, whose range is not
+/// known yet; those claims are kept as the least and greatest target claimed for each
+/// shard and checked when its range arrives. That answers whether some entry
+/// disagrees, not which one comes first: the caller reads the manifest again for that.
+fn read_manifest<R: Read>(
+    reader: &mut Reader<'_, R>,
+    shard_count: u32,
+    entry_count: usize,
+    node_count: usize,
+    rows: Option<(&[u32], &[NodeId])>,
+) -> Result<(Vec<ShardRecord>, Verdict), SnapshotError> {
+    // Every record is at least 24 bytes, so a shard count the remaining bytes cannot
+    // possibly hold is rejected before sizing any allocation by it.
+    if u64::from(shard_count) > reader.remaining() / 24 {
+        return Err(SnapshotError::Truncated {
+            section: "shard manifest",
+        });
+    }
+    let shard_count = shard_count as usize;
+    let mut shards: Vec<ShardRecord> = Vec::with_capacity(shard_count);
+    // Per target shard: the least and greatest target an earlier shard says it owns.
+    let mut claims = vec![(u32::MAX, 0u32); shard_count];
+    let mut tiling: Option<SnapshotError> = None;
+    let mut mismatch = false;
+    let mut next_start = 0u64;
+    for s in 0..shard_count {
+        let start = reader.u64("shard manifest")?;
+        let end = reader.u64("shard manifest")?;
+        let boundary_len = usize::try_from(reader.u64("shard manifest")?)
+            .ok()
+            .filter(|&n| n <= entry_count)
+            .ok_or_else(|| {
+                SnapshotError::corrupt("shard boundary table longer than the adjacency itself")
+            })?;
+        if boundary_len as u64 * BOUNDARY_ENTRY_LEN > reader.remaining() {
             return Err(SnapshotError::Truncated {
                 section: "shard manifest",
             });
         }
-        let mut shards = Vec::with_capacity(header.shard_count as usize);
-        for _ in 0..header.shard_count {
-            let start = cursor.u64("shard manifest")?;
-            let end = cursor.u64("shard manifest")?;
-            let boundary_len = cursor.u64("shard manifest")?;
-            let boundary_len = usize::try_from(boundary_len)
-                .ok()
-                .filter(|&n| n <= entry_count)
-                .ok_or_else(|| {
-                    SnapshotError::corrupt("shard boundary table longer than the adjacency itself")
-                })?;
-            let mut boundary = Vec::with_capacity(boundary_len);
-            for _ in 0..boundary_len {
-                boundary.push(BoundaryRecord {
-                    source: cursor.u32("shard manifest")?,
-                    target: cursor.u32("shard manifest")?,
-                    target_shard: cursor.u32("shard manifest")?,
-                });
-            }
-            shards.push(ShardRecord {
-                start,
-                end,
-                boundary,
-            });
+        if tiling.is_none() && (start != next_start || end < start) {
+            tiling = Some(SnapshotError::corrupt(format!(
+                "shard {s} range [{start}, {end}) does not tile the node ids contiguously"
+            )));
         }
-        Some(shards)
-    } else {
-        None
-    };
-
-    if !cursor.is_empty() {
-        return Err(SnapshotError::corrupt(format!(
-            "{} undeclared bytes between the last section and the trailer",
-            cursor.remaining()
-        )));
+        next_start = end;
+        let shard = ShardRecord { start, end };
+        let (least, greatest) = claims[s];
+        if least <= greatest && (u64::from(least) < start || u64::from(greatest) >= end) {
+            mismatch = true;
+        }
+        let mut expected = rows
+            .filter(|_| tiling.is_none() && !mismatch && end <= node_count as u64)
+            .map(|(offsets, targets)| CrossEntries::new(offsets, targets, &shard));
+        let mut entry = [0u32; 3];
+        let mut filled = 0;
+        reader.words(3 * boundary_len, |word| {
+            entry[filled] = word;
+            filled = (filled + 1) % 3;
+            if filled != 0 || mismatch {
+                return;
+            }
+            let Some(expected) = expected.as_mut() else {
+                return;
+            };
+            let [source, target, target_shard] = entry;
+            mismatch = match expected.next() {
+                Some((node, neighbor)) if node as u32 == source && neighbor.as_u32() == target => {
+                    if (neighbor.index() as u64) < start {
+                        target_shard != owner_of(&shards, neighbor)
+                    } else if (s + 1..shard_count).contains(&(target_shard as usize)) {
+                        let claim = &mut claims[target_shard as usize];
+                        *claim = (claim.0.min(target), claim.1.max(target));
+                        false
+                    } else {
+                        true
+                    }
+                }
+                _ => true,
+            };
+        })?;
+        if !mismatch && expected.is_some_and(|mut rest| rest.next().is_some()) {
+            mismatch = true;
+        }
+        shards.push(shard);
     }
-
-    Ok(DecodedLayout {
-        provenance,
-        offsets: offsets_start..offsets_start + offsets_len,
-        targets: targets_start..targets_start + targets_len,
-        shards,
-    })
+    let verdict = match tiling {
+        Some(error) => Verdict::Corrupt(error),
+        None if next_start != node_count as u64 => Verdict::Corrupt(SnapshotError::corrupt(
+            "shard ranges do not cover every node",
+        )),
+        None if mismatch => Verdict::Mismatch,
+        None => Verdict::Matches,
+    };
+    Ok((shards, verdict))
 }
 
-/// Materializes a verified layout into an owned snapshot: collect the arrays from
-/// contiguous chunks, the cheapest copy out of the byte buffer (the snapshot_io bench
-/// times loads against regenerating capped PA), then run the full structural
-/// validation over them.
-fn build_owned(bytes: &[u8], layout: DecodedLayout) -> Result<SnapshotFile, SnapshotError> {
-    let offsets: Vec<u32> = bytes[layout.offsets.clone()]
-        .chunks_exact(4)
-        .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-        .collect();
-    let targets: Vec<NodeId> = bytes[layout.targets.clone()]
-        .chunks_exact(4)
-        .map(|c| NodeId::from(u32::from_le_bytes(c.try_into().expect("4 bytes"))))
-        .collect();
-    validate_topology(&offsets, &targets)?;
-    if let Some(shards) = &layout.shards {
-        validate_manifest(shards, &offsets, &targets)?;
+/// Reads the boundary entries of a manifest whose ranges tile a valid topology and
+/// reports the first that differs from what the rows produce.
+fn first_boundary_mismatch<R: Read>(
+    reader: &mut Reader<'_, R>,
+    shards: &[ShardRecord],
+    csr: &CsrGraph,
+) -> Result<(), SnapshotError> {
+    let (offsets, targets) = csr.raw_parts();
+    for (s, shard) in shards.iter().enumerate() {
+        reader.skip(16)?;
+        let boundary_len = reader.u64("shard manifest")?;
+        let mut expected = CrossEntries::new(offsets, targets, shard)
+            .map(|(node, neighbor)| (node, neighbor, owner_of(shards, neighbor)));
+        let unlisted = |(node, neighbor, _): (usize, NodeId, u32)| {
+            SnapshotError::corrupt(format!(
+                "shard {s} boundary table does not list the cross-shard entry \
+                 n{node}->{neighbor} its rows produce"
+            ))
+        };
+        for _ in 0..boundary_len {
+            let stored = (
+                reader.u32("shard manifest")?,
+                reader.u32("shard manifest")?,
+                reader.u32("shard manifest")?,
+            );
+            match expected.next() {
+                None => {
+                    return Err(SnapshotError::corrupt(format!(
+                        "shard {s} boundary table lists entries its rows do not produce"
+                    )))
+                }
+                Some(entry) if (entry.0 as u32, entry.1.as_u32(), entry.2) != stored => {
+                    return Err(unlisted(entry))
+                }
+                Some(_) => {}
+            }
+        }
+        if let Some(entry) = expected.next() {
+            return Err(unlisted(entry));
+        }
     }
-    Ok(SnapshotFile {
-        csr: CsrGraph::from_raw_parts(offsets, targets),
-        shards: layout.shards,
-        provenance: layout.provenance,
-    })
+    Ok(())
 }
 
 /// Reads only the header and (if present) provenance of a snapshot file — a small
@@ -707,58 +1247,21 @@ pub fn read_meta(
     path: impl AsRef<Path>,
 ) -> Result<(SnapshotHeader, Option<Provenance>), SnapshotError> {
     let path = path.as_ref();
-    let mut file = std::fs::File::open(path).map_err(|e| SnapshotError::io(path, &e))?;
-    let mut header_bytes = [0u8; HEADER_LEN];
-    file.read_exact(&mut header_bytes)
-        .map_err(|_| SnapshotError::Truncated { section: "header" })?;
-    let header = decode_header(&header_bytes)?;
-    if !header.has_provenance {
-        return Ok((header, None));
-    }
-    let mut len_bytes = [0u8; 4];
-    file.read_exact(&mut len_bytes)
-        .map_err(|_| SnapshotError::Truncated {
-            section: "provenance",
-        })?;
-    let label_len = u32::from_le_bytes(len_bytes) as usize;
-    // label_len is untrusted: bound it by the actual file size before allocating, so a
-    // corrupt length field cannot request a multi-gigabyte buffer.
-    let file_len = file
+    let file = File::open(path).map_err(|e| SnapshotError::io(path, &e))?;
+    let len = file
         .metadata()
         .map_err(|e| SnapshotError::io(path, &e))?
         .len();
-    let body_len = label_len + label_pad(label_len) + 5 * 8;
-    if body_len as u64 > file_len.saturating_sub((HEADER_LEN + 4) as u64) {
-        return Err(SnapshotError::Truncated {
-            section: "provenance",
-        });
-    }
-    let mut rest = vec![0u8; body_len];
-    file.read_exact(&mut rest)
-        .map_err(|_| SnapshotError::Truncated {
-            section: "provenance",
-        })?;
-    let mut cursor = Cursor::new(&rest);
-    let mut provenance = cursor.provenance_body(label_len)?;
-    if header.has_origin {
-        // The origin tail: kind + params_len, then params bounded by the file size
-        // (params_len is as untrusted as label_len above).
-        let mut prefix = [0u8; 8];
-        file.read_exact(&mut prefix)
-            .map_err(|_| SnapshotError::Truncated { section: "origin" })?;
-        let params_len = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes")) as usize;
-        let tail_len = params_len + label_pad(params_len);
-        let consumed = (HEADER_LEN + 4 + body_len + 8) as u64;
-        if tail_len as u64 > file_len.saturating_sub(consumed) {
-            return Err(SnapshotError::Truncated { section: "origin" });
-        }
-        let mut origin_bytes = prefix.to_vec();
-        origin_bytes.resize(8 + tail_len, 0);
-        file.read_exact(&mut origin_bytes[8..])
-            .map_err(|_| SnapshotError::Truncated { section: "origin" })?;
-        provenance.origin = Some(Cursor::new(&origin_bytes).origin()?);
-    }
-    Ok((header, Some(provenance)))
+    // The lengths inside the provenance are bounded by the file size before anything
+    // is sized by them, so a corrupt label length cannot request a huge buffer.
+    let mut reader = Reader::new(file, path, len);
+    let header = decode_header(&reader.array::<HEADER_LEN>("header")?)?;
+    let provenance = if header.has_provenance {
+        Some(reader.provenance(header.has_origin)?)
+    } else {
+        None
+    };
+    Ok((header, provenance))
 }
 
 /// Reads the identity hash of a snapshot file: the FNV-1a 64 checksum stored in its
@@ -781,7 +1284,7 @@ pub fn read_identity(path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
     let path = path.as_ref();
     let mut file = std::fs::File::open(path).map_err(|e| SnapshotError::io(path, &e))?;
     let mut header_bytes = Vec::with_capacity(HEADER_LEN);
-    file.by_ref()
+    Read::by_ref(&mut file)
         .take(HEADER_LEN as u64)
         .read_to_end(&mut header_bytes)
         .map_err(|e| SnapshotError::io(path, &e))?;
@@ -793,7 +1296,6 @@ pub fn read_identity(path: impl AsRef<Path>) -> Result<u64, SnapshotError> {
     if len < (HEADER_LEN + TRAILER_LEN) as u64 {
         return Err(SnapshotError::Truncated { section: "trailer" });
     }
-    use std::io::{Seek, SeekFrom};
     file.seek(SeekFrom::End(-(TRAILER_LEN as i64)))
         .map_err(|e| SnapshotError::io(path, &e))?;
     let mut trailer = [0u8; TRAILER_LEN];
@@ -872,7 +1374,6 @@ pub fn section_layout(path: impl AsRef<Path>) -> Result<SectionLayout, SnapshotE
         if header.has_origin {
             // The origin tail is variable-length too: skip to its kind/params_len
             // prefix and fold its extent into the provenance section.
-            use std::io::{Seek, SeekFrom};
             file.seek(SeekFrom::Current(
                 (label_len + label_pad(label_len) + 5 * 8) as i64,
             ))
@@ -999,8 +1500,48 @@ fn decode_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
     })
 }
 
-/// Structural validation of the decoded CSR arrays: everything `CsrGraph` assumes must
-/// be proven here, so a loaded snapshot can never panic downstream.
+/// One bit per node: the entries of the row being checked.
+struct RowMarks(Vec<u64>);
+
+impl RowMarks {
+    fn new(node_count: usize) -> Self {
+        RowMarks(vec![0; node_count.div_ceil(64)])
+    }
+
+    /// Marks `node`; returns `false` when it was marked already.
+    fn insert(&mut self, node: usize) -> bool {
+        let (word, bit) = (node / 64, 1u64 << (node % 64));
+        let fresh = self.0[word] & bit == 0;
+        self.0[word] |= bit;
+        fresh
+    }
+
+    fn contains(&self, node: usize) -> bool {
+        self.0[node / 64] & (1u64 << (node % 64)) != 0
+    }
+
+    fn insert_row(&mut self, row: &[NodeId]) {
+        for &node in row {
+            self.insert(node.index());
+        }
+    }
+
+    fn clear_row(&mut self, row: &[NodeId]) {
+        for &node in row {
+            self.0[node.index() / 64] &= !(1u64 << (node.index() % 64));
+        }
+    }
+}
+
+/// Structural validation of the CSR arrays: everything `CsrGraph` assumes must be
+/// proven here, so a loaded snapshot can never panic downstream.
+///
+/// It needs a bitset and an in-degree per node plus one fixed-size block, never a
+/// copy of `targets`. One pass over the rows checks each for out-of-range targets,
+/// self-loops and parallel edges with the bitset as a row mark, and counts in-degrees.
+/// Mirror symmetry is then checked by counting-sort transposition, one block of
+/// destination nodes at a time (see [`first_unmirrored`]). Each error is the one a
+/// check walking the rows in node order would report first.
 fn validate_topology(offsets: &[u32], targets: &[NodeId]) -> Result<(), SnapshotError> {
     let node_count = offsets.len() - 1;
     if offsets[0] != 0 {
@@ -1014,215 +1555,119 @@ fn validate_topology(offsets: &[u32], targets: &[NodeId]) -> Result<(), Snapshot
             "final offset does not match the target array length",
         ));
     }
-    // One sorted copy of every row serves all remaining checks: range and self-loop
-    // scans, duplicate detection (adjacent equals), and mirror symmetry (for every
-    // entry (u, v), binary-search u in v's sorted row). Hard-cutoff topologies keep
-    // rows short, so this is O(E log k_max) — far cheaper than sorting the global
-    // directed edge list, and load time must stay below regeneration time.
-    let mut sorted_rows = targets.to_vec();
+    let row = |node: usize| &targets[offsets[node] as usize..offsets[node + 1] as usize];
+    let mut marks = RowMarks::new(node_count);
+    let mut in_degree = vec![0u32; node_count];
     for node in 0..node_count {
-        let row = &mut sorted_rows[offsets[node] as usize..offsets[node + 1] as usize];
-        row.sort_unstable();
-        for &neighbor in row.iter() {
-            if neighbor.index() >= node_count {
-                return Err(SnapshotError::corrupt(format!(
-                    "node {node} lists out-of-range neighbor {neighbor}"
-                )));
-            }
-            if neighbor.index() == node {
-                return Err(SnapshotError::corrupt(format!(
-                    "node {node} has a self-loop"
-                )));
-            }
+        // In a sorted row a self-loop comes before any out-of-range neighbor.
+        if row(node).iter().any(|neighbor| neighbor.index() == node) {
+            return Err(SnapshotError::corrupt(format!(
+                "node {node} has a self-loop"
+            )));
         }
-        if row.windows(2).any(|w| w[0] == w[1]) {
+        if let Some(neighbor) = row(node).iter().filter(|n| n.index() >= node_count).min() {
+            return Err(SnapshotError::corrupt(format!(
+                "node {node} lists out-of-range neighbor {neighbor}"
+            )));
+        }
+        let mut twice = false;
+        for &neighbor in row(node) {
+            twice |= !marks.insert(neighbor.index());
+            in_degree[neighbor.index()] += 1;
+        }
+        marks.clear_row(row(node));
+        if twice {
             return Err(SnapshotError::corrupt(format!(
                 "node {node} lists a neighbor twice (parallel edge)"
             )));
         }
     }
-    for node in 0..node_count {
-        for &neighbor in &targets[offsets[node] as usize..offsets[node + 1] as usize] {
-            let i = neighbor.index();
-            let mirror_row = &sorted_rows[offsets[i] as usize..offsets[i + 1] as usize];
-            if mirror_row.binary_search(&NodeId::new(node)).is_err() {
-                return Err(SnapshotError::corrupt(format!(
-                    "adjacency is not mirrored: n{node} lists {neighbor} but not vice versa"
-                )));
-            }
+    if let Some(node) = first_unmirrored(offsets, targets, in_degree, &mut marks) {
+        let source = NodeId::new(node);
+        if let Some(neighbor) = row(node)
+            .iter()
+            .find(|neighbor| !row(neighbor.index()).contains(&source))
+        {
+            return Err(SnapshotError::corrupt(format!(
+                "adjacency is not mirrored: n{node} lists {neighbor} but not vice versa"
+            )));
         }
     }
     Ok(())
 }
 
-/// Validates a shard manifest against the topology it ships with: the ranges must tile
-/// `0..node_count` contiguously, and every shard's boundary table must be *exactly* the
-/// cross-shard adjacency entries its node range produces, in frozen adjacency order.
+/// The least node `u` listing some `v` whose row does not list `u`, over rows already
+/// proven duplicate-free and in range.
 ///
-/// The recomputation makes the manifest trustworthy on its own: `sfo snapshot inspect`
-/// and a shard-host deployment can read boundary fractions and routing tables straight
-/// from the file without re-deriving the partition.
-fn validate_manifest(
-    shards: &[ShardRecord],
+/// The graph is symmetric exactly when every node's incoming sources lie in its own
+/// row. Destination nodes are taken in blocks whose in-degrees sum to at most
+/// [`BLOCK_ENTRIES`]; one scan of all rows lays each block node's incoming sources out
+/// contiguously (a counting sort keyed by destination, `in_degree` becoming the write
+/// cursors), and each node's sources are then tested against its marked row. A node
+/// with more incoming entries than a block holds is checked alone, against its marked
+/// row during the scan itself.
+fn first_unmirrored(
     offsets: &[u32],
     targets: &[NodeId],
-) -> Result<(), SnapshotError> {
+    mut in_degree: Vec<u32>,
+    marks: &mut RowMarks,
+) -> Option<usize> {
     let node_count = offsets.len() - 1;
-    let mut expected_start = 0u64;
-    for (s, shard) in shards.iter().enumerate() {
-        if shard.start != expected_start || shard.end < shard.start {
-            return Err(SnapshotError::corrupt(format!(
-                "shard {s} range [{}, {}) does not tile the node ids contiguously",
-                shard.start, shard.end
-            )));
+    let row = |node: usize| &targets[offsets[node] as usize..offsets[node + 1] as usize];
+    let mut first: Option<usize> = None;
+    let mut note = |source: usize| first = Some(first.map_or(source, |f| f.min(source)));
+    let mut block = Vec::with_capacity(BLOCK_ENTRIES.min(targets.len()));
+    let mut lo = 0;
+    while lo < node_count {
+        let mut hi = lo + 1;
+        let mut total = in_degree[lo] as usize;
+        while hi < node_count && total + in_degree[hi] as usize <= BLOCK_ENTRIES {
+            total += in_degree[hi] as usize;
+            hi += 1;
         }
-        expected_start = shard.end;
-    }
-    if expected_start != node_count as u64 {
-        return Err(SnapshotError::corrupt(
-            "shard ranges do not cover every node",
-        ));
-    }
-    // Ranges tile 0..node_count, so the owner of a node is findable by binary search on
-    // the shard starts; validate_topology has already proven every target in range.
-    let owner_of = |node: u32| -> u32 {
-        shards.partition_point(|shard| shard.start <= node as u64) as u32 - 1
-    };
-    for (s, shard) in shards.iter().enumerate() {
-        let mut stored = shard.boundary.iter();
-        for node in shard.start..shard.end {
-            let node = node as usize;
-            for &neighbor in &targets[offsets[node] as usize..offsets[node + 1] as usize] {
-                let target_shard = owner_of(neighbor.as_u32());
-                if target_shard as usize == s {
-                    continue;
-                }
-                let expected = BoundaryRecord {
-                    source: node as u32,
-                    target: neighbor.as_u32(),
-                    target_shard,
-                };
-                if stored.next() != Some(&expected) {
-                    return Err(SnapshotError::corrupt(format!(
-                        "shard {s} boundary table does not list the cross-shard entry \
-                         n{node}->{neighbor} its rows produce"
-                    )));
+        if total > BLOCK_ENTRIES {
+            marks.insert_row(row(lo));
+            for source in 0..node_count {
+                if row(source).iter().any(|n| n.index() == lo) && !marks.contains(source) {
+                    note(source);
                 }
             }
+            marks.clear_row(row(lo));
+        } else {
+            let mut cursor = 0u32;
+            for degree in &mut in_degree[lo..hi] {
+                let count = *degree;
+                *degree = cursor;
+                cursor += count;
+            }
+            block.clear();
+            block.resize(total, 0u32);
+            for source in 0..node_count {
+                for &neighbor in row(source) {
+                    let v = neighbor.index();
+                    if (lo..hi).contains(&v) {
+                        block[in_degree[v] as usize] = source as u32;
+                        in_degree[v] += 1;
+                    }
+                }
+            }
+            // Each cursor now ends its node's sources; the previous one starts them.
+            let mut start = 0;
+            for (node, &end) in (lo..hi).zip(&in_degree[lo..hi]) {
+                let end = end as usize;
+                marks.insert_row(row(node));
+                for &source in &block[start..end] {
+                    if !marks.contains(source as usize) {
+                        note(source as usize);
+                    }
+                }
+                marks.clear_row(row(node));
+                start = end;
+            }
         }
-        if stored.next().is_some() {
-            return Err(SnapshotError::corrupt(format!(
-                "shard {s} boundary table lists entries its rows do not produce"
-            )));
-        }
+        lo = hi;
     }
-    Ok(())
-}
-
-/// A bounds-checked little-endian reader over one section of the body.
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        Cursor { bytes, pos: 0 }
-    }
-
-    fn take(&mut self, len: usize, section: &'static str) -> Result<&'a [u8], SnapshotError> {
-        let end = self
-            .pos
-            .checked_add(len)
-            .filter(|&end| end <= self.bytes.len())
-            .ok_or(SnapshotError::Truncated { section })?;
-        let slice = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(slice)
-    }
-
-    fn u32(&mut self, section: &'static str) -> Result<u32, SnapshotError> {
-        Ok(u32::from_le_bytes(
-            self.take(4, section)?.try_into().expect("4 bytes"),
-        ))
-    }
-
-    fn u64(&mut self, section: &'static str) -> Result<u64, SnapshotError> {
-        Ok(u64::from_le_bytes(
-            self.take(8, section)?.try_into().expect("8 bytes"),
-        ))
-    }
-
-    fn provenance(&mut self, with_origin: bool) -> Result<Provenance, SnapshotError> {
-        let label_len = self.u32("provenance")? as usize;
-        let mut provenance = self.provenance_body(label_len)?;
-        if with_origin {
-            provenance.origin = Some(self.origin()?);
-        }
-        Ok(provenance)
-    }
-
-    fn origin(&mut self) -> Result<SnapshotOrigin, SnapshotError> {
-        let kind = self.u32("origin")?;
-        let params_len = self.u32("origin")? as usize;
-        let params_bytes = self.take(params_len, "origin")?;
-        let params = std::str::from_utf8(params_bytes)
-            .map_err(|_| SnapshotError::corrupt("origin params are not valid UTF-8"))?
-            .to_string();
-        let pad = self.take(label_pad(params_len), "origin")?;
-        if pad.iter().any(|&b| b != 0) {
-            return Err(SnapshotError::corrupt("origin params padding is not zero"));
-        }
-        match kind {
-            0 if params.is_empty() => Ok(SnapshotOrigin::Generator),
-            0 => Err(SnapshotError::corrupt(
-                "generator origin carries protocol params",
-            )),
-            1 => Ok(SnapshotOrigin::LiveOverlay { params }),
-            other => Err(SnapshotError::corrupt(format!(
-                "unknown origin kind {other}"
-            ))),
-        }
-    }
-
-    fn provenance_body(&mut self, label_len: usize) -> Result<Provenance, SnapshotError> {
-        let label_bytes = self.take(label_len, "provenance")?;
-        let label = std::str::from_utf8(label_bytes)
-            .map_err(|_| SnapshotError::corrupt("provenance label is not valid UTF-8"))?
-            .to_string();
-        let pad = self.take(label_pad(label_len), "provenance")?;
-        if pad.iter().any(|&b| b != 0) {
-            return Err(SnapshotError::corrupt(
-                "provenance label padding is not zero",
-            ));
-        }
-        let m = self.u64("provenance")?;
-        let cutoff = match self.u64("provenance")? {
-            u64::MAX => None,
-            value => Some(value),
-        };
-        Ok(Provenance {
-            label,
-            m,
-            cutoff,
-            seed: self.u64("provenance")?,
-            realization: self.u64("provenance")?,
-            sweep_seed: self.u64("provenance")?,
-            origin: None,
-        })
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn position(&self) -> usize {
-        self.pos
-    }
+    first
 }
 
 #[cfg(test)]
@@ -1278,60 +1723,43 @@ mod tests {
     fn provenance_and_manifest_round_trip() {
         let csr = sample();
         let shards = vec![
-            ShardRecord {
-                start: 0,
-                end: 3,
-                boundary: vec![
-                    BoundaryRecord {
-                        source: 0,
-                        target: 5,
-                        target_shard: 1,
-                    },
-                    BoundaryRecord {
-                        source: 0,
-                        target: 3,
-                        target_shard: 1,
-                    },
-                    BoundaryRecord {
-                        source: 2,
-                        target: 3,
-                        target_shard: 1,
-                    },
-                ],
-            },
-            ShardRecord {
-                start: 3,
-                end: 6,
-                boundary: vec![
-                    BoundaryRecord {
-                        source: 3,
-                        target: 2,
-                        target_shard: 0,
-                    },
-                    BoundaryRecord {
-                        source: 3,
-                        target: 0,
-                        target_shard: 0,
-                    },
-                    BoundaryRecord {
-                        source: 5,
-                        target: 0,
-                        target_shard: 0,
-                    },
-                ],
-            },
+            ShardRecord { start: 0, end: 3 },
+            ShardRecord { start: 3, end: 6 },
         ];
         let file = SnapshotFile {
             csr,
             shards: Some(shards),
             provenance: Some(provenance()),
         };
-        let back = SnapshotFile::from_bytes(&file.to_bytes()).unwrap();
+        let bytes = file.to_bytes();
+        let back = SnapshotFile::from_bytes(&bytes).unwrap();
         assert_eq!(back, file);
         let header = back.header();
         assert_eq!(header.shard_count, 2);
         assert!(header.has_shard_manifest);
         assert!(header.has_provenance);
+
+        // The stored tables are the entries leaving each range, in row order, each
+        // with the shard owning its target.
+        let shard = |start: u64, end: u64, entries: &[(u32, u32, u32)]| {
+            let mut out = Vec::new();
+            for value in [start, end, entries.len() as u64] {
+                out.extend_from_slice(&value.to_le_bytes());
+            }
+            for &(source, target, shard) in entries {
+                for value in [source, target, shard] {
+                    out.extend_from_slice(&value.to_le_bytes());
+                }
+            }
+            out
+        };
+        let mut manifest = shard(0, 3, &[(0, 5, 1), (0, 3, 1), (2, 3, 1)]);
+        manifest.extend(shard(3, 6, &[(3, 2, 0), (3, 0, 0), (5, 0, 0)]));
+        let body = &bytes[..bytes.len() - TRAILER_LEN];
+        assert!(body.ends_with(&manifest));
+        for record in back.shards.as_ref().unwrap() {
+            assert_eq!(record.boundary_len(&back.csr), 3);
+        }
     }
 
     #[test]
@@ -1562,16 +1990,41 @@ mod tests {
         ));
     }
 
+    /// A hand-written manifest: `(start, end, boundary entries)` per shard.
+    type Tables = Vec<(u64, u64, Vec<(u32, u32, u32)>)>;
+
+    /// `file` (which has no manifest) with `shards` appended as its manifest, re-hashed.
+    fn with_manifest(file: &SnapshotFile, shards: &Tables) -> Vec<u8> {
+        rehashed(file, |b| {
+            b[6] |= FLAG_SHARD_MANIFEST as u8;
+            b[24..28].copy_from_slice(&(shards.len() as u32).to_le_bytes());
+            for (start, end, entries) in shards {
+                for value in [*start, *end, entries.len() as u64] {
+                    b.extend_from_slice(&value.to_le_bytes());
+                }
+                for &(source, target, shard) in entries {
+                    for value in [source, target, shard] {
+                        b.extend_from_slice(&value.to_le_bytes());
+                    }
+                }
+            }
+        })
+    }
+
+    /// The manifest the writer derives for `sample()` cut at node 3.
+    fn sample_tables() -> Tables {
+        vec![
+            (0, 3, vec![(0, 5, 1), (0, 3, 1), (2, 3, 1)]),
+            (3, 6, vec![(3, 2, 0), (3, 0, 0), (5, 0, 0)]),
+        ]
+    }
+
     #[test]
     fn invalid_manifests_are_rejected() {
         let csr = sample();
         let bad_range = SnapshotFile {
             csr: csr.clone(),
-            shards: Some(vec![ShardRecord {
-                start: 0,
-                end: 4,
-                boundary: Vec::new(),
-            }]),
+            shards: Some(vec![ShardRecord { start: 0, end: 4 }]),
             provenance: None,
         };
         assert!(matches!(
@@ -1579,83 +2032,121 @@ mod tests {
             Err(SnapshotError::Corrupt { reason }) if reason.contains("cover")
         ));
 
-        let bad_owner = SnapshotFile {
-            csr,
-            shards: Some(vec![
-                ShardRecord {
-                    start: 0,
-                    end: 3,
-                    boundary: vec![BoundaryRecord {
-                        source: 0,
-                        target: 1, // n1 lives in shard 0, not shard 1
-                        target_shard: 1,
-                    }],
-                },
-                ShardRecord {
-                    start: 3,
-                    end: 6,
-                    boundary: Vec::new(),
-                },
-            ]),
-            provenance: None,
-        };
-        assert!(matches!(
-            SnapshotFile::from_bytes(&bad_owner.to_bytes()),
-            Err(SnapshotError::Corrupt { .. })
-        ));
+        let plain = SnapshotFile::plain(csr);
+        assert!(SnapshotFile::from_bytes(&with_manifest(&plain, &sample_tables())).is_ok());
+        // n0's entry into n3 names shard 0 as the owner of n3.
+        let mut bad_owner = sample_tables();
+        bad_owner[0].2[1].2 = 0;
+        assert_eq!(
+            SnapshotFile::from_bytes(&with_manifest(&plain, &bad_owner)),
+            Err(SnapshotError::corrupt(
+                "shard 0 boundary table does not list the cross-shard entry n0->n3 its rows \
+                 produce"
+            ))
+        );
     }
 
     #[test]
     fn lying_boundary_tables_are_rejected_by_recomputation() {
         // Ranges and ownership are consistent, but the tables omit real cross edges /
-        // invent fake ones; the codec recomputes the partition's boundary and compares.
-        let csr = sample();
-        let empty_tables = SnapshotFile {
-            csr: csr.clone(),
-            shards: Some(vec![
-                ShardRecord {
-                    start: 0,
-                    end: 3,
-                    boundary: Vec::new(),
-                },
-                ShardRecord {
-                    start: 3,
-                    end: 6,
-                    boundary: Vec::new(),
-                },
-            ]),
-            provenance: None,
-        };
+        // invent fake ones; the reader recomputes the partition's boundary and compares.
+        let plain = SnapshotFile::plain(sample());
+        let mut empty = sample_tables();
+        for shard in &mut empty {
+            shard.2.clear();
+        }
         assert!(matches!(
-            SnapshotFile::from_bytes(&empty_tables.to_bytes()),
-            Err(SnapshotError::Corrupt { reason }) if reason.contains("boundary")
+            SnapshotFile::from_bytes(&with_manifest(&plain, &empty)),
+            Err(SnapshotError::Corrupt { reason }) if reason.contains("does not list")
         ));
 
-        let mut extra = SnapshotFile::from_bytes(
-            &SnapshotFile {
-                csr,
-                shards: Some(vec![ShardRecord {
-                    start: 0,
-                    end: 6,
-                    boundary: Vec::new(),
-                }]),
-                provenance: None,
-            }
-            .to_bytes(),
-        )
-        .unwrap();
         // One shard has no cross edges; inventing one must fail.
-        extra.shards.as_mut().unwrap()[0]
-            .boundary
-            .push(BoundaryRecord {
-                source: 0,
-                target: 1,
-                target_shard: 0,
-            });
+        let invented = vec![(0, 6, vec![(0, 1, 0)])];
         assert!(matches!(
-            SnapshotFile::from_bytes(&extra.to_bytes()),
-            Err(SnapshotError::Corrupt { .. })
+            SnapshotFile::from_bytes(&with_manifest(&plain, &invented)),
+            Err(SnapshotError::Corrupt { reason }) if reason.contains("do not produce")
         ));
+
+        // A later shard's lie does not hide an earlier one.
+        let mut both = sample_tables();
+        both[1].2[2].1 = 1;
+        both[0].2[0].2 = 0;
+        assert_eq!(
+            SnapshotFile::from_bytes(&with_manifest(&plain, &both)),
+            Err(SnapshotError::corrupt(
+                "shard 0 boundary table does not list the cross-shard entry n0->n5 its rows \
+                 produce"
+            ))
+        );
+    }
+
+    #[test]
+    fn a_node_with_more_incoming_entries_than_a_block_is_checked_alone() {
+        // A star: the hub's row lists every leaf, each leaf's row lists the hub.
+        let leaves = BLOCK_ENTRIES as u32 + 1;
+        let offsets: Vec<u32> = std::iter::once(0)
+            .chain((0..=leaves).map(|leaf| leaves + leaf))
+            .collect();
+        let targets: Vec<NodeId> = (1..=leaves)
+            .map(NodeId::from)
+            .chain((0..leaves).map(|_| n(0)))
+            .collect();
+        assert_eq!(validate_topology(&offsets, &targets), Ok(()));
+        // The last leaf names leaf 1 instead of the hub.
+        let mut bent = targets.clone();
+        *bent.last_mut().unwrap() = n(1);
+        assert_eq!(
+            validate_topology(&offsets, &bent),
+            Err(SnapshotError::corrupt(format!(
+                "adjacency is not mirrored: n0 lists n{leaves} but not vice versa"
+            )))
+        );
+    }
+
+    #[test]
+    fn a_valid_topology_passes_the_blocked_mirror_check_and_any_asymmetry_fails_it() {
+        // A star has one node with more incoming entries than small rings, so the
+        // blocks take both shapes; removing any one entry must be caught and named.
+        let mut g = Graph::with_nodes(40);
+        for i in 1..40 {
+            g.add_edge(n(0), n(i)).unwrap();
+            g.add_edge(n(i), n(i % 39 + 1)).unwrap_or(());
+        }
+        let csr = g.freeze();
+        let (offsets, targets) = csr.raw_parts();
+        assert_eq!(validate_topology(offsets, targets), Ok(()));
+        for at in 0..targets.len() {
+            let node = offsets.partition_point(|&o| o as usize <= at) - 1;
+            let row = &targets[offsets[node] as usize..offsets[node + 1] as usize];
+            let Some(other) = (0..40)
+                .map(n)
+                .find(|&v| v.index() != node && !row.contains(&v))
+            else {
+                continue;
+            };
+            let mut bent = targets.to_vec();
+            bent[at] = other;
+            let err = validate_topology(offsets, &bent).unwrap_err();
+            let first = (0..40)
+                .flat_map(|u| {
+                    bent[offsets[u] as usize..offsets[u + 1] as usize]
+                        .iter()
+                        .map(move |&v| (u, v))
+                })
+                .find(|&(u, v)| {
+                    !bent[offsets[v.index()] as usize..offsets[v.index() + 1] as usize]
+                        .contains(&n(u))
+                })
+                .unwrap();
+            assert_eq!(
+                err,
+                SnapshotError::corrupt(format!(
+                    "adjacency is not mirrored: n{} lists {} but not vice versa",
+                    first.0, first.1
+                )),
+                "entry {at}"
+            );
+        }
     }
 
     #[test]
@@ -1664,11 +2155,7 @@ mod tests {
         // reserve memory for 4 billion records.
         let file = SnapshotFile {
             csr: sample(),
-            shards: Some(vec![ShardRecord {
-                start: 0,
-                end: 6,
-                boundary: Vec::new(),
-            }]),
+            shards: Some(vec![ShardRecord { start: 0, end: 6 }]),
             provenance: None,
         };
         let bytes = rehashed(&file, |b| {
@@ -1931,11 +2418,7 @@ mod tests {
         let path = dir.join("layout.sfos");
         let file = SnapshotFile {
             csr: sample(),
-            shards: Some(vec![ShardRecord {
-                start: 0,
-                end: 6,
-                boundary: Vec::new(),
-            }]),
+            shards: Some(vec![ShardRecord { start: 0, end: 6 }]),
             provenance: Some(provenance()),
         };
         file.save(&path).unwrap();
@@ -2020,11 +2503,7 @@ mod tests {
         let path = dir.join("mapped.sfos");
         let file = SnapshotFile {
             csr: sample(),
-            shards: Some(vec![ShardRecord {
-                start: 0,
-                end: 6,
-                boundary: Vec::new(),
-            }]),
+            shards: Some(vec![ShardRecord { start: 0, end: 6 }]),
             provenance: Some(provenance()),
         };
         file.save(&path).unwrap();

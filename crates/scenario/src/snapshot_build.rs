@@ -22,10 +22,10 @@ use sfo_search::experiment::{label_salt, stream_rng};
 /// Generates the realization-0 topology of `spec` and packs it as a snapshot with
 /// provenance, ready to [`SnapshotFile::save`].
 ///
-/// `shards > 1` also partitions the frozen arrays with [`ShardedCsr`] and embeds the
-/// shard manifest (node ranges plus boundary tables — the per-host hand-off unit); the
-/// stored topology is identical either way, and a scenario run against the file applies
-/// its own `sweep.shard_count` regardless.
+/// `shards > 1` also embeds the shard manifest of [`ShardedCsr`]'s partition (node
+/// ranges; the file's boundary tables — the per-host hand-off unit — are derived from
+/// them when it is written); the stored topology is identical either way, and a
+/// scenario run against the file applies its own `sweep.shard_count` regardless.
 ///
 /// # Errors
 ///
@@ -79,13 +79,12 @@ pub fn build_snapshot(spec: &ScenarioSpec, shards: usize) -> Result<SnapshotFile
         sweep_seed,
         origin: Some(SnapshotOrigin::Generator),
     };
-    let mut file = if shards > 1 {
-        ShardedCsr::from_csr_owned(csr, shards).to_snapshot_file()
-    } else {
-        SnapshotFile::plain(csr)
-    };
-    file.provenance = Some(provenance);
-    Ok(file)
+    let shards = (shards > 1).then(|| ShardedCsr::manifest(csr.node_count(), shards));
+    Ok(SnapshotFile {
+        csr,
+        shards,
+        provenance: Some(provenance),
+    })
 }
 
 #[cfg(test)]

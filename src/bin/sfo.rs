@@ -822,7 +822,11 @@ fn snapshot_inspect(args: &[String]) -> ExitCode {
     }
     match &file.shards {
         Some(records) => {
-            let cross: usize = records.iter().map(|r| r.boundary.len()).sum::<usize>() / 2;
+            let boundary: Vec<usize> = records
+                .iter()
+                .map(|record| record.boundary_len(&file.csr))
+                .collect();
+            let cross = boundary.iter().sum::<usize>() / 2;
             let fraction = if header.edge_count == 0 {
                 0.0
             } else {
@@ -833,24 +837,22 @@ fn snapshot_inspect(args: &[String]) -> ExitCode {
                 records.len()
             );
             // Per-shard cut quality: adjacency entries come straight from the offsets
-            // array, boundary entries from the manifest, so the per-shard fraction is
+            // array, boundary entries are the rows' entries leaving the range (the
+            // stored table, which the load checked), so the per-shard fraction is
             // outbound boundary entries over the shard's directed entries.
             let (offsets, _) = file.csr.raw_parts();
-            for (index, record) in records.iter().enumerate() {
+            for (index, (record, &boundary)) in records.iter().zip(&boundary).enumerate() {
                 let entries =
                     offsets[record.end as usize] as u64 - offsets[record.start as usize] as u64;
                 let shard_fraction = if entries == 0 {
                     0.0
                 } else {
-                    record.boundary.len() as f64 / entries as f64
+                    boundary as f64 / entries as f64
                 };
                 println!(
                     "    shard {index}: nodes {}..{} ({} entries, {} boundary, \
                      boundary fraction {shard_fraction:.4})",
-                    record.start,
-                    record.end,
-                    entries,
-                    record.boundary.len(),
+                    record.start, record.end, entries, boundary,
                 );
             }
         }
@@ -923,24 +925,24 @@ fn snapshot_verify(args: &[String]) -> ExitCode {
         Ok(path) => path,
         Err(code) => return code,
     };
-    // A full load already checks magic, version, checksum, and structural consistency
-    // of the arrays and manifest; re-loading through the sharded store additionally
-    // proves the manifest matches the partition it claims to describe.
+    // One full load checks magic, version, checksum, and structural consistency of the
+    // arrays and manifest; building the sharded store from it additionally proves the
+    // manifest is the partition the store cuts.
     let file = match load_snapshot(path) {
         Ok(file) => file,
         Err(code) => return code,
     };
-    if file.shards.is_some() {
-        if let Err(e) = ShardedCsr::load(path) {
+    let (nodes, edges) = (file.csr.node_count(), file.csr.edge_count());
+    let sharded = file.shards.is_some();
+    if sharded {
+        if let Err(e) = ShardedCsr::from_snapshot_file(file) {
             eprintln!("{path}: {e}");
             return ExitCode::FAILURE;
         }
     }
     println!(
-        "{path}: ok — {} nodes, {} edges, checksum and structure verified{}",
-        file.csr.node_count(),
-        file.csr.edge_count(),
-        if file.shards.is_some() {
+        "{path}: ok — {nodes} nodes, {edges} edges, checksum and structure verified{}",
+        if sharded {
             ", shard manifest consistent"
         } else {
             ""

@@ -58,8 +58,8 @@ const BOUNDARY_ENTRY_LEN: u64 = 12;
 
 /// Size of the one buffer a snapshot is read or written through.
 const IO_BUFFER_LEN: usize = 64 * 1024;
-/// Incoming entries one block of the mirror check transposes at a time (2 MiB).
-const BLOCK_ENTRIES: usize = 1 << 19;
+/// Incoming entries one block of the mirror check transposes at a time (4 MiB).
+const BLOCK_ENTRIES: usize = 1 << 20;
 
 /// The FNV-1a 64 offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -1634,20 +1634,23 @@ fn first_unmirrored(
             }
             marks.clear_row(row(lo));
         } else {
+            let cursors = &mut in_degree[lo..hi];
             let mut cursor = 0u32;
-            for degree in &mut in_degree[lo..hi] {
+            for degree in cursors.iter_mut() {
                 let count = *degree;
                 *degree = cursor;
                 cursor += count;
             }
             block.clear();
             block.resize(total, 0u32);
-            for source in 0..node_count {
-                for &neighbor in row(source) {
-                    let v = neighbor.index();
-                    if (lo..hi).contains(&v) {
-                        block[in_degree[v] as usize] = source as u32;
-                        in_degree[v] += 1;
+            let (first_node, span) = (lo as u32, (hi - lo) as u32);
+            for (source, bounds) in offsets.windows(2).enumerate() {
+                for &neighbor in &targets[bounds[0] as usize..bounds[1] as usize] {
+                    let at = neighbor.as_u32().wrapping_sub(first_node);
+                    if at < span {
+                        let cursor = &mut cursors[at as usize];
+                        block[*cursor as usize] = source as u32;
+                        *cursor += 1;
                     }
                 }
             }
@@ -2099,6 +2102,28 @@ mod tests {
             validate_topology(&offsets, &bent),
             Err(SnapshotError::corrupt(format!(
                 "adjacency is not mirrored: n0 lists n{leaves} but not vice versa"
+            )))
+        );
+    }
+
+    #[test]
+    fn an_unmirrored_entry_is_found_across_blocks() {
+        // A ring two blocks long: row i is [i - 1, i + 1].
+        let nodes = BLOCK_ENTRIES as u32;
+        let offsets: Vec<u32> = (0..=nodes).map(|i| 2 * i).collect();
+        let mut targets: Vec<NodeId> = (0..nodes)
+            .flat_map(|i| [(i + nodes - 1) % nodes, (i + 1) % nodes])
+            .map(NodeId::from)
+            .collect();
+        assert_eq!(validate_topology(&offsets, &targets), Ok(()));
+        // The last node trades n0 for n5: n0, in the first block, is the first source
+        // whose entry (into the last block) is not mirrored.
+        *targets.last_mut().unwrap() = n(5);
+        assert_eq!(
+            validate_topology(&offsets, &targets),
+            Err(SnapshotError::corrupt(format!(
+                "adjacency is not mirrored: n0 lists n{} but not vice versa",
+                nodes - 1
             )))
         );
     }

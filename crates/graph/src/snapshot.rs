@@ -58,6 +58,10 @@ const BOUNDARY_ENTRY_LEN: u64 = 12;
 
 /// Size of the one buffer a snapshot is read or written through.
 const IO_BUFFER_LEN: usize = 64 * 1024;
+/// Size of the buffer [`read_meta`] reads through: enough for a header and a typical
+/// provenance section in one read, so spec validation and dispatch read a prefix, not
+/// the arrays behind it.
+const META_BUFFER_LEN: usize = 256;
 /// Incoming entries one block of the mirror check transposes at a time (4 MiB).
 const BLOCK_ENTRIES: usize = 1 << 20;
 
@@ -715,11 +719,12 @@ struct Reader<'p, R> {
 }
 
 impl<'p, R: Read> Reader<'p, R> {
-    fn new(source: R, path: &'p Path, len: u64) -> Self {
+    /// Reads a `len`-byte section through a buffer of at most `buffer_len` bytes.
+    fn new(source: R, path: &'p Path, len: u64, buffer_len: usize) -> Self {
         Reader {
             source,
             path,
-            buf: vec![0; usize::try_from(len).map_or(IO_BUFFER_LEN, |len| len.min(IO_BUFFER_LEN))],
+            buf: vec![0; usize::try_from(len).map_or(buffer_len, |len| len.min(buffer_len))],
             pos: 0,
             filled: 0,
             unread: len,
@@ -938,7 +943,7 @@ fn read_snapshot<R: Read + Seek>(
         decode_header(&prefix)?;
         return Err(SnapshotError::Truncated { section: "trailer" });
     }
-    let mut reader = Reader::new(source, path, len - TRAILER_LEN as u64);
+    let mut reader = Reader::new(source, path, len - TRAILER_LEN as u64, IO_BUFFER_LEN);
     let header = decode_header(&reader.array::<HEADER_LEN>("header")?)?;
     let body = match read_body(&mut reader, &header, arrays) {
         Err(error @ SnapshotError::Io { .. }) => return Err(error),
@@ -954,7 +959,7 @@ fn read_snapshot<R: Read + Seek>(
             .seek(SeekFrom::Start(manifest_at))
             .map_err(|e| SnapshotError::io(path, &e))?;
         let manifest_len = len - TRAILER_LEN as u64 - manifest_at;
-        let mut manifest = Reader::new(source, path, manifest_len);
+        let mut manifest = Reader::new(source, path, manifest_len, IO_BUFFER_LEN);
         first_boundary_mismatch(&mut manifest, shards, &body.csr)?;
     }
     Ok(SnapshotFile {
@@ -1254,7 +1259,7 @@ pub fn read_meta(
         .len();
     // The lengths inside the provenance are bounded by the file size before anything
     // is sized by them, so a corrupt label length cannot request a huge buffer.
-    let mut reader = Reader::new(file, path, len);
+    let mut reader = Reader::new(file, path, len, META_BUFFER_LEN);
     let header = decode_header(&reader.array::<HEADER_LEN>("header")?)?;
     let provenance = if header.has_provenance {
         Some(reader.provenance(header.has_origin)?)

@@ -572,11 +572,13 @@ struct Encoder<W> {
 }
 
 impl<W: Write> Encoder<W> {
+    /// Hashes `bytes` as it buffers them: folding each value in as it is encoded lets
+    /// the encoding overlap the checksum's byte-serial dependency chain.
     fn put(&mut self, bytes: &[u8]) -> std::io::Result<()> {
+        self.hash = fnv1a64_update(self.hash, bytes);
         if self.buf.len() + bytes.len() > IO_BUFFER_LEN {
             self.flush()?;
             if bytes.len() > IO_BUFFER_LEN {
-                self.hash = fnv1a64_update(self.hash, bytes);
                 return self.out.write_all(bytes);
             }
         }
@@ -593,7 +595,6 @@ impl<W: Write> Encoder<W> {
     }
 
     fn flush(&mut self) -> std::io::Result<()> {
-        self.hash = fnv1a64_update(self.hash, &self.buf);
         self.out.write_all(&self.buf)?;
         self.buf.clear();
         Ok(())
@@ -700,8 +701,8 @@ enum Arrays {
 
 /// A section of an `SFOS` file read front to back through one fixed-size buffer.
 ///
-/// Every byte is folded into the checksum as it is pulled from the source, so the file
-/// is never held whole. Lengths read from the file are checked against the bytes left
+/// Every byte is folded into the checksum as it is consumed, so the file is never held
+/// whole. Lengths read from the file are checked against the bytes left
 /// before anything is sized by them.
 struct Reader<'p, R> {
     source: R,
@@ -762,7 +763,6 @@ impl<'p, R: Read> Reader<'p, R> {
         if let Err(e) = self.source.read_exact(fresh) {
             return Err(self.io(&e));
         }
-        self.hash = fnv1a64_update(self.hash, fresh);
         self.filled += more;
         self.unread -= more as u64;
         Ok(())
@@ -776,8 +776,14 @@ impl<'p, R: Read> Reader<'p, R> {
         let bytes = self.buf[self.pos..self.pos + N]
             .try_into()
             .expect("N bytes are ready");
-        self.pos += N;
+        self.consume(N);
         Ok(bytes)
+    }
+
+    /// Consumes `n` ready bytes, folding them into the checksum.
+    fn consume(&mut self, n: usize) {
+        self.hash = fnv1a64_update(self.hash, &self.buf[self.pos..self.pos + n]);
+        self.pos += n;
     }
 
     fn u32(&mut self, section: &'static str) -> Result<u32, SnapshotError> {
@@ -798,21 +804,25 @@ impl<'p, R: Read> Reader<'p, R> {
             self.fill(1)?;
             let n = (self.filled - self.pos).min(len - out.len());
             out.extend_from_slice(&self.buf[self.pos..self.pos + n]);
-            self.pos += n;
+            self.consume(n);
         }
         Ok(out)
     }
 
     /// Streams `count` little-endian `u32` words to `each`. The caller has checked that
-    /// the section holds them.
+    /// the section holds them. Each word is hashed as it is decoded, so `each`'s work
+    /// overlaps the checksum's byte-serial dependency chain.
     fn words(&mut self, count: usize, mut each: impl FnMut(u32)) -> Result<(), SnapshotError> {
         let mut left = count;
         while left > 0 {
             self.fill(4)?;
             let n = ((self.filled - self.pos) / 4).min(left);
+            let mut hash = self.hash;
             for word in self.buf[self.pos..self.pos + 4 * n].chunks_exact(4) {
+                hash = fnv1a64_update(hash, word);
                 each(u32::from_le_bytes(word.try_into().expect("4 bytes")));
             }
+            self.hash = hash;
             self.pos += 4 * n;
             left -= n;
         }
@@ -825,7 +835,7 @@ impl<'p, R: Read> Reader<'p, R> {
         while left > 0 {
             self.fill(1)?;
             let n = ((self.filled - self.pos) as u64).min(left);
-            self.pos += n as usize;
+            self.consume(n as usize);
             left -= n;
         }
         Ok(())

@@ -8,24 +8,27 @@
 //! * `n{N}/save` — encoding the frozen snapshot (checksum included) and writing it;
 //! * `n{N}/load` — reading the file back with the full checksum and structural
 //!   validation pass;
-//! * `n{N}/load_sharded` — the same read through `ShardedCsr::load`, which additionally
-//!   reconstructs a 4-shard partition and verifies the stored boundary manifest;
-//! * `n{N}/load_mmap` / `n{N}/load_sharded_mmap` — the zero-copy variants: the file is
-//!   mapped, checksum-verified once in place, and the CSR arrays are borrowed from the
-//!   page cache instead of copied into owned buffers (`docs/FORMATS.md`, "The mmap
-//!   contract"). The verification pass is identical, so the delta against the read
-//!   rows isolates the copy the mapping avoids.
+//! * `n{N}/load_sharded` — the same read of a 4-shard file through `ShardedCsr::load`,
+//!   which also checks every stored boundary entry against the rows and rebuilds the
+//!   partition's tables;
+//! * `n{N}/load_mmap` / `n{N}/load_sharded_mmap` — the zero-copy variants: the file
+//!   streams through the same verifying pass, but the CSR arrays are borrowed from the
+//!   page cache instead of decoded into owned buffers (`docs/FORMATS.md`, "The mmap
+//!   contract"). The verification is identical, so the delta against the read rows
+//!   isolates the decode the mapping avoids.
 //!
 //! Results are written to `BENCH_snapshot.json` at the workspace root (tracked in git,
 //! regenerate with `cargo bench --bench snapshot_io`). Environment knobs for smoke
 //! runs: `SFO_BENCH_SNAPSHOT_NODES` (comma-separated node counts, default
 //! `10000,100000`) and `SFO_BENCH_SNAPSHOT_OUT` (output path).
 //!
-//! Reading the numbers: a load is a sequential read plus the checksum and an
-//! O(E log k_max) structural sweep — none of it negotiable, since a loaded topology
-//! must be provably the saved one. Capped PA, the cheapest generator family, now draws
-//! straight into CSR arrays, and regenerating it beats a verified load: at N=10^5
-//! `generate` takes ≈ 6 ms against ≈ 21 ms for `load` and ≈ 16 ms for `load_mmap`.
+//! Reading the numbers: a load is one sequential pass that hashes every byte and
+//! decodes the arrays in place, then the structural check — a row-mark pass and a
+//! counting-sort transposition of the incoming entries, one O(E) scan per 4 MiB block
+//! of destinations — none of it negotiable, since a loaded topology must be provably
+//! the saved one. Capped PA, the cheapest generator family, draws straight into CSR
+//! arrays, and regenerating it beats a verified load: at N=10^5 `generate` takes
+//! ≈ 7 ms against ≈ 13 ms for `load` and ≈ 11 ms for `load_mmap`.
 //! What a snapshot buys is not speed on this family but one realization shared by
 //! every process and host: a daemon serves the file, its shard manifest is the unit a
 //! placed dispatch ships, its identity hash lets a dispatcher refuse a worker serving

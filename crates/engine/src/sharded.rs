@@ -776,7 +776,7 @@ mod tests {
     }
 
     #[test]
-    fn manifests_that_disagree_with_the_partition_are_rejected() {
+    fn manifests_that_disagree_with_the_topology_are_rejected() {
         // A file whose ranges tile the node ids — so the codec accepts it, boundary
         // tables and all — but are not the partition this store cuts.
         let g = sample(20);

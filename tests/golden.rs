@@ -19,6 +19,8 @@
 //! * the first 64 words of `stream_rng` for three labels;
 //! * the `SFOS` bytes `sfo snapshot build --shards 4` writes for
 //!   `examples/scenario_snapshot_build.json` and the `pa30k` benchmark snapshot;
+//! * the CSR arrays of one DAPA-over-GRN and one DAPA-over-mesh realization whose hard
+//!   cutoff binds;
 //! * the message of every malformed-input case: for each JSON type, an unknown member,
 //!   a missing required member, a wrong-typed member and, for tagged types, an unknown
 //!   tag.
@@ -38,6 +40,7 @@ use sfoverlay::search::experiment::{label_salt, stream_rng};
 use sfoverlay::sim::catalog::ItemId;
 use sfoverlay::sim::simulation::OverlaySample;
 use sfoverlay::topology::fitness::FitnessDistribution;
+use sfoverlay::topology::DapaOverMesh;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -402,6 +405,29 @@ fn snapshots(digests: &mut Digests) {
     }
 }
 
+/// The CSR arrays (`offsets`, then `targets`, as little-endian `u32`) of one DAPA-over-GRN
+/// and one DAPA-over-mesh realization of 2000 nodes, in that order, on one line. The hard
+/// cutoff `k_c = 10` binds on both, so the line moves if DAPA ever admits a saturated peer
+/// or changes a draw.
+fn dapa_realizations(digests: &mut Digests) {
+    let cutoff = DegreeCutoff::hard(10);
+    let generators: [Box<dyn TopologyGenerator>; 2] = [
+        Box::new(DapaOverGrn::new(2_000, 2, 4).unwrap().with_cutoff(cutoff)),
+        Box::new(DapaOverMesh::new(2_000, 2, 4).unwrap().with_cutoff(cutoff)),
+    ];
+    let mut bytes = Vec::new();
+    for generator in &generators {
+        let mut rng = stream_rng(2007, label_salt(generator.name()), 0);
+        let graph = generator.generate(&mut rng).unwrap();
+        assert_eq!(graph.max_degree(), Some(10), "{}", generator.name());
+        let csr = CsrGraph::from_graph(&graph);
+        let (offsets, targets) = csr.raw_parts();
+        bytes.extend(offsets.iter().flat_map(|o| o.to_le_bytes()));
+        bytes.extend(targets.iter().flat_map(|t| t.as_u32().to_le_bytes()));
+    }
+    digests.add("csr/dapa/grn+mesh", bytes);
+}
+
 /// The malformed-input cases of one JSON type, built from a valid sample: an unknown
 /// member, the first member whose absence is refused, the first member with a value of
 /// the wrong JSON type and, when the type is tagged by `tag`, an unknown tag.
@@ -634,6 +660,7 @@ fn json_bytes_match_the_golden_digests() {
     message_kinds(&mut digests);
     rng_streams(&mut digests);
     snapshots(&mut digests);
+    dapa_realizations(&mut digests);
     malformed_matrix(&mut digests, &reports);
     let rendered = digests.render();
 

@@ -17,16 +17,8 @@
 //! `powerlaw` samples the bounded power-law degree sequences the configuration model
 //! needs.
 //!
-//! The modified preferential-attachment mechanisms the paper cites in §III-C as alternative
-//! routes to tunable exponents are implemented alongside the four core mechanisms:
-//!
-//! | Mechanism | Module | Paper reference |
-//! |---|---|---|
-//! | Nonlinear PA (`Π ∝ k^α`) | `nonlinear` | refs. \[52, 53\] |
-//! | Fitness model (`Π ∝ η k`) | [`fitness`] | refs. \[54, 55\] |
-//! | Local events (add/rewire/grow) | `local_events` | ref. \[7\] |
-//! | Initial attractiveness (`Π ∝ k + a`, `γ = 3 + a/m`) | `attractiveness` | §III-C exponent tuning |
-//! | Uncorrelated CM (structural cutoff) | `ucm` | ref. \[59\] |
+//! Beside them, `ucm` implements the uncorrelated configuration model (ref. \[59\]), the
+//! configuration model with the structural cutoff `k_s ∼ √(⟨k⟩ N)`.
 //!
 //! # Example
 //!
@@ -47,7 +39,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod attractiveness;
 mod cm;
 mod config;
 mod cutoff;
@@ -55,15 +46,11 @@ mod dapa;
 mod error;
 mod generator;
 mod hapa;
-mod local_events;
-mod nonlinear;
 mod powerlaw;
 mod ucm;
 
-pub mod fitness;
 pub mod pa;
 
-pub use attractiveness::InitialAttractiveness;
 pub use cm::{CmOutcome, ConfigurationModel};
 pub use config::{DegreeCutoff, StubCount};
 pub use cutoff::{diameter_class, pa_natural_cutoff, predicted_diameter, DiameterClass};
@@ -71,8 +58,6 @@ pub use dapa::{DapaOverGrn, DapaOverMesh, DapaOverlay, DiscoverAndAttempt};
 pub use error::TopologyError;
 pub use generator::{DynTopologyGenerator, Locality, TopologyGenerator};
 pub use hapa::HopAndAttempt;
-pub use local_events::LocalEventsModel;
-pub use nonlinear::NonlinearPreferentialAttachment;
 pub use powerlaw::BoundedPowerLaw;
 pub use ucm::{UcmOutcome, UncorrelatedConfigurationModel};
 

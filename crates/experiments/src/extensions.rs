@@ -1,28 +1,15 @@
-//! Extension experiments: the generator zoo, alternative search strategies, replication
-//! strategies, and hub-load redistribution.
+//! Extension experiments: alternative search strategies, replication strategies, the
+//! substrate comparison, and churn-trace replay.
 //!
 //! These go beyond the paper's plotted figures but stay inside its problem statement. The
-//! generator zoo covers the modified preferential-attachment models the paper cites in
-//! §III-C as alternative routes to tunable exponents; the search-strategy comparison adds
-//! the practical algorithms its related-work section points to; the replication experiment
-//! quantifies the Cohen-Shenker allocation rules its §II cites; and the hub-load experiment
-//! measures how hard cutoffs redistribute forwarding load away from hubs, the fairness
-//! argument that motivates the whole paper.
+//! search-strategy comparison adds the practical algorithms its related-work section
+//! points to, and the replication experiment quantifies the Cohen-Shenker allocation rules
+//! its §II cites.
 
 use crate::helpers::{nf_rw_ttls, realization_rng, scenario_series};
 use crate::{ExperimentOutput, Scale};
-use sfo_analysis::select_k_min;
 use sfo_analysis::TextTable;
-use sfo_core::fitness::{FitnessDistribution, FitnessModel};
-use sfo_core::pa::PreferentialAttachment;
-use sfo_core::ConfigurationModel;
-use sfo_core::HopAndAttempt;
-use sfo_core::InitialAttractiveness;
-use sfo_core::LocalEventsModel;
-use sfo_core::NonlinearPreferentialAttachment;
-use sfo_core::UncorrelatedConfigurationModel;
-use sfo_core::{DegreeCutoff, TopologyGenerator};
-use sfo_graph::traversal;
+use sfo_core::DegreeCutoff;
 use sfo_scenario::{ScenarioSpec, SearchSpec, SweepMetric, SweepSpec, TopologySpec};
 use sfo_sim::catalog::Catalog;
 use sfo_sim::overlay::{JoinStrategy, OverlayConfig, OverlayNetwork};
@@ -38,126 +25,6 @@ fn cutoff_label(cutoff: DegreeCutoff) -> String {
 
 fn format_f64(value: f64) -> String {
     format!("{value:.3}")
-}
-
-/// Generator zoo: structural summary of every implemented topology-construction mechanism,
-/// with and without a hard cutoff (`k_c = 10`).
-///
-/// Columns: generator, cutoff, maximum degree, mean degree, fitted exponent (MLE with a
-/// Clauset-style `k_min` scan; `-` when the distribution is not power-law-like), and
-/// giant-component fraction.
-pub(crate) fn generator_zoo(scale: &Scale, seed: u64) -> ExperimentOutput {
-    let nodes = scale.search_nodes;
-    /// One zoo row: label, uncapped generator, capped generator.
-    type ZooEntry = (
-        String,
-        Box<dyn TopologyGenerator>,
-        Box<dyn TopologyGenerator>,
-    );
-    let generators: Vec<ZooEntry> = vec![
-        zoo_entry(
-            "PA m=2",
-            PreferentialAttachment::new(nodes, 2).expect("valid PA config"),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "NLPA alpha=0.5 m=2",
-            NonlinearPreferentialAttachment::new(nodes, 2, 0.5).expect("valid NLPA config"),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "NLPA alpha=1.5 m=1",
-            NonlinearPreferentialAttachment::new(nodes, 1, 1.5).expect("valid NLPA config"),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "DMS gamma=2.5 m=2",
-            InitialAttractiveness::with_target_gamma(nodes, 2, 2.5).expect("valid DMS config"),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "Fitness exp(1) m=2",
-            FitnessModel::new(nodes, 2)
-                .expect("valid fitness config")
-                .with_distribution(FitnessDistribution::Exponential { rate: 1.0 }),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "LocalEvents p=q=0.2 m=2",
-            LocalEventsModel::new(nodes, 2, 0.2, 0.2).expect("valid local-events config"),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "CM gamma=2.6 m=2",
-            ConfigurationModel::new(nodes, 2.6, 2).expect("valid CM config"),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "UCM gamma=2.6 m=2",
-            UncorrelatedConfigurationModel::new(nodes, 2.6, 2).expect("valid UCM config"),
-            |g, c| g.with_cutoff(c),
-        ),
-        zoo_entry(
-            "HAPA m=2",
-            HopAndAttempt::new(nodes, 2).expect("valid HAPA config"),
-            |g, c| g.with_cutoff(c),
-        ),
-    ];
-
-    let mut table = TextTable::new(vec![
-        "generator",
-        "cutoff",
-        "max k",
-        "mean k",
-        "gamma (MLE)",
-        "giant component",
-    ]);
-    for (name, unbounded, capped) in &generators {
-        for (generator, cutoff) in [
-            (unbounded, DegreeCutoff::Unbounded),
-            (capped, DegreeCutoff::hard(10)),
-        ] {
-            let mut rng = realization_rng(seed, 0x5A00, name.len() + cutoff.value().unwrap_or(0));
-            let graph = generator
-                .generate(&mut rng)
-                .unwrap_or_else(|e| panic!("generator {name} failed: {e}"));
-            let hist = sfo_graph::degree_histogram(&graph);
-            let fit_max = cutoff
-                .value()
-                .map(|k| k.saturating_sub(1))
-                .unwrap_or_else(|| hist.max_degree().unwrap_or(1));
-            let gamma = select_k_min(&graph.degrees(), 1, 6, fit_max.max(2))
-                .map(|s| format_f64(s.fit.gamma))
-                .unwrap_or_else(|| "-".to_string());
-            table.push_row(vec![
-                name.clone(),
-                cutoff_label(cutoff),
-                graph.max_degree().unwrap_or(0).to_string(),
-                format_f64(graph.average_degree()),
-                gamma,
-                format_f64(traversal::giant_component_fraction(&graph)),
-            ]);
-        }
-    }
-    ExperimentOutput::Table(table)
-}
-
-/// Helper building one generator-zoo entry: the unbounded generator plus its `k_c = 10`
-/// variant, both boxed as trait objects.
-fn zoo_entry<G>(
-    name: &str,
-    generator: G,
-    with_cutoff: impl Fn(G, DegreeCutoff) -> G,
-) -> (
-    String,
-    Box<dyn TopologyGenerator>,
-    Box<dyn TopologyGenerator>,
-)
-where
-    G: TopologyGenerator + Clone + 'static,
-{
-    let capped = with_cutoff(generator.clone(), DegreeCutoff::hard(10));
-    (name.to_string(), Box::new(generator), Box::new(capped))
 }
 
 /// Search-strategy comparison: hits versus TTL for every implemented search algorithm on PA
@@ -438,84 +305,6 @@ pub(crate) fn churn_trace(scale: &Scale, seed: u64) -> ExperimentOutput {
     ExperimentOutput::Table(table)
 }
 
-/// Hub-load redistribution: how a hard cutoff changes the structural load concentration of
-/// PA and HAPA overlays.
-///
-/// Columns: maximum betweenness (the forwarding-load share of the most loaded peer),
-/// degeneracy (depth of the densest core), degree assortativity, rich-club coefficient
-/// above the mean degree, and the fraction of nodes sitting at the modal degree.
-pub(crate) fn hub_load(scale: &Scale, seed: u64) -> ExperimentOutput {
-    let nodes = scale.search_nodes;
-    let mut table = TextTable::new(vec![
-        "topology",
-        "cutoff",
-        "max betweenness",
-        "degeneracy",
-        "assortativity",
-        "rich club (k > mean)",
-        "modal degree fraction",
-    ]);
-    let configs: Vec<(String, Box<dyn TopologyGenerator>)> = vec![
-        (
-            "PA m=2".to_string(),
-            Box::new(PreferentialAttachment::new(nodes, 2).expect("valid PA")),
-        ),
-        (
-            "PA m=2 k_c=10".to_string(),
-            Box::new(
-                PreferentialAttachment::new(nodes, 2)
-                    .expect("valid PA")
-                    .with_cutoff(DegreeCutoff::hard(10)),
-            ),
-        ),
-        (
-            "HAPA m=2".to_string(),
-            Box::new(HopAndAttempt::new(nodes, 2).expect("valid HAPA")),
-        ),
-        (
-            "HAPA m=2 k_c=10".to_string(),
-            Box::new(
-                HopAndAttempt::new(nodes, 2)
-                    .expect("valid HAPA")
-                    .with_cutoff(DegreeCutoff::hard(10)),
-            ),
-        ),
-    ];
-    for (name, generator) in &configs {
-        let mut rng = realization_rng(seed, 0x10AD, name.len());
-        let graph = generator
-            .generate(&mut rng)
-            .unwrap_or_else(|e| panic!("generator {name} failed: {e}"));
-        let betweenness =
-            sfo_graph::betweenness_centrality_sampled(&graph, 64.min(graph.node_count()), &mut rng);
-        let decomposition = sfo_graph::core_decomposition(&graph);
-        let assortativity = sfo_graph::degree_assortativity(&graph)
-            .map(format_f64)
-            .unwrap_or_else(|| "-".to_string());
-        let mean_degree = graph.average_degree();
-        let rich_club = sfo_graph::rich_club_coefficients(&graph)
-            .into_iter()
-            .find(|p| p.degree as f64 >= mean_degree)
-            .map(|p| format_f64(p.coefficient))
-            .unwrap_or_else(|| "-".to_string());
-        let cutoff = if name.contains("k_c") {
-            "k_c=10"
-        } else {
-            "no k_c"
-        };
-        table.push_row(vec![
-            name.split(" k_c").next().unwrap_or(name).to_string(),
-            cutoff.to_string(),
-            format_f64(betweenness.max()),
-            decomposition.degeneracy.to_string(),
-            assortativity,
-            rich_club,
-            format_f64(sfo_graph::modal_degree_fraction(&graph)),
-        ]);
-    }
-    ExperimentOutput::Table(table)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -527,14 +316,6 @@ mod tests {
             realizations: 1,
             searches_per_point: 5,
         }
-    }
-
-    #[test]
-    fn generator_zoo_lists_every_generator_twice() {
-        let output = generator_zoo(&tiny_scale(), 3);
-        let table = output.as_table().expect("zoo is a table");
-        assert_eq!(table.row_count(), 18, "9 generators x 2 cutoffs");
-        assert_eq!(table.column_count(), 6);
     }
 
     #[test]
@@ -596,18 +377,5 @@ mod tests {
         // Column 0 alternates GRN / mesh.
         assert_eq!(table.cell(0, 0), Some("GRN"));
         assert_eq!(table.cell(1, 0), Some("mesh"));
-    }
-
-    #[test]
-    fn hub_load_reports_four_rows_and_cutoffs_reduce_peak_betweenness() {
-        let output = hub_load(&tiny_scale(), 9);
-        let table = output.as_table().expect("hub load is a table");
-        assert_eq!(table.row_count(), 4);
-        let pa_free: f64 = table.cell(0, 2).unwrap().parse().unwrap();
-        let pa_capped: f64 = table.cell(1, 2).unwrap().parse().unwrap();
-        assert!(
-            pa_capped <= pa_free + 0.05,
-            "cutoff should not concentrate more load on the top peer ({pa_capped} vs {pa_free})"
-        );
     }
 }

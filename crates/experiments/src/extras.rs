@@ -7,12 +7,10 @@
 //! churn-dynamics scenarios whose [`sfo_scenario::ChurnRealization`] samples become the
 //! plotted series.
 
-use crate::helpers::{nf_rw_ttls, realization_rng, scenario_series};
+use crate::helpers::{nf_rw_ttls, scenario_series};
 use crate::{ExperimentOutput, Scale};
-use sfo_analysis::{DataPoint, DataSeries, FigureData, Summary};
-use sfo_core::pa::PreferentialAttachment;
+use sfo_analysis::{DataPoint, DataSeries, FigureData};
 use sfo_core::DegreeCutoff;
-use sfo_graph::{robustness_profile, RemovalStrategy};
 use sfo_scenario::{
     ScenarioRunner, ScenarioSpec, SearchSpec, SweepMetric, SweepSpec, TopologySpec,
 };
@@ -154,54 +152,6 @@ pub(crate) fn ablation_minlinks(scale: &Scale, seed: u64) -> ExperimentOutput {
     ExperimentOutput::Figure(figure)
 }
 
-/// Robustness extension ("robust yet fragile", paper §III): giant-component fraction of PA
-/// overlays after removing a growing fraction of peers, either uniformly at random (peer
-/// failures) or highest-degree first (a targeted attack on the hubs), with and without a
-/// hard cutoff.
-pub(crate) fn resilience(scale: &Scale, seed: u64) -> ExperimentOutput {
-    let mut figure = FigureData::new(
-        "resilience",
-        "Giant-component fraction under random failures vs targeted attacks (PA overlays)",
-        "removed fraction",
-        "giant component fraction",
-    );
-    let fractions = [0.0f64, 0.02, 0.05, 0.1, 0.2, 0.3];
-    let strategies = [
-        ("random failures", RemovalStrategy::Random),
-        ("hub attack", RemovalStrategy::HighestDegree),
-    ];
-    for (cutoff_name, cutoff) in [
-        ("no k_c", DegreeCutoff::Unbounded),
-        ("k_c=10", DegreeCutoff::hard(10)),
-    ] {
-        let generator = PreferentialAttachment::new(scale.search_nodes, 2)
-            .expect("scale sizes exceed the PA seed")
-            .with_cutoff(cutoff);
-        for (strategy_name, strategy) in strategies {
-            let label = format!("{strategy_name}, {cutoff_name}");
-            let mut per_fraction = vec![Summary::new(); fractions.len()];
-            for r in 0..scale.realizations {
-                let mut rng = realization_rng(seed, label.len() as u64, r);
-                let graph = generator
-                    .generate(&mut rng)
-                    .expect("PA generation succeeds");
-                for (summary, point) in per_fraction
-                    .iter_mut()
-                    .zip(robustness_profile(&graph, strategy, &fractions, &mut rng))
-                {
-                    summary.add(point.giant_component_fraction);
-                }
-            }
-            let mut series = DataSeries::new(label);
-            for (&fraction, summary) in fractions.iter().zip(&per_fraction) {
-                series.push(DataPoint::from_summary(fraction, summary));
-            }
-            figure.push_series(series);
-        }
-    }
-    ExperimentOutput::Figure(figure)
-}
-
 /// Churn extension: overlay health (giant-component fraction) and query success rate over
 /// time under join/leave/crash churn, for a hard cutoff versus an unbounded overlay.
 pub(crate) fn churn(scale: &Scale, seed: u64) -> ExperimentOutput {
@@ -292,43 +242,6 @@ mod tests {
         assert!(
             m3 > m1,
             "flooding with m=3 ({m3}) should beat m=1 ({m1}) under k_c=10"
-        );
-    }
-
-    #[test]
-    fn resilience_hub_attacks_hurt_unbounded_overlays_more_than_capped_ones() {
-        let scale = Scale {
-            search_nodes: 600,
-            ..tiny()
-        };
-        let output = resilience(&scale, 7);
-        let figure = output.as_figure().unwrap();
-        assert_eq!(figure.series.len(), 4);
-        for series in &figure.series {
-            assert!(
-                (series.y_at(0.0).unwrap() - 1.0).abs() < 1e-9,
-                "{}",
-                series.label
-            );
-            for p in &series.points {
-                assert!((0.0..=1.0).contains(&p.y));
-            }
-        }
-        // Random failures barely hurt a scale-free overlay; a hub attack of the same size
-        // hurts it more ("robust yet fragile").
-        let random = figure
-            .series_by_label("random failures, no k_c")
-            .unwrap()
-            .y_at(0.2)
-            .unwrap();
-        let attack = figure
-            .series_by_label("hub attack, no k_c")
-            .unwrap()
-            .y_at(0.2)
-            .unwrap();
-        assert!(
-            attack < random,
-            "hub attack ({attack:.2}) should hurt more than random failures ({random:.2})"
         );
     }
 

@@ -251,19 +251,9 @@ pub fn all_experiments() -> Vec<ExperimentSpec> {
             run: extras::ablation_minlinks,
         },
         ExperimentSpec {
-            id: "resilience",
-            title: "Random failures vs hub attacks, with and without cutoffs",
-            run: extras::resilience,
-        },
-        ExperimentSpec {
             id: "churn",
             title: "Overlay health and search success under churn",
             run: extras::churn,
-        },
-        ExperimentSpec {
-            id: "generator-zoo",
-            title: "Structural summary of every topology generator, with and without cutoffs",
-            run: extensions::generator_zoo,
         },
         ExperimentSpec {
             id: "search-strategies",
@@ -274,11 +264,6 @@ pub fn all_experiments() -> Vec<ExperimentSpec> {
             id: "replication",
             title: "Uniform vs proportional vs square-root replication",
             run: extensions::replication,
-        },
-        ExperimentSpec {
-            id: "hub-load",
-            title: "Hub-load redistribution under hard cutoffs",
-            run: extensions::hub_load,
         },
         ExperimentSpec {
             id: "substrate-comparison",

@@ -72,27 +72,6 @@ impl Graph {
         graph
     }
 
-    /// Materializes a mutable adjacency copy of any read-only [`GraphView`] in O(V + E).
-    ///
-    /// This is the bridge from frozen snapshots back to the mutable world: analyses that
-    /// need to degrade a topology (for example `resilience::degrade`) accept any view and
-    /// copy it through here before mutating. Neighbor lists come out sorted by node id
-    /// (not necessarily in the view's order), which no mutation-based analysis depends
-    /// on; use [`CsrGraph::thaw`] when the exact frozen order must be preserved.
-    pub fn from_view<G: GraphView + ?Sized>(view: &G) -> Self {
-        let mut graph = Graph::with_nodes(view.node_count());
-        for a in view.nodes() {
-            for &b in view.neighbors(a) {
-                if a.index() < b.index() {
-                    graph
-                        .add_edge(a, b)
-                        .expect("a simple-graph view has no self-loops or duplicates");
-                }
-            }
-        }
-        graph
-    }
-
     /// Freezes the graph into an immutable [`CsrGraph`] snapshot in O(V + E).
     ///
     /// The snapshot preserves per-node neighbor order, so any algorithm generic over

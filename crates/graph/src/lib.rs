@@ -24,18 +24,13 @@
 //! * [`traversal`]: breadth-first search and connected components.
 //! * [`generators`]: substrate-network generators — the geometric random network (GRN)
 //!   and the two-dimensional mesh used as the DAPA substrate, plus the ring, complete,
-//!   path, star and random regular graphs used as seeds, baselines and test fixtures.
+//!   path and star graphs used as seeds, baselines and test fixtures.
 //! * [`snapshot`]: the binary `SFOS` snapshot codec — versioned, checksummed CSR
 //!   topology files ([`CsrGraph::save`]/[`CsrGraph::load`]) with optional shard
 //!   manifests and provenance, the persistence and wire format of the workspace
 //!   (byte layout in `docs/FORMATS.md`).
-//! * The measures the figures and the extension experiments are computed from, exported
-//!   at the crate root: [`degree_histogram`], [`path_statistics_sampled`] and
-//!   [`degree_assortativity`]; [`betweenness_centrality_sampled`],
-//!   [`core_decomposition`], [`knn_by_degree`] and [`rich_club_coefficients`], which
-//!   quantify how hard cutoffs redistribute hub load; [`robustness_profile`] for the
-//!   attack experiments; and the plain-text edge list ([`write_edge_list`],
-//!   [`parse_edge_list`]).
+//! * The measures the figures are computed from, exported at the crate root:
+//!   [`degree_histogram`], [`path_statistics_sampled`] and [`degree_assortativity`].
 //!
 //! A module is `pub` only where a consumer names its path; everything else is reached
 //! through the re-exports below.
@@ -63,19 +58,14 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-mod centrality;
-mod correlations;
 mod csr;
 mod error;
 mod graph;
-mod io;
-mod kcore;
 mod metrics;
 #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
 mod mmap;
 mod multigraph;
 mod node;
-mod resilience;
 mod slice;
 mod view;
 
@@ -83,22 +73,15 @@ pub mod generators;
 pub mod snapshot;
 pub mod traversal;
 
-pub use centrality::{betweenness_centrality_sampled, CentralityScores};
-pub use correlations::{
-    knn_by_degree, modal_degree_fraction, rich_club_coefficients, KnnPoint, RichClubPoint,
-};
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::{Graph, NeighborIter};
-pub use io::{parse_edge_list, write_edge_list, EdgeListError};
-pub use kcore::{core_decomposition, CoreDecomposition};
 pub use metrics::{
     degree_assortativity, degree_histogram, path_statistics_sampled, reachable_within,
     DegreeHistogram, PathStatistics,
 };
 pub use multigraph::{MultiGraph, SimplifyReport};
 pub use node::NodeId;
-pub use resilience::{robustness_profile, RemovalStrategy, RobustnessPoint};
 pub use slice::{CsrSlice, ShardView};
 pub use view::{GraphView, NodeIds, ViewEdges};
 

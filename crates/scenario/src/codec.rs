@@ -1,5 +1,4 @@
-//! JSON tables for the configuration types owned by `sfo-core`, `sfo-sim`, and
-//! `sfo-overlay`.
+//! JSON tables for the configuration types owned by `sfo-sim` and `sfo-overlay`.
 //!
 //! The spec layer embeds the simulator's own configuration structs
 //! ([`SimulationConfig`], [`TraceRunConfig`], [`ChurnTraceConfig`], [`LiveConfig`], ...)
@@ -11,7 +10,6 @@
 use crate::json::{FromJson, JsonValue, ToJson};
 use crate::table::{json_enum, json_record};
 use crate::ScenarioError;
-use sfo_core::fitness::FitnessDistribution;
 use sfo_core::DegreeCutoff;
 use sfo_overlay::LiveConfig;
 use sfo_overlay::ProtocolConfig;
@@ -22,15 +20,6 @@ use sfo_sim::ReplicationStrategy;
 use sfo_sim::TraceRunConfig;
 use sfo_sim::Workload;
 use sfo_sim::{ChurnTraceConfig, SessionModel};
-
-// ---------------------------------------------------------------------------------------
-// sfo-core types.
-
-json_enum!(FitnessDistribution, "fitness distribution", "kind", {
-    Uniform = "uniform" {},
-    UniformRange = "uniform_range" { min, max },
-    Exponential = "exponential" { rate },
-});
 
 // ---------------------------------------------------------------------------------------
 // sfo-sim types.
@@ -224,13 +213,6 @@ mod tests {
         cfg.crash_fraction = 0.5;
         cfg.protocol.active_cap = 20;
         roundtrip(cfg);
-    }
-
-    #[test]
-    fn fitness_distributions_round_trip() {
-        roundtrip(FitnessDistribution::Uniform);
-        roundtrip(FitnessDistribution::UniformRange { min: 0.1, max: 0.9 });
-        roundtrip(FitnessDistribution::Exponential { rate: 1.5 });
     }
 
     #[test]

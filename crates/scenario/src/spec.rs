@@ -12,13 +12,9 @@ use crate::json::{FromJson, JsonValue, ToJson};
 use crate::table::{json_enum, json_record, Tagged};
 use crate::ScenarioError;
 use serde::{Deserialize, Serialize};
-use sfo_core::fitness::{FitnessDistribution, FitnessModel};
 use sfo_core::pa::PreferentialAttachment;
 use sfo_core::ConfigurationModel;
 use sfo_core::HopAndAttempt;
-use sfo_core::InitialAttractiveness;
-use sfo_core::LocalEventsModel;
-use sfo_core::NonlinearPreferentialAttachment;
 use sfo_core::UncorrelatedConfigurationModel;
 use sfo_core::{DapaOverGrn, DapaOverMesh};
 use sfo_core::{DegreeCutoff, DynTopologyGenerator};
@@ -113,52 +109,6 @@ pub enum TopologySpec {
         /// Hard cutoff `k_c` (`None` = unbounded).
         cutoff: Option<usize>,
     },
-    /// Nonlinear PA, `Π ∝ k^α` (refs. \[52, 53\]).
-    NonlinearPa {
-        /// Overlay size.
-        nodes: usize,
-        /// Stubs per joining node.
-        m: usize,
-        /// Attachment exponent `α`.
-        alpha: f64,
-        /// Hard cutoff `k_c` (`None` = unbounded).
-        cutoff: Option<usize>,
-    },
-    /// Fitness model, `Π ∝ η k` (refs. \[54, 55\]).
-    Fitness {
-        /// Overlay size.
-        nodes: usize,
-        /// Stubs per joining node.
-        m: usize,
-        /// Distribution of the per-node fitness values.
-        distribution: FitnessDistribution,
-        /// Hard cutoff `k_c` (`None` = unbounded).
-        cutoff: Option<usize>,
-    },
-    /// Local-events model: growth plus link addition and rewiring (ref. \[7\]).
-    LocalEvents {
-        /// Overlay size.
-        nodes: usize,
-        /// Stubs per joining node.
-        m: usize,
-        /// Probability of a link-addition event.
-        p_add_links: f64,
-        /// Probability of a rewiring event.
-        q_rewire: f64,
-        /// Hard cutoff `k_c` (`None` = unbounded).
-        cutoff: Option<usize>,
-    },
-    /// Initial-attractiveness PA, `Π ∝ k + a` (paper §III-C exponent tuning).
-    Attractiveness {
-        /// Overlay size.
-        nodes: usize,
-        /// Stubs per joining node.
-        m: usize,
-        /// Initial attractiveness `a`.
-        a: f64,
-        /// Hard cutoff `k_c` (`None` = unbounded).
-        cutoff: Option<usize>,
-    },
     /// A pre-built topology loaded from a binary `SFOS` snapshot file written by
     /// `sfo snapshot build` (see `sfo_graph::snapshot`).
     ///
@@ -191,11 +141,7 @@ impl TopologySpec {
             | TopologySpec::Cm { nodes, .. }
             | TopologySpec::Ucm { nodes, .. }
             | TopologySpec::DapaGrn { nodes, .. }
-            | TopologySpec::DapaMesh { nodes, .. }
-            | TopologySpec::NonlinearPa { nodes, .. }
-            | TopologySpec::Fitness { nodes, .. }
-            | TopologySpec::LocalEvents { nodes, .. }
-            | TopologySpec::Attractiveness { nodes, .. } => nodes,
+            | TopologySpec::DapaMesh { nodes, .. } => nodes,
         }
     }
 
@@ -209,11 +155,7 @@ impl TopologySpec {
             | TopologySpec::Cm { m, .. }
             | TopologySpec::Ucm { m, .. }
             | TopologySpec::DapaGrn { m, .. }
-            | TopologySpec::DapaMesh { m, .. }
-            | TopologySpec::NonlinearPa { m, .. }
-            | TopologySpec::Fitness { m, .. }
-            | TopologySpec::LocalEvents { m, .. }
-            | TopologySpec::Attractiveness { m, .. } => m,
+            | TopologySpec::DapaMesh { m, .. } => m,
         }
     }
 
@@ -227,11 +169,7 @@ impl TopologySpec {
             | TopologySpec::Cm { cutoff, .. }
             | TopologySpec::Ucm { cutoff, .. }
             | TopologySpec::DapaGrn { cutoff, .. }
-            | TopologySpec::DapaMesh { cutoff, .. }
-            | TopologySpec::NonlinearPa { cutoff, .. }
-            | TopologySpec::Fitness { cutoff, .. }
-            | TopologySpec::LocalEvents { cutoff, .. }
-            | TopologySpec::Attractiveness { cutoff, .. } => cutoff,
+            | TopologySpec::DapaMesh { cutoff, .. } => cutoff,
         }
     }
 
@@ -246,11 +184,7 @@ impl TopologySpec {
             | TopologySpec::Cm { m, .. }
             | TopologySpec::Ucm { m, .. }
             | TopologySpec::DapaGrn { m, .. }
-            | TopologySpec::DapaMesh { m, .. }
-            | TopologySpec::NonlinearPa { m, .. }
-            | TopologySpec::Fitness { m, .. }
-            | TopologySpec::LocalEvents { m, .. }
-            | TopologySpec::Attractiveness { m, .. } => *m = new_m,
+            | TopologySpec::DapaMesh { m, .. } => *m = new_m,
         }
         spec
     }
@@ -266,11 +200,7 @@ impl TopologySpec {
             | TopologySpec::Cm { cutoff, .. }
             | TopologySpec::Ucm { cutoff, .. }
             | TopologySpec::DapaGrn { cutoff, .. }
-            | TopologySpec::DapaMesh { cutoff, .. }
-            | TopologySpec::NonlinearPa { cutoff, .. }
-            | TopologySpec::Fitness { cutoff, .. }
-            | TopologySpec::LocalEvents { cutoff, .. }
-            | TopologySpec::Attractiveness { cutoff, .. } => *cutoff = new_cutoff,
+            | TopologySpec::DapaMesh { cutoff, .. } => *cutoff = new_cutoff,
         }
         spec
     }
@@ -309,37 +239,6 @@ impl TopologySpec {
                 "DAPA-mesh m={m}, {}, tau_sub={tau_sub}",
                 cutoff_label(cutoff)
             ),
-            TopologySpec::NonlinearPa {
-                m, alpha, cutoff, ..
-            } => format!("PA alpha={alpha}, m={m}, {}", cutoff_label(cutoff)),
-            TopologySpec::Fitness {
-                m,
-                distribution,
-                cutoff,
-                ..
-            } => {
-                // The distribution is part of the label: configurations differing only in
-                // fitness law must not collide on stream family or curve identity.
-                let dist = match distribution {
-                    FitnessDistribution::Uniform => "uniform".to_string(),
-                    FitnessDistribution::UniformRange { min, max } => format!("U[{min},{max}]"),
-                    FitnessDistribution::Exponential { rate } => format!("exp({rate})"),
-                };
-                format!("fitness {dist}, m={m}, {}", cutoff_label(cutoff))
-            }
-            TopologySpec::LocalEvents {
-                m,
-                p_add_links,
-                q_rewire,
-                cutoff,
-                ..
-            } => format!(
-                "local events p={p_add_links} q={q_rewire}, m={m}, {}",
-                cutoff_label(cutoff)
-            ),
-            TopologySpec::Attractiveness { m, a, cutoff, .. } => {
-                format!("PA a={a}, m={m}, {}", cutoff_label(cutoff))
-            }
             // Placeholder only: the runner labels snapshot curves with the provenance
             // label stored in the file, so reports match the inline generator's.
             TopologySpec::Snapshot { ref path } => format!("snapshot:{path}"),
@@ -375,33 +274,6 @@ impl TopologySpec {
             TopologySpec::DapaMesh {
                 nodes, m, tau_sub, ..
             } => Box::new(DapaOverMesh::new(nodes, m, tau_sub)?.with_cutoff(cutoff)),
-            TopologySpec::NonlinearPa {
-                nodes, m, alpha, ..
-            } => {
-                Box::new(NonlinearPreferentialAttachment::new(nodes, m, alpha)?.with_cutoff(cutoff))
-            }
-            TopologySpec::Fitness {
-                nodes,
-                m,
-                distribution,
-                ..
-            } => Box::new(
-                FitnessModel::new(nodes, m)?
-                    .with_distribution(distribution)
-                    .with_cutoff(cutoff),
-            ),
-            TopologySpec::LocalEvents {
-                nodes,
-                m,
-                p_add_links,
-                q_rewire,
-                ..
-            } => Box::new(
-                LocalEventsModel::new(nodes, m, p_add_links, q_rewire)?.with_cutoff(cutoff),
-            ),
-            TopologySpec::Attractiveness { nodes, m, a, .. } => {
-                Box::new(InitialAttractiveness::new(nodes, m, a)?.with_cutoff(cutoff))
-            }
             TopologySpec::Snapshot { .. } => {
                 return Err(ScenarioError::invalid(
                     "snapshot topologies are loaded from their file, not generated; \
@@ -1252,10 +1124,6 @@ json_enum!(TopologySpec, "topology", "family", {
     Ucm = "ucm" { nodes, gamma, m, cutoff = None },
     DapaGrn = "dapa_grn" { nodes, m, tau_sub, cutoff = None },
     DapaMesh = "dapa_mesh" { nodes, m, tau_sub, cutoff = None },
-    NonlinearPa = "nonlinear_pa" { nodes, m, alpha, cutoff = None },
-    Fitness = "fitness" { nodes, m, distribution, cutoff = None },
-    LocalEvents = "local_events" { nodes, m, p_add_links, q_rewire, cutoff = None },
-    Attractiveness = "attractiveness" { nodes, m, a, cutoff = None },
     Snapshot = "snapshot" { path },
 });
 
@@ -1351,31 +1219,6 @@ mod tests {
                 tau_sub: 6,
                 cutoff: None,
             },
-            TopologySpec::NonlinearPa {
-                nodes,
-                m: 2,
-                alpha: 0.8,
-                cutoff: None,
-            },
-            TopologySpec::Fitness {
-                nodes,
-                m: 2,
-                distribution: FitnessDistribution::UniformRange { min: 0.1, max: 1.0 },
-                cutoff: Some(25),
-            },
-            TopologySpec::LocalEvents {
-                nodes,
-                m: 2,
-                p_add_links: 0.2,
-                q_rewire: 0.1,
-                cutoff: None,
-            },
-            TopologySpec::Attractiveness {
-                nodes,
-                m: 2,
-                a: 2.0,
-                cutoff: Some(30),
-            },
         ]
     }
 
@@ -1452,28 +1295,36 @@ mod tests {
     fn parameter_variants_get_distinct_labels() {
         // Labels are stream-family salts and curve identities, so configurations that
         // differ in any generator parameter must not collide.
-        let fitness = |distribution| TopologySpec::Fitness {
+        let cm = |gamma| TopologySpec::Cm {
             nodes: 100,
+            gamma,
             m: 2,
-            distribution,
             cutoff: None,
         };
-        assert_ne!(
-            fitness(FitnessDistribution::Uniform).label(),
-            fitness(FitnessDistribution::Exponential { rate: 1.0 }).label()
-        );
-        assert_ne!(
-            fitness(FitnessDistribution::Exponential { rate: 1.0 }).label(),
-            fitness(FitnessDistribution::Exponential { rate: 2.0 }).label()
-        );
-        let local = |p, q| TopologySpec::LocalEvents {
+        assert_ne!(cm(2.2).label(), cm(2.6).label());
+        let ucm = |gamma| TopologySpec::Ucm {
             nodes: 100,
+            gamma,
             m: 2,
-            p_add_links: p,
-            q_rewire: q,
             cutoff: None,
         };
-        assert_ne!(local(0.2, 0.1).label(), local(0.1, 0.2).label());
+        assert_ne!(ucm(2.2).label(), ucm(2.6).label());
+        assert_ne!(cm(2.2).label(), ucm(2.2).label());
+        let dapa = |tau_sub| TopologySpec::DapaGrn {
+            nodes: 100,
+            m: 2,
+            tau_sub,
+            cutoff: None,
+        };
+        assert_ne!(dapa(2).label(), dapa(4).label());
+        let mesh = |tau_sub| TopologySpec::DapaMesh {
+            nodes: 100,
+            m: 2,
+            tau_sub,
+            cutoff: None,
+        };
+        assert_ne!(mesh(2).label(), mesh(4).label());
+        assert_ne!(dapa(2).label(), mesh(2).label());
     }
 
     #[test]

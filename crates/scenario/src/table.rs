@@ -428,7 +428,7 @@ mod tests {
         assert_eq!(
             decode::<TopologySpec>(r#"{"family": "ring"}"#).unwrap_err(),
             "topology: unknown family \"ring\" (expected pa, hapa, cm, ucm, dapa_grn, \
-             dapa_mesh, nonlinear_pa, fitness, local_events, attractiveness, or snapshot)"
+             dapa_mesh, or snapshot)"
         );
     }
 }

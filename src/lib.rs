@@ -11,8 +11,7 @@
 //!   `CsrGraph::save`/`load`, `ShardedCsr::save`/`load`, and the `sfo snapshot`
 //!   subcommands (byte layout documented in `docs/FORMATS.md`).
 //! * [`topology`] — PA, CM, HAPA, and DAPA overlay generators with hard cutoffs, plus the
-//!   modified preferential-attachment family (nonlinear PA, fitness, local events, initial
-//!   attractiveness, uncorrelated CM) ([`sfo_core`]).
+//!   uncorrelated configuration model ([`sfo_core`]).
 //! * [`search`] — flooding, normalized flooding, and random-walk search ([`sfo_search`]).
 //! * [`engine`] — the sharded CSR topology store and batched query scheduler
 //!   ([`sfo_engine`]): [`ShardedCsr`](sfo_engine::ShardedCsr) partitions a frozen
@@ -90,12 +89,10 @@ pub use sfo_sim as sim;
 /// The most commonly used types, re-exported for convenient glob imports.
 pub mod prelude {
     pub use sfo_analysis::{DataPoint, DataSeries, FigureData, Summary};
-    pub use sfo_core::fitness::{FitnessDistribution, FitnessModel};
     pub use sfo_core::pa::PreferentialAttachment;
     pub use sfo_core::{
         ConfigurationModel, DapaOverGrn, DegreeCutoff, DiscoverAndAttempt, DynTopologyGenerator,
-        HopAndAttempt, InitialAttractiveness, LocalEventsModel, Locality,
-        NonlinearPreferentialAttachment, StubCount, TopologyError, TopologyGenerator,
+        HopAndAttempt, Locality, StubCount, TopologyError, TopologyGenerator,
         UncorrelatedConfigurationModel,
     };
     pub use sfo_engine::{

@@ -1,18 +1,14 @@
-//! Integration tests for the extension surface: the modified preferential-attachment
-//! generators, the additional search strategies, the structural metrics, replication, and
-//! the extension experiments — exercised together through the public `sfoverlay` API the
-//! way a downstream user would.
+//! Integration tests for the extension surface: the uncorrelated configuration model, the
+//! additional search strategies, replication, churn traces, and the extension experiments —
+//! exercised together through the public `sfoverlay` API the way a downstream user would.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sfoverlay::analysis::select_k_min;
-use sfoverlay::analysis::{bootstrap_mean_ci, pearson_correlation};
+use sfoverlay::analysis::bootstrap_mean_ci;
 use sfoverlay::experiments::{run_experiment, Scale};
-use sfoverlay::graph::generators::{random_regular, star_graph};
-use sfoverlay::graph::{traversal, NodeId};
+use sfoverlay::graph::traversal;
 use sfoverlay::prelude::*;
 use sfoverlay::search::experiment::ttl_sweep;
-use sfoverlay::search::{coverage_curve, granularity};
 use sfoverlay::sim::catalog::Catalog;
 use sfoverlay::sim::{allocate, place};
 use sfoverlay::sim::{generate_trace, ChurnTraceConfig, SessionModel};
@@ -31,86 +27,27 @@ fn tiny_scale() -> Scale {
     }
 }
 
-/// Every extended generator produces the requested size, respects the hard cutoff, and is
-/// usable through the shared trait object interface.
+/// The uncorrelated configuration model produces the requested size, respects the hard
+/// cutoff, and is usable through the shared trait object interface.
 #[test]
 fn extended_generators_respect_cutoffs_through_the_trait_interface() {
     let n = 600;
-    let cutoff = DegreeCutoff::hard(15);
-    let generators: Vec<(Box<dyn TopologyGenerator>, Locality)> = vec![
-        (
-            Box::new(
-                NonlinearPreferentialAttachment::new(n, 2, 0.7)
-                    .unwrap()
-                    .with_cutoff(cutoff),
-            ),
-            Locality::Global,
-        ),
-        (
-            Box::new(
-                FitnessModel::new(n, 2)
-                    .unwrap()
-                    .with_distribution(FitnessDistribution::UniformRange { min: 0.1, max: 1.0 })
-                    .with_cutoff(cutoff),
-            ),
-            Locality::Global,
-        ),
-        (
-            Box::new(
-                LocalEventsModel::new(n, 2, 0.2, 0.2)
-                    .unwrap()
-                    .with_cutoff(cutoff),
-            ),
-            Locality::Global,
-        ),
-        (
-            Box::new(
-                InitialAttractiveness::with_target_gamma(n, 2, 2.5)
-                    .unwrap()
-                    .with_cutoff(cutoff),
-            ),
-            Locality::Global,
-        ),
-        (
-            Box::new(
-                UncorrelatedConfigurationModel::new(n, 2.6, 2)
-                    .unwrap()
-                    .with_cutoff(cutoff),
-            ),
-            Locality::Global,
-        ),
-    ];
-    for (generator, locality) in &generators {
-        let graph = generator.generate(&mut rng(5)).unwrap();
-        assert_eq!(graph.node_count(), n, "{}", generator.name());
-        assert!(graph.max_degree().unwrap() <= 15, "{}", generator.name());
-        assert_eq!(generator.locality(), *locality, "{}", generator.name());
-        assert_eq!(generator.target_nodes(), n);
-        graph.assert_consistent();
-    }
-}
-
-/// The DMS generator's exponent knob behaves as advertised: smaller target gamma grows
-/// heavier tails, which a Clauset-style fit on the generated network recovers in order.
-#[test]
-fn initial_attractiveness_orders_tails_by_target_gamma() {
-    let heavy = InitialAttractiveness::with_target_gamma(4_000, 2, 2.3)
-        .unwrap()
-        .generate(&mut rng(9))
-        .unwrap();
-    let light = InitialAttractiveness::with_target_gamma(4_000, 2, 3.5)
-        .unwrap()
-        .generate(&mut rng(9))
-        .unwrap();
-    assert!(heavy.max_degree().unwrap() > light.max_degree().unwrap());
-    let fit_heavy = select_k_min(&heavy.degrees(), 2, 8, heavy.max_degree().unwrap()).unwrap();
-    let fit_light = select_k_min(&light.degrees(), 2, 8, light.max_degree().unwrap()).unwrap();
-    assert!(
-        fit_heavy.fit.gamma < fit_light.fit.gamma + 0.5,
-        "fitted exponents should track the target ordering ({} vs {})",
-        fit_heavy.fit.gamma,
-        fit_light.fit.gamma
+    let generator: Box<dyn TopologyGenerator> = Box::new(
+        UncorrelatedConfigurationModel::new(n, 2.6, 2)
+            .unwrap()
+            .with_cutoff(DegreeCutoff::hard(15)),
     );
+    let graph = generator.generate(&mut rng(5)).unwrap();
+    assert_eq!(graph.node_count(), n, "{}", generator.name());
+    assert!(graph.max_degree().unwrap() <= 15, "{}", generator.name());
+    assert_eq!(
+        generator.locality(),
+        Locality::Global,
+        "{}",
+        generator.name()
+    );
+    assert_eq!(generator.target_nodes(), n);
+    graph.assert_consistent();
 }
 
 /// The paper's headline observation extends to the new practical search strategies:
@@ -164,61 +101,6 @@ fn degree_biased_walk_relies_on_hubs() {
         biased > uniform,
         "on an unbounded PA overlay the hub-seeking walk should beat the uniform walk \
          ({biased} vs {uniform})"
-    );
-}
-
-/// Structural metrics agree with each other on generated overlays: core numbers are bounded
-/// by degree, the cutoff caps the degeneracy, and the disassortative knn(k) signature of PA
-/// shows up.
-#[test]
-fn structural_metrics_are_mutually_consistent_on_pa_overlays() {
-    let graph = PreferentialAttachment::new(2_000, 3)
-        .unwrap()
-        .with_cutoff(DegreeCutoff::hard(25))
-        .generate(&mut rng(41))
-        .unwrap();
-    let decomposition = sfoverlay::graph::core_decomposition(&graph);
-    assert!(decomposition.degeneracy <= 25);
-    assert!(
-        decomposition.degeneracy >= 3,
-        "a PA overlay with m=3 contains at least a 3-core"
-    );
-    for node in graph.nodes() {
-        assert!(decomposition.core_numbers[node.index()] <= graph.degree(node));
-    }
-    let knn = sfoverlay::graph::knn_by_degree(&graph);
-    assert!(knn.len() > 3);
-    let low_k = knn.first().unwrap().average_neighbor_degree;
-    let high_k = knn.last().unwrap().average_neighbor_degree;
-    assert!(
-        low_k > high_k * 0.8,
-        "PA overlays are not assortative: knn at low degree ({low_k}) should not be far below \
-         knn at the top degree ({high_k})"
-    );
-    let betweenness = sfoverlay::graph::betweenness_centrality_sampled(&graph, 50, &mut rng(42));
-    let top = betweenness.most_central().unwrap();
-    assert!(
-        graph.degree(top) as f64 >= graph.average_degree(),
-        "the most loaded peer should not be a low-degree satellite"
-    );
-}
-
-/// Edge-list round trips preserve generated topologies well enough to recompute identical
-/// degree histograms.
-#[test]
-fn edge_list_round_trip_preserves_degree_structure() {
-    let graph = UncorrelatedConfigurationModel::new(800, 2.4, 2)
-        .unwrap()
-        .with_cutoff(DegreeCutoff::hard(20))
-        .generate(&mut rng(51))
-        .unwrap();
-    let text = sfoverlay::graph::write_edge_list(&graph);
-    let parsed = sfoverlay::graph::parse_edge_list(&text).unwrap();
-    assert_eq!(parsed.node_count(), graph.node_count());
-    assert_eq!(parsed.edge_count(), graph.edge_count());
-    assert_eq!(
-        sfoverlay::graph::degree_histogram(&parsed).counts,
-        sfoverlay::graph::degree_histogram(&graph).counts
     );
 }
 
@@ -312,22 +194,20 @@ fn churn_trace_replays_against_the_live_overlay() {
     );
 }
 
-/// Coverage curves, granularity, and the analysis statistics compose: flooding on a star
-/// baseline has perfect first-round granularity, and bootstrap intervals cover the mean of
-/// repeated search outcomes.
+/// Search coverage and the analysis statistics compose: bootstrap intervals cover the
+/// mean of repeated search outcomes on a capped PA overlay.
 #[test]
 fn coverage_and_statistics_compose_on_reference_topologies() {
-    let star = star_graph(200).unwrap();
-    let curve = coverage_curve(&Flooding::new(), &star, NodeId::new(5), 2, &mut rng(81));
-    let grain = granularity(&curve);
-    assert!((grain[0].marginal_hits_per_message - 1.0).abs() < 1e-9);
-
-    let regular = random_regular(300, 3, &mut rng(82)).unwrap();
-    assert!(traversal::is_connected(&regular));
+    let capped = PreferentialAttachment::new(300, 2)
+        .unwrap()
+        .with_cutoff(DegreeCutoff::hard(10))
+        .generate(&mut rng(82))
+        .unwrap();
+    assert!(traversal::is_connected(&capped));
     let hits: Vec<f64> = (0..20)
         .map(|i| {
             ttl_sweep(
-                &regular,
+                &capped,
                 &NormalizedFlooding::new(3),
                 &[4],
                 10,
@@ -339,22 +219,14 @@ fn coverage_and_statistics_compose_on_reference_topologies() {
     let ci = bootstrap_mean_ci(&hits, 500, 0.95, &mut rng(83)).unwrap();
     let mean = hits.iter().sum::<f64>() / hits.len() as f64;
     assert!(ci.contains(mean));
-
-    let messages: Vec<f64> = hits.iter().map(|h| h * 3.0).collect();
-    assert!((pearson_correlation(&hits, &messages).unwrap() - 1.0).abs() < 1e-9);
 }
 
 /// The extension experiments are registered and runnable at smoke scale.
 #[test]
 fn extension_experiments_run_at_tiny_scale() {
     let scale = tiny_scale();
-    for id in ["generator-zoo", "hub-load", "replication"] {
-        let output = run_experiment(id, &scale, 5).unwrap_or_else(|| panic!("{id} not registered"));
-        let table = output
-            .as_table()
-            .unwrap_or_else(|| panic!("{id} should be a table"));
-        assert!(table.row_count() >= 3, "{id}");
-    }
+    let replication = run_experiment("replication", &scale, 5).expect("registered");
+    assert!(replication.as_table().expect("table").row_count() >= 3);
     let strategies = run_experiment("search-strategies", &scale, 5).expect("registered");
     assert!(strategies.as_figure().expect("figure").series.len() >= 12);
 }

@@ -39,7 +39,6 @@ use sfoverlay::scenario::json::{FromJson, JsonValue, ToJson};
 use sfoverlay::search::experiment::{label_salt, stream_rng};
 use sfoverlay::sim::catalog::ItemId;
 use sfoverlay::sim::simulation::OverlaySample;
-use sfoverlay::topology::fitness::FitnessDistribution;
 use sfoverlay::topology::DapaOverMesh;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
@@ -539,12 +538,6 @@ fn malformed_matrix(digests: &mut Digests, reports: &[ScenarioReport]) {
         },
         crash_fraction: 0.25,
     };
-    malformed(
-        digests,
-        "fitness_distribution",
-        &FitnessDistribution::UniformRange { min: 0.1, max: 0.9 },
-        Some("kind"),
-    );
     malformed(
         digests,
         "join_strategy",

@@ -229,51 +229,6 @@ fn live_overlay_survives_arbitrary_churn() {
     });
 }
 
-/// The nonlinear and initial-attractiveness generators keep the size / cutoff /
-/// connectivity invariants of PA for every kernel parameterization.
-#[test]
-fn modified_pa_generators_keep_pa_invariants() {
-    for_cases(16, |case, input| {
-        let n: usize = input.gen_range(20..150);
-        let m: usize = input.gen_range(1..4);
-        let alpha: f64 = input.gen_range(0.0..2.0);
-        // Initial attractiveness must exceed -m for the kernel to stay positive.
-        let attractiveness: f64 = input.gen_range((-(m as f64) * 0.9)..4.0);
-        let k_c: Option<usize> = if input.gen::<bool>() {
-            Some(input.gen_range(5..30).max(m))
-        } else {
-            None
-        };
-        let seed: u64 = input.gen_range(0..500u64);
-        let cutoff = DegreeCutoff::from(k_c);
-        let nodes = n.max(m + 2);
-
-        let nlpa = NonlinearPreferentialAttachment::new(nodes, m, alpha)
-            .unwrap()
-            .with_cutoff(cutoff)
-            .generate(&mut rng(seed))
-            .unwrap();
-        assert_eq!(nlpa.node_count(), nodes, "case {case}");
-        assert!(traversal::is_connected(&nlpa), "case {case}");
-        if let Some(k) = k_c {
-            assert!(nlpa.max_degree().unwrap() <= k, "case {case}");
-        }
-        nlpa.assert_consistent();
-
-        let dms = InitialAttractiveness::new(nodes, m, attractiveness)
-            .unwrap()
-            .with_cutoff(cutoff)
-            .generate(&mut rng(seed))
-            .unwrap();
-        assert_eq!(dms.node_count(), nodes, "case {case}");
-        assert!(traversal::is_connected(&dms), "case {case}");
-        if let Some(k) = k_c {
-            assert!(dms.max_degree().unwrap() <= k, "case {case}");
-        }
-        dms.assert_consistent();
-    });
-}
-
 /// The uncorrelated configuration model never exceeds the tighter of the structural and
 /// hard cutoffs and never realizes more degree than it targeted.
 #[test]
@@ -305,50 +260,6 @@ fn ucm_invariants() {
             "case {case}"
         );
         outcome.graph.assert_consistent();
-    });
-}
-
-/// Edge-list serialization round-trips arbitrary simple graphs: node count, edge count,
-/// and the sorted edge set are preserved.
-#[test]
-fn edge_list_round_trip() {
-    use sfoverlay::graph::{parse_edge_list, write_edge_list};
-    for_cases(16, |case, input| {
-        let graph = random_graph(30, 120, input);
-        let parsed = parse_edge_list(&write_edge_list(&graph)).unwrap();
-        assert_eq!(parsed.node_count(), graph.node_count(), "case {case}");
-        assert_eq!(parsed.edge_count(), graph.edge_count(), "case {case}");
-        let mut original: Vec<_> = graph.edges().collect();
-        let mut reparsed: Vec<_> = parsed.edges().collect();
-        original.sort_unstable();
-        reparsed.sort_unstable();
-        assert_eq!(original, reparsed, "case {case}");
-    });
-}
-
-/// Core numbers never exceed degrees and the degeneracy never exceeds the maximum
-/// degree, for arbitrary graphs.
-#[test]
-fn core_numbers_are_bounded_by_degrees() {
-    use sfoverlay::graph::core_decomposition;
-    for_cases(16, |case, input| {
-        let graph = random_graph(25, 100, input);
-        let decomposition = core_decomposition(&graph);
-        for node in graph.nodes() {
-            assert!(
-                decomposition.core_numbers[node.index()] <= graph.degree(node),
-                "case {case}"
-            );
-        }
-        assert!(
-            decomposition.degeneracy <= graph.max_degree().unwrap_or(0),
-            "case {case}"
-        );
-        // Core sizes are monotone non-increasing in k.
-        let sizes = decomposition.core_sizes();
-        for w in sizes.windows(2) {
-            assert!(w[0] >= w[1], "case {case}");
-        }
     });
 }
 

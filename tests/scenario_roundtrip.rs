@@ -3,7 +3,6 @@
 //! fail with typed errors instead of panics.
 
 use sfoverlay::prelude::*;
-use sfoverlay::topology::fitness::FitnessDistribution;
 
 /// One small static spec per topology family, plus one per search algorithm, plus the
 /// two dynamic kinds — together they cover every `ScenarioSpec` variant.
@@ -43,31 +42,6 @@ fn all_spec_variants() -> Vec<ScenarioSpec> {
             m: 2,
             tau_sub: 6,
             cutoff: None,
-        },
-        TopologySpec::NonlinearPa {
-            nodes,
-            m: 2,
-            alpha: 0.8,
-            cutoff: None,
-        },
-        TopologySpec::Fitness {
-            nodes,
-            m: 2,
-            distribution: FitnessDistribution::Exponential { rate: 1.0 },
-            cutoff: Some(25),
-        },
-        TopologySpec::LocalEvents {
-            nodes,
-            m: 2,
-            p_add_links: 0.2,
-            q_rewire: 0.1,
-            cutoff: None,
-        },
-        TopologySpec::Attractiveness {
-            nodes,
-            m: 2,
-            a: 2.0,
-            cutoff: Some(30),
         },
     ];
     let mut specs: Vec<ScenarioSpec> = topologies

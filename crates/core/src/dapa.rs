@@ -289,6 +289,10 @@ impl DiscoverAndAttempt {
     /// Degree-preferential draw over the horizon peers, with the paper's rejection rule
     /// `rnd < k_peer / k_total`, falling back to a uniform eligible peer when the attempt
     /// budget is exhausted.
+    ///
+    /// `horizon_peers` holds only peers the cutoff admitted at discovery. During one join
+    /// a horizon peer's degree grows only by its link to `joining`, which
+    /// `contains_edge` then skips, so no peer this draws can be saturated.
     fn pick_peer<R: Rng + ?Sized>(
         &self,
         overlay: &Graph,
@@ -303,21 +307,16 @@ impl DiscoverAndAttempt {
                 continue;
             }
             let k = overlay.degree(peer);
-            if !self.cutoff.admits(k) {
-                continue;
-            }
             if rng.gen::<f64>() < k as f64 / k_total as f64 {
                 return Some(peer);
             }
         }
         // Budget exhausted (tiny horizon degrees versus a large overlay): fall back to a
-        // uniform draw over the still-eligible horizon peers so the join terminates.
+        // uniform draw over the still-unlinked horizon peers so the join terminates.
         let eligible: Vec<NodeId> = horizon_peers
             .iter()
             .copied()
-            .filter(|&p| {
-                !overlay.contains_edge(joining, p) && self.cutoff.admits(overlay.degree(p))
-            })
+            .filter(|&p| !overlay.contains_edge(joining, p))
             .collect();
         if eligible.is_empty() {
             None

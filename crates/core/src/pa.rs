@@ -163,6 +163,9 @@ impl PreferentialAttachment {
                 stub_list.push(target);
             }
         }
+        // Free the draw state before the CSR arrays are allocated: the stub list alone
+        // is as large as `targets`.
+        drop((stub_list, degree));
         Ok(CsrGraph::from_edges(self.nodes, &edges))
     }
 

@@ -10,8 +10,8 @@
 //!   Figs. 1(c) and 4(g)) and by discrete maximum likelihood.
 //! * `summary` — mean / standard deviation / standard error across realizations; every
 //!   data point in the paper averages 10 network realizations.
-//! * `stats` — bootstrap confidence intervals and Kolmogorov-Smirnov goodness of fit, for
-//!   quantifying the "quite large error bars" the paper mentions.
+//! * `stats` — bootstrap confidence intervals, Kolmogorov-Smirnov goodness of fit, and
+//!   correlation, for quantifying the "quite large error bars" the paper mentions.
 //! * `kmin` — Clauset-style selection of the power-law fit window lower bound.
 //! * `export` — self-contained gnuplot scripts for any figure, with the paper's axis
 //!   conventions.
@@ -51,6 +51,6 @@ pub use histogram::{log_binned_distribution, LogBin};
 pub use kmin::{select_k_min, KminSelection};
 pub use powerlaw_fit::{fit_exponent_from_counts, ExponentFit};
 pub use series::{DataPoint, DataSeries, FigureData};
-pub use stats::{bootstrap_mean_ci, ConfidenceInterval};
+pub use stats::{bootstrap_mean_ci, pearson_correlation, ConfidenceInterval};
 pub use summary::Summary;
 pub use table::TextTable;

@@ -1,4 +1,5 @@
-//! General statistics: bootstrap confidence intervals and Kolmogorov-Smirnov distances.
+//! General statistics: bootstrap confidence intervals, Kolmogorov-Smirnov distances, and
+//! correlation.
 //!
 //! The paper reports every data point as an average over 10 network realizations and notes
 //! that some of its exponent estimates carry "quite large error bars". This module provides
@@ -8,7 +9,9 @@
 //!   small sample (realization averages);
 //! * [`ks_distance_powerlaw`] — the Kolmogorov-Smirnov distance between an empirical degree
 //!   sample and a discrete bounded power law, the goodness-of-fit statistic behind the
-//!   `k_min` selection of [`crate::kmin`].
+//!   `k_min` selection of [`crate::kmin`];
+//! * [`pearson_correlation`] — linear correlation between paired measurements (for example
+//!   hit counts of two search algorithms across the same sources).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -120,6 +123,31 @@ pub(crate) fn ks_distance_powerlaw(
     Some(max_gap)
 }
 
+/// Pearson linear correlation between two paired samples.
+///
+/// Returns `None` if the samples differ in length, have fewer than two elements, or either
+/// has zero variance.
+pub fn pearson_correlation(xs: &[f64], ys: &[f64]) -> Option<f64> {
+    if xs.len() != ys.len() || xs.len() < 2 {
+        return None;
+    }
+    let n = xs.len() as f64;
+    let mean_x = xs.iter().sum::<f64>() / n;
+    let mean_y = ys.iter().sum::<f64>() / n;
+    let mut sxx = 0.0;
+    let mut syy = 0.0;
+    let mut sxy = 0.0;
+    for (&x, &y) in xs.iter().zip(ys) {
+        sxx += (x - mean_x).powi(2);
+        syy += (y - mean_y).powi(2);
+        sxy += (x - mean_x) * (y - mean_y);
+    }
+    if sxx < 1e-300 || syy < 1e-300 {
+        return None;
+    }
+    Some(sxy / (sxx.sqrt() * syy.sqrt()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,5 +225,25 @@ mod tests {
         // A degenerate single-value window always matches perfectly.
         let d = ks_distance_powerlaw(&[3, 3, 3], 2.0, 3, 3).unwrap();
         assert!(d.abs() < 1e-12);
+    }
+
+    #[test]
+    fn pearson_correlation_detects_linear_relationships() {
+        let xs: Vec<f64> = (0..50).map(|i| i as f64).collect();
+        let ys_up: Vec<f64> = xs.iter().map(|x| 3.0 * x + 1.0).collect();
+        let ys_down: Vec<f64> = xs.iter().map(|x| -2.0 * x + 7.0).collect();
+        assert!((pearson_correlation(&xs, &ys_up).unwrap() - 1.0).abs() < 1e-12);
+        assert!((pearson_correlation(&xs, &ys_down).unwrap() + 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn pearson_correlation_edge_cases() {
+        assert!(pearson_correlation(&[1.0, 2.0], &[1.0]).is_none());
+        assert!(pearson_correlation(&[1.0], &[1.0]).is_none());
+        assert!(pearson_correlation(&[1.0, 1.0, 1.0], &[1.0, 2.0, 3.0]).is_none());
+        let xs = [1.0, 2.0, 3.0, 4.0];
+        let noise = [0.3, -0.4, 0.2, -0.1];
+        let r = pearson_correlation(&xs, &noise).unwrap();
+        assert!(r.abs() <= 1.0);
     }
 }

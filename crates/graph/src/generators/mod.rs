@@ -15,4 +15,4 @@ mod structured;
 pub use classic::{complete_graph, ring_graph};
 pub use geometric::{GeometricRandomNetwork, Point};
 pub use mesh::{mesh_2d, MeshConfig};
-pub use structured::{path_graph, star_graph};
+pub use structured::{path_graph, random_regular, star_graph};

@@ -24,13 +24,14 @@
 //! * [`traversal`]: breadth-first search and connected components.
 //! * [`generators`]: substrate-network generators — the geometric random network (GRN)
 //!   and the two-dimensional mesh used as the DAPA substrate, plus the ring, complete,
-//!   path and star graphs used as seeds, baselines and test fixtures.
+//!   path, star and random regular graphs used as seeds, baselines and test fixtures.
 //! * [`snapshot`]: the binary `SFOS` snapshot codec — versioned, checksummed CSR
 //!   topology files ([`CsrGraph::save`]/[`CsrGraph::load`]) with optional shard
 //!   manifests and provenance, the persistence and wire format of the workspace
 //!   (byte layout in `docs/FORMATS.md`).
 //! * The measures the figures are computed from, exported at the crate root:
-//!   [`degree_histogram`], [`path_statistics_sampled`] and [`degree_assortativity`].
+//!   [`degree_histogram`], [`path_statistics_sampled`] and [`degree_assortativity`];
+//!   and the plain-text edge list ([`write_edge_list`], [`parse_edge_list`]).
 //!
 //! A module is `pub` only where a consumer names its path; everything else is reached
 //! through the re-exports below.
@@ -61,6 +62,7 @@
 mod csr;
 mod error;
 mod graph;
+mod io;
 mod metrics;
 #[cfg(all(unix, target_pointer_width = "64", target_endian = "little"))]
 mod mmap;
@@ -76,6 +78,7 @@ pub mod traversal;
 pub use csr::CsrGraph;
 pub use error::GraphError;
 pub use graph::{Graph, NeighborIter};
+pub use io::{parse_edge_list, write_edge_list, EdgeListError};
 pub use metrics::{
     degree_assortativity, degree_histogram, path_statistics_sampled, reachable_within,
     DegreeHistogram, PathStatistics,

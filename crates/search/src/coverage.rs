@@ -1,8 +1,91 @@
-//! Item-hit probability: converts a search's coverage into the hit rate a P2P operator
-//! cares about.
+//! Coverage growth and granularity metrics.
 //!
-//! [`success_probability`] is the probability that a search reaching `hits` peers finds at
-//! least one of `replicas` uniformly placed copies of an item.
+//! The paper argues that the *shape* of the coverage curve matters as much as its end
+//! point: FL has "poor granularity, i.e., each additional step in the search significantly
+//! increases the number of nodes visited" (§V-A.1), which is precisely why NF and RW exist.
+//! This module turns that argument into measurable quantities:
+//!
+//! * [`coverage_curve`] — hits and messages as a function of the TTL, for any
+//!   [`SearchAlgorithm`];
+//! * [`granularity`] — the marginal cost of coverage: new peers reached per additional
+//!   message between successive TTLs;
+//! * [`success_probability`] — the probability that a search reaching `hits` peers finds
+//!   at least one of `replicas` uniformly placed copies of an item, which converts
+//!   coverage curves into the hit-rate numbers a P2P operator actually cares about.
+
+use crate::{SearchAlgorithm, SearchOutcome};
+use rand::RngCore;
+use serde::{Deserialize, Serialize};
+use sfo_graph::{GraphView, NodeId};
+
+/// One point of a coverage curve.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct CoveragePoint {
+    /// Time-to-live of the search.
+    pub ttl: u32,
+    /// Outcome of the search at this TTL.
+    pub outcome: SearchOutcome,
+}
+
+/// Runs `algorithm` from `source` for every TTL in `0..=max_ttl` and returns the resulting
+/// coverage curve.
+///
+/// Each TTL is an independent search (fresh RNG draws), matching how the paper's
+/// hits-versus-τ figures are produced.
+pub fn coverage_curve<G: GraphView + ?Sized>(
+    algorithm: &dyn SearchAlgorithm<G>,
+    graph: &G,
+    source: NodeId,
+    max_ttl: u32,
+    rng: &mut dyn RngCore,
+) -> Vec<CoveragePoint> {
+    (0..=max_ttl)
+        .map(|ttl| CoveragePoint {
+            ttl,
+            outcome: algorithm.search(graph, source, ttl, rng),
+        })
+        .collect()
+}
+
+/// One point of a granularity curve: the marginal efficiency of raising the TTL by one.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct GranularityPoint {
+    /// The larger of the two TTLs being compared.
+    pub ttl: u32,
+    /// Additional peers reached relative to the previous TTL.
+    pub extra_hits: f64,
+    /// Additional messages spent relative to the previous TTL.
+    pub extra_messages: f64,
+    /// Extra hits per extra message (0 when no extra messages were spent).
+    pub marginal_hits_per_message: f64,
+}
+
+/// Computes the granularity (marginal hits per marginal message) of a coverage curve.
+///
+/// A curve with poor granularity — plain flooding past the hub radius — shows large jumps
+/// in `extra_messages` with diminishing `marginal_hits_per_message`; NF keeps the marginal
+/// efficiency roughly flat.
+pub fn granularity(curve: &[CoveragePoint]) -> Vec<GranularityPoint> {
+    curve
+        .windows(2)
+        .map(|pair| {
+            let (prev, next) = (pair[0], pair[1]);
+            let extra_hits = next.outcome.hits as f64 - prev.outcome.hits as f64;
+            let extra_messages = next.outcome.messages as f64 - prev.outcome.messages as f64;
+            let marginal = if extra_messages > 0.0 {
+                extra_hits / extra_messages
+            } else {
+                0.0
+            };
+            GranularityPoint {
+                ttl: next.ttl,
+                extra_hits,
+                extra_messages,
+                marginal_hits_per_message: marginal,
+            }
+        })
+        .collect()
+}
 
 /// Probability that a search which reached `hits` of the other `population - 1` peers finds
 /// at least one of `replicas` copies of an item placed uniformly at random on distinct
@@ -31,6 +114,94 @@ pub fn success_probability(hits: usize, replicas: usize, population: usize) -> f
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flooding::Flooding;
+    use crate::normalized::NormalizedFlooding;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use sfo_graph::generators::{complete_graph, ring_graph};
+
+    fn rng(seed: u64) -> StdRng {
+        StdRng::seed_from_u64(seed)
+    }
+
+    #[test]
+    fn coverage_curve_starts_at_zero_and_is_monotone_for_flooding() {
+        let g = ring_graph(40, 1).unwrap();
+        let curve = coverage_curve(&Flooding::new(), &g, NodeId::new(0), 8, &mut rng(1));
+        assert_eq!(curve.len(), 9);
+        assert_eq!(curve[0].outcome, SearchOutcome::default());
+        for pair in curve.windows(2) {
+            assert!(pair[1].outcome.hits >= pair[0].outcome.hits);
+            assert!(pair[1].outcome.messages >= pair[0].outcome.messages);
+        }
+    }
+
+    #[test]
+    fn flooding_coverage_on_a_cycle_grows_by_two_per_ttl() {
+        let g = ring_graph(50, 1).unwrap();
+        let curve = coverage_curve(&Flooding::new(), &g, NodeId::new(0), 5, &mut rng(2));
+        for point in &curve {
+            assert_eq!(point.outcome.hits, (2 * point.ttl) as usize);
+        }
+    }
+
+    #[test]
+    fn granularity_of_a_cycle_flood_is_flat() {
+        let g = ring_graph(50, 1).unwrap();
+        let curve = coverage_curve(&Flooding::new(), &g, NodeId::new(0), 6, &mut rng(3));
+        let grain = granularity(&curve);
+        assert_eq!(grain.len(), 6);
+        for point in &grain {
+            assert!((point.extra_hits - 2.0).abs() < 1e-12);
+            assert!((point.marginal_hits_per_message - 1.0).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn granularity_degrades_for_flooding_in_a_dense_graph() {
+        // In a clique, the first round reaches everyone; subsequent rounds only add
+        // duplicate messages, so the marginal efficiency collapses to zero.
+        let g = complete_graph(20).unwrap();
+        let curve = coverage_curve(&Flooding::new(), &g, NodeId::new(0), 3, &mut rng(4));
+        let grain = granularity(&curve);
+        assert!(grain[0].marginal_hits_per_message > 0.9);
+        assert!(grain[1].marginal_hits_per_message < 0.1);
+    }
+
+    #[test]
+    fn nf_keeps_granularity_higher_than_fl_in_a_dense_graph() {
+        let g = complete_graph(60).unwrap();
+        let fl_curve = coverage_curve(&Flooding::new(), &g, NodeId::new(0), 2, &mut rng(5));
+        let nf_curve = coverage_curve(
+            &NormalizedFlooding::new(2),
+            &g,
+            NodeId::new(0),
+            2,
+            &mut rng(5),
+        );
+        let fl_last = granularity(&fl_curve)
+            .last()
+            .unwrap()
+            .marginal_hits_per_message;
+        let nf_last = granularity(&nf_curve)
+            .last()
+            .unwrap()
+            .marginal_hits_per_message;
+        assert!(
+            nf_last >= fl_last,
+            "NF marginal efficiency {nf_last} should not be below FL's {fl_last}"
+        );
+    }
+
+    #[test]
+    fn granularity_of_short_curves_is_empty() {
+        assert!(granularity(&[]).is_empty());
+        let one = vec![CoveragePoint {
+            ttl: 0,
+            outcome: SearchOutcome::default(),
+        }];
+        assert!(granularity(&one).is_empty());
+    }
 
     #[test]
     fn success_probability_edge_cases() {

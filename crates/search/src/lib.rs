@@ -17,7 +17,7 @@
 //! * `probabilistic` — gossip-style probabilistic flooding (refs. \[29, 30\]);
 //! * `expanding_ring` — successive floods of growing radius (Lv et al., ref. \[23\]);
 //! * `biased_walk` — the high-degree-seeking walk of Adamic et al. (ref. \[62\]);
-//! * `coverage` — the item-hit probability of a search's coverage.
+//! * `coverage` — coverage-curve, granularity, and item-hit-probability metrics.
 //!
 //! `forwarding` holds the one copy of each flooding rule and the level loop that runs
 //! it; [`random_walk::next_hop`] is the one walker step. Placed execution and the item
@@ -62,7 +62,9 @@ pub mod experiment;
 pub mod flooding;
 
 pub use biased_walk::DegreeBiasedWalk;
-pub use coverage::success_probability;
+pub use coverage::{
+    coverage_curve, granularity, success_probability, CoveragePoint, GranularityPoint,
+};
 pub use expanding_ring::ExpandingRing;
 pub use forwarding::Forwarding;
 pub use normalized::NormalizedFlooding;

@@ -1,14 +1,17 @@
 //! Integration tests for the extension surface: the uncorrelated configuration model, the
-//! additional search strategies, replication, churn traces, and the extension experiments —
-//! exercised together through the public `sfoverlay` API the way a downstream user would.
+//! additional search strategies, edge-list io, coverage curves, replication, churn traces,
+//! and the extension experiments — exercised together through the public `sfoverlay` API
+//! the way a downstream user would.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sfoverlay::analysis::bootstrap_mean_ci;
+use sfoverlay::analysis::{bootstrap_mean_ci, pearson_correlation};
 use sfoverlay::experiments::{run_experiment, Scale};
-use sfoverlay::graph::traversal;
+use sfoverlay::graph::generators::{random_regular, star_graph};
+use sfoverlay::graph::{traversal, NodeId};
 use sfoverlay::prelude::*;
 use sfoverlay::search::experiment::ttl_sweep;
+use sfoverlay::search::{coverage_curve, granularity};
 use sfoverlay::sim::catalog::Catalog;
 use sfoverlay::sim::{allocate, place};
 use sfoverlay::sim::{generate_trace, ChurnTraceConfig, SessionModel};
@@ -104,6 +107,25 @@ fn degree_biased_walk_relies_on_hubs() {
     );
 }
 
+/// Edge-list round trips preserve generated topologies well enough to recompute identical
+/// degree histograms.
+#[test]
+fn edge_list_round_trip_preserves_degree_structure() {
+    let graph = UncorrelatedConfigurationModel::new(800, 2.4, 2)
+        .unwrap()
+        .with_cutoff(DegreeCutoff::hard(20))
+        .generate(&mut rng(51))
+        .unwrap();
+    let text = sfoverlay::graph::write_edge_list(&graph);
+    let parsed = sfoverlay::graph::parse_edge_list(&text).unwrap();
+    assert_eq!(parsed.node_count(), graph.node_count());
+    assert_eq!(parsed.edge_count(), graph.edge_count());
+    assert_eq!(
+        sfoverlay::graph::degree_histogram(&parsed).counts,
+        sfoverlay::graph::degree_histogram(&graph).counts
+    );
+}
+
 /// Replication strategies interoperate with the live overlay and the lookup machinery; the
 /// square-root rule never does worse than uniform on expected blind-search size while
 /// popular items stay findable.
@@ -194,20 +216,22 @@ fn churn_trace_replays_against_the_live_overlay() {
     );
 }
 
-/// Search coverage and the analysis statistics compose: bootstrap intervals cover the
-/// mean of repeated search outcomes on a capped PA overlay.
+/// Coverage curves, granularity, and the analysis statistics compose: flooding on a star
+/// baseline has perfect first-round granularity, and bootstrap intervals cover the mean of
+/// repeated search outcomes.
 #[test]
 fn coverage_and_statistics_compose_on_reference_topologies() {
-    let capped = PreferentialAttachment::new(300, 2)
-        .unwrap()
-        .with_cutoff(DegreeCutoff::hard(10))
-        .generate(&mut rng(82))
-        .unwrap();
-    assert!(traversal::is_connected(&capped));
+    let star = star_graph(200).unwrap();
+    let curve = coverage_curve(&Flooding::new(), &star, NodeId::new(5), 2, &mut rng(81));
+    let grain = granularity(&curve);
+    assert!((grain[0].marginal_hits_per_message - 1.0).abs() < 1e-9);
+
+    let regular = random_regular(300, 3, &mut rng(82)).unwrap();
+    assert!(traversal::is_connected(&regular));
     let hits: Vec<f64> = (0..20)
         .map(|i| {
             ttl_sweep(
-                &capped,
+                &regular,
                 &NormalizedFlooding::new(3),
                 &[4],
                 10,
@@ -219,6 +243,9 @@ fn coverage_and_statistics_compose_on_reference_topologies() {
     let ci = bootstrap_mean_ci(&hits, 500, 0.95, &mut rng(83)).unwrap();
     let mean = hits.iter().sum::<f64>() / hits.len() as f64;
     assert!(ci.contains(mean));
+
+    let messages: Vec<f64> = hits.iter().map(|h| h * 3.0).collect();
+    assert!((pearson_correlation(&hits, &messages).unwrap() - 1.0).abs() < 1e-9);
 }
 
 /// The extension experiments are registered and runnable at smoke scale.

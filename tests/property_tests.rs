@@ -263,6 +263,24 @@ fn ucm_invariants() {
     });
 }
 
+/// Edge-list serialization round-trips arbitrary simple graphs: node count, edge count,
+/// and the sorted edge set are preserved.
+#[test]
+fn edge_list_round_trip() {
+    use sfoverlay::graph::{parse_edge_list, write_edge_list};
+    for_cases(16, |case, input| {
+        let graph = random_graph(30, 120, input);
+        let parsed = parse_edge_list(&write_edge_list(&graph)).unwrap();
+        assert_eq!(parsed.node_count(), graph.node_count(), "case {case}");
+        assert_eq!(parsed.edge_count(), graph.edge_count(), "case {case}");
+        let mut original: Vec<_> = graph.edges().collect();
+        let mut reparsed: Vec<_> = parsed.edges().collect();
+        original.sort_unstable();
+        reparsed.sort_unstable();
+        assert_eq!(original, reparsed, "case {case}");
+    });
+}
+
 /// The item-hit probability is a probability and is monotone in both coverage and
 /// replica count.
 #[test]

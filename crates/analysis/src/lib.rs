@@ -10,9 +10,8 @@
 //!   Figs. 1(c) and 4(g)) and by discrete maximum likelihood.
 //! * `summary` — mean / standard deviation / standard error across realizations; every
 //!   data point in the paper averages 10 network realizations.
-//! * `stats` — bootstrap confidence intervals, Kolmogorov-Smirnov goodness of fit, and
-//!   correlation, for quantifying the "quite large error bars" the paper mentions.
-//! * `kmin` — Clauset-style selection of the power-law fit window lower bound.
+//! * `stats` — bootstrap confidence intervals and correlation, for quantifying the
+//!   "quite large error bars" the paper mentions.
 //! * `export` — self-contained gnuplot scripts for any figure, with the paper's axis
 //!   conventions.
 //! * `series` — labelled data series, figures as collections of series, and CSV/plain
@@ -39,7 +38,6 @@
 
 mod export;
 mod histogram;
-mod kmin;
 mod powerlaw_fit;
 mod series;
 mod stats;
@@ -48,7 +46,6 @@ mod table;
 
 pub use export::{suggested_scale, to_gnuplot, AxisScale};
 pub use histogram::{log_binned_distribution, LogBin};
-pub use kmin::{select_k_min, KminSelection};
 pub use powerlaw_fit::{fit_exponent_from_counts, ExponentFit};
 pub use series::{DataPoint, DataSeries, FigureData};
 pub use stats::{bootstrap_mean_ci, pearson_correlation, ConfidenceInterval};

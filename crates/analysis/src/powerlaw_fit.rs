@@ -3,10 +3,7 @@
 //! The paper reports fitted exponents in Fig. 1(a) ("power-law fits ... have exponents
 //! between (−2.9, −2.8)"), Fig. 1(c) (exponent versus hard cutoff for PA), and Fig. 4(g)
 //! (the same for DAPA). Those fits are straight lines on the log-log degree distribution;
-//! [`fit_exponent_least_squares`] reproduces that estimator. A discrete maximum-likelihood
-//! estimator ([`fit_exponent_mle`]) is provided as a more robust cross-check, since
-//! least-squares fits of binned tails are known to be noisy — the paper itself notes the
-//! large error bars of Fig. 4(g).
+//! [`fit_exponent_least_squares`] reproduces that estimator.
 
 use serde::{Deserialize, Serialize};
 
@@ -16,9 +13,9 @@ pub struct ExponentFit {
     /// Estimated exponent `γ` (reported positive; the slope of the log-log fit is `-γ`).
     pub gamma: f64,
     /// Coefficient of determination of the log-log regression (1.0 for a perfect power
-    /// law); `None` for the MLE estimator.
-    pub r_squared: Option<f64>,
-    /// Number of points (or samples) the fit used.
+    /// law).
+    pub r_squared: f64,
+    /// Number of points the fit used.
     pub points_used: usize,
 }
 
@@ -41,7 +38,7 @@ pub struct ExponentFit {
 /// }
 /// let fit = fit_exponent_from_counts(&counts, 1, 512).unwrap();
 /// assert!((fit.gamma - 3.0).abs() < 1e-9);
-/// assert!(fit.r_squared.unwrap() > 0.9999);
+/// assert!(fit.r_squared > 0.9999);
 /// ```
 pub(crate) fn fit_exponent_least_squares(points: &[(f64, f64)]) -> Option<ExponentFit> {
     let usable: Vec<(f64, f64)> = points
@@ -77,7 +74,7 @@ pub(crate) fn fit_exponent_least_squares(points: &[(f64, f64)]) -> Option<Expone
     };
     Some(ExponentFit {
         gamma: -slope,
-        r_squared: Some(r_squared),
+        r_squared,
         points_used: usable.len(),
     })
 }
@@ -109,37 +106,6 @@ pub fn fit_exponent_from_counts(
     fit_exponent_least_squares(&points)
 }
 
-/// Discrete maximum-likelihood estimate of `γ` from raw degree samples, using the standard
-/// continuous approximation `γ̂ = 1 + n / Σ ln(k_i / (k_min - 1/2))` (Clauset, Shalizi &
-/// Newman).
-///
-/// Samples below `k_min` are ignored. Returns `None` when fewer than two samples remain or
-/// the estimate degenerates.
-pub(crate) fn fit_exponent_mle(samples: &[usize], k_min: usize) -> Option<ExponentFit> {
-    if k_min == 0 {
-        return None;
-    }
-    let usable: Vec<f64> = samples
-        .iter()
-        .filter(|&&k| k >= k_min)
-        .map(|&k| k as f64)
-        .collect();
-    if usable.len() < 2 {
-        return None;
-    }
-    let shift = k_min as f64 - 0.5;
-    let log_sum: f64 = usable.iter().map(|&k| (k / shift).ln()).sum();
-    if log_sum <= 0.0 {
-        return None;
-    }
-    let gamma = 1.0 + usable.len() as f64 / log_sum;
-    Some(ExponentFit {
-        gamma,
-        r_squared: None,
-        points_used: usable.len(),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,7 +122,7 @@ mod tests {
                 "gamma {gamma} vs {}",
                 fit.gamma
             );
-            assert!(fit.r_squared.unwrap() > 0.999999);
+            assert!(fit.r_squared > 0.999999);
             assert_eq!(fit.points_used, 499);
         }
     }
@@ -203,28 +169,5 @@ mod tests {
         );
         assert!(fit_exponent_from_counts(&[], 1, 10).is_none());
         assert!(fit_exponent_from_counts(&counts, 10, 5).is_none());
-    }
-
-    #[test]
-    fn mle_recovers_exponent_of_synthetic_samples() {
-        // Deterministic synthetic sample: value k repeated proportional to k^-2.5.
-        let mut samples = Vec::new();
-        for k in 1usize..=300 {
-            let copies = (3_000_000.0 * (k as f64).powf(-2.5)).round() as usize;
-            samples.extend(std::iter::repeat_n(k, copies));
-        }
-        // The continuous approximation carries a known bias for small k_min, so the check
-        // uses a generous tolerance.
-        let fit = fit_exponent_mle(&samples, 5).unwrap();
-        assert!((fit.gamma - 2.5).abs() < 0.2, "mle estimate {}", fit.gamma);
-        assert!(fit.r_squared.is_none());
-    }
-
-    #[test]
-    fn mle_edge_cases() {
-        assert!(fit_exponent_mle(&[], 1).is_none());
-        assert!(fit_exponent_mle(&[5], 1).is_none());
-        assert!(fit_exponent_mle(&[3, 4, 5], 0).is_none());
-        assert!(fit_exponent_mle(&[1, 2, 3], 10).is_none());
     }
 }

@@ -1,5 +1,4 @@
-//! General statistics: bootstrap confidence intervals, Kolmogorov-Smirnov distances, and
-//! correlation.
+//! General statistics: bootstrap confidence intervals and correlation.
 //!
 //! The paper reports every data point as an average over 10 network realizations and notes
 //! that some of its exponent estimates carry "quite large error bars". This module provides
@@ -7,9 +6,6 @@
 //!
 //! * [`bootstrap_mean_ci`] — a percentile bootstrap confidence interval for the mean of a
 //!   small sample (realization averages);
-//! * [`ks_distance_powerlaw`] — the Kolmogorov-Smirnov distance between an empirical degree
-//!   sample and a discrete bounded power law, the goodness-of-fit statistic behind the
-//!   `k_min` selection of [`crate::kmin`];
 //! * [`pearson_correlation`] — linear correlation between paired measurements (for example
 //!   hit counts of two search algorithms across the same sources).
 
@@ -75,52 +71,6 @@ pub fn bootstrap_mean_ci<R: Rng + ?Sized>(
         upper: means[upper_idx],
         level,
     })
-}
-
-/// Kolmogorov-Smirnov distance between the empirical distribution of integer `samples`
-/// (restricted to values in `[k_min, k_max]`) and the discrete bounded power law
-/// `P(k) ∝ k^{-gamma}` on the same support.
-///
-/// Returns `None` if no samples fall in the window, the window is empty, or `gamma` is not
-/// finite.
-pub(crate) fn ks_distance_powerlaw(
-    samples: &[usize],
-    gamma: f64,
-    k_min: usize,
-    k_max: usize,
-) -> Option<f64> {
-    if k_min == 0 || k_min > k_max || !gamma.is_finite() {
-        return None;
-    }
-    let windowed: Vec<usize> = samples
-        .iter()
-        .copied()
-        .filter(|&k| (k_min..=k_max).contains(&k))
-        .collect();
-    if windowed.is_empty() {
-        return None;
-    }
-    let n = windowed.len() as f64;
-
-    // Empirical counts per degree within the window.
-    let mut counts = vec![0usize; k_max - k_min + 1];
-    for &k in &windowed {
-        counts[k - k_min] += 1;
-    }
-
-    // Model pmf, normalized over the same window.
-    let weights: Vec<f64> = (k_min..=k_max).map(|k| (k as f64).powf(-gamma)).collect();
-    let total_weight: f64 = weights.iter().sum();
-
-    let mut empirical_cdf = 0.0;
-    let mut model_cdf = 0.0;
-    let mut max_gap: f64 = 0.0;
-    for (i, &count) in counts.iter().enumerate() {
-        empirical_cdf += count as f64 / n;
-        model_cdf += weights[i] / total_weight;
-        max_gap = max_gap.max((empirical_cdf - model_cdf).abs());
-    }
-    Some(max_gap)
 }
 
 /// Pearson linear correlation between two paired samples.
@@ -193,38 +143,6 @@ mod tests {
         let ci_small = bootstrap_mean_ci(&small, 1_000, 0.95, &mut rng(3)).unwrap();
         let ci_large = bootstrap_mean_ci(&large, 1_000, 0.95, &mut rng(3)).unwrap();
         assert!(ci_large.half_width() < ci_small.half_width());
-    }
-
-    #[test]
-    fn ks_distance_is_small_for_matching_samples() {
-        // Build a synthetic sample that follows k^-2.5 closely on [2, 100].
-        let mut samples = Vec::new();
-        for k in 2usize..=100 {
-            let copies = (200_000.0 * (k as f64).powf(-2.5)).round() as usize;
-            samples.extend(std::iter::repeat_n(k, copies));
-        }
-        let good = ks_distance_powerlaw(&samples, 2.5, 2, 100).unwrap();
-        let bad = ks_distance_powerlaw(&samples, 1.5, 2, 100).unwrap();
-        assert!(
-            good < 0.01,
-            "matching exponent should give a tiny KS distance, got {good}"
-        );
-        assert!(
-            bad > good * 5.0,
-            "wrong exponent should fit much worse ({bad} vs {good})"
-        );
-    }
-
-    #[test]
-    fn ks_distance_edge_cases() {
-        assert!(ks_distance_powerlaw(&[], 2.5, 1, 10).is_none());
-        assert!(ks_distance_powerlaw(&[5, 6], 2.5, 0, 10).is_none());
-        assert!(ks_distance_powerlaw(&[5, 6], 2.5, 10, 5).is_none());
-        assert!(ks_distance_powerlaw(&[50, 60], 2.5, 1, 10).is_none());
-        assert!(ks_distance_powerlaw(&[5, 6], f64::NAN, 1, 10).is_none());
-        // A degenerate single-value window always matches perfectly.
-        let d = ks_distance_powerlaw(&[3, 3, 3], 2.0, 3, 3).unwrap();
-        assert!(d.abs() < 1e-12);
     }
 
     #[test]

@@ -9,8 +9,7 @@
 //! * `n{N}/load` — reading the file back with the full checksum and structural
 //!   validation pass;
 //! * `n{N}/load_sharded` — the same read of a 4-shard file through `ShardedCsr::load`,
-//!   which also checks every stored boundary entry against the rows and rebuilds the
-//!   partition's tables;
+//!   which adds only the shard count's four node ranges;
 //! * `n{N}/load_mmap` / `n{N}/load_sharded_mmap` — the zero-copy variants: the file
 //!   streams through the same verifying pass, but the CSR arrays are borrowed from the
 //!   page cache instead of decoded into owned buffers (`docs/FORMATS.md`, "The mmap
@@ -28,9 +27,9 @@
 //! of destinations — none of it negotiable, since a loaded topology must be provably
 //! the saved one. Capped PA, the cheapest generator family, draws straight into CSR
 //! arrays, and regenerating it beats a verified load: at N=10^5 `generate` takes
-//! ≈ 7 ms against ≈ 13 ms for `load` and ≈ 11 ms for `load_mmap`.
+//! ≈ 2 ms against ≈ 5 ms for `load` and for `load_mmap`.
 //! What a snapshot buys is not speed on this family but one realization shared by
-//! every process and host: a daemon serves the file, its shard manifest is the unit a
+//! every process and host: a daemon serves the file, its shard count names the slices a
 //! placed dispatch ships, its identity hash lets a dispatcher refuse a worker serving
 //! another realization, and a live-grown overlay cannot be regenerated without running
 //! the protocol again. For the costlier families a load still wins by orders of

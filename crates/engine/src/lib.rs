@@ -10,9 +10,9 @@
 //! infrastructure:
 //!
 //! * [`ShardedCsr`] (`sharded`): a frozen [`CsrGraph`](sfo_graph::CsrGraph)
-//!   partitioned into contiguous node-id ranges. Each [`CsrShard`] is `Send + Sync`,
-//!   owns shard-local CSR rows, and carries a [`BoundaryTable`] of its cross-shard
-//!   edges; the assembly implements [`GraphView`](sfo_graph::GraphView) with the exact
+//!   partitioned into [`sfo_graph::shard_range`]'s contiguous node-id ranges, one
+//!   [`CsrShard`] each; cross-shard edges are counted from the rows on demand, never
+//!   stored. The assembly implements [`GraphView`](sfo_graph::GraphView) with the exact
 //!   neighbor order of the unsharded snapshot, so every existing algorithm runs on it
 //!   unchanged and byte-identically.
 //! * [`WorkerPool`] (`scheduler`): a persistent worker pool executing batches with
@@ -62,7 +62,7 @@ pub use placed::{
     placed_advance, placed_start, PlacedAlgorithm, PlacedState, PlacedStep, StepStats, NO_NODE,
 };
 pub use scheduler::{EngineConfig, WorkerPool};
-pub use sharded::{BoundaryEdge, BoundaryTable, CsrShard, ShardedCsr};
+pub use sharded::{CsrShard, ShardedCsr};
 
 // Re-exported so consumers that do not depend on `sfo-search` directly (notably
 // `sfo-sim`'s item lookups) can name the arena type and run the shared forwarding

@@ -233,7 +233,7 @@ impl CsrGraph {
         }
     }
 
-    /// Writes the snapshot to `path` in the binary `SFOS` format (no shard manifest, no
+    /// Writes the snapshot to `path` in the binary `SFOS` format (no shard count, no
     /// provenance — see [`crate::snapshot`] for the sectioned writers).
     ///
     /// # Errors

@@ -26,9 +26,12 @@
 //!   and the two-dimensional mesh used as the DAPA substrate, plus the ring, complete,
 //!   path, star and random regular graphs used as seeds, baselines and test fixtures.
 //! * [`snapshot`]: the binary `SFOS` snapshot codec — versioned, checksummed CSR
-//!   topology files ([`CsrGraph::save`]/[`CsrGraph::load`]) with optional shard
-//!   manifests and provenance, the persistence and wire format of the workspace
-//!   (byte layout in `docs/FORMATS.md`).
+//!   topology files ([`CsrGraph::save`]/[`CsrGraph::load`]) with a shard count and
+//!   optional provenance, the persistence and wire format of the workspace (byte
+//!   layout in `docs/FORMATS.md`).
+//! * [`shard_range`] / [`shard_of`]: the one shard partition — contiguous near-equal
+//!   node ranges — that the sharded store, placed execution and the snapshot's shard
+//!   count all mean, with [`CsrSlice`] the rows one shard host owns.
 //! * The measures the figures are computed from, exported at the crate root:
 //!   [`degree_histogram`], [`path_statistics_sampled`] and [`degree_assortativity`];
 //!   and the plain-text edge list ([`write_edge_list`], [`parse_edge_list`]).
@@ -85,7 +88,7 @@ pub use metrics::{
 };
 pub use multigraph::{MultiGraph, SimplifyReport};
 pub use node::NodeId;
-pub use slice::{CsrSlice, ShardView};
+pub use slice::{shard_of, shard_range, CsrSlice, ShardView};
 pub use view::{GraphView, NodeIds, ViewEdges};
 
 /// Convenience result alias used throughout this crate.

@@ -1,4 +1,10 @@
-//! Contiguous shard slices of a frozen CSR snapshot.
+//! The shard partition and contiguous shard slices of a frozen CSR snapshot.
+//!
+//! Shard `i` of `s` over `n` nodes owns [`shard_range`]`(n, s, i)`, a contiguous
+//! near-equal split; [`shard_of`] inverts it. Every endpoint that shards a snapshot —
+//! the sharded store, a placed dispatcher and its shard hosts, `sfo snapshot inspect` —
+//! derives ownership from these three integers, so no partition table is ever stored
+//! or shipped.
 //!
 //! A [`CsrSlice`] is exactly what one shard host owns under placed execution: the
 //! rebased `offsets` column and contiguous `targets` rows of one node range
@@ -12,6 +18,46 @@
 
 use crate::{CsrGraph, GraphError, NodeId};
 use std::ops::Range;
+
+/// The node range shard `index` of `shard_count` owns over `node_count` nodes: the
+/// first `node_count % shard_count` shards hold one extra node. When `shard_count`
+/// exceeds `node_count`, the surplus shards own empty ranges.
+///
+/// # Panics
+///
+/// Panics if `shard_count` is zero or `index` is not a shard index.
+pub fn shard_range(node_count: usize, shard_count: usize, index: usize) -> Range<usize> {
+    assert!(
+        shard_count > 0 && index < shard_count,
+        "shard {index} of {shard_count} is not a placement"
+    );
+    let base = node_count / shard_count;
+    let big = node_count % shard_count;
+    let start = index * base + index.min(big);
+    start..start + base + usize::from(index < big)
+}
+
+/// The shard owning `node` under [`shard_range`]'s partition — the placed routing
+/// function.
+///
+/// # Panics
+///
+/// Panics if `shard_count` is zero or `node` is out of bounds.
+pub fn shard_of(node: usize, node_count: usize, shard_count: usize) -> usize {
+    assert!(
+        shard_count > 0 && node < node_count,
+        "node {node} out of bounds for a {node_count}-node snapshot"
+    );
+    let base = node_count / shard_count;
+    let big = node_count % shard_count;
+    let cut = big * (base + 1);
+    if node < cut {
+        node / (base + 1)
+    } else {
+        // Only reachable when base > 0: with base == 0 every node lives in a big shard.
+        big + (node - cut) / base
+    }
+}
 
 /// A read view over some (possibly all) rows of a frozen snapshot.
 ///
@@ -201,11 +247,55 @@ impl ShardView for CsrSlice {
 }
 
 impl CsrGraph {
+    /// The number of directed adjacency entries in the rows of `range` whose neighbor
+    /// lies outside it: the cross-shard entries of the shard owning `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` is not a valid node range of the snapshot.
+    pub fn boundary_entries(&self, range: Range<usize>) -> usize {
+        let (offsets, targets) = self.raw_parts();
+        let block = &targets[offsets[range.start] as usize..offsets[range.end] as usize];
+        block
+            .iter()
+            .filter(|neighbor| !range.contains(&neighbor.index()))
+            .count()
+    }
+
+    /// The number of undirected edges whose endpoints lie in different shards when the
+    /// node ids are cut into `shard_count` shards by [`shard_range`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_count` is zero.
+    pub fn cross_shard_edges(&self, shard_count: usize) -> usize {
+        assert!(shard_count > 0, "zero shards are not a partition");
+        let node_count = self.node_count();
+        (0..shard_count)
+            .map(|index| self.boundary_entries(shard_range(node_count, shard_count, index)))
+            .sum::<usize>()
+            / 2
+    }
+
+    /// The fraction of undirected edges [`CsrGraph::cross_shard_edges`] counts as
+    /// crossing between `shard_count` shards (0.0 for an edgeless graph).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shard_count` is zero.
+    pub fn boundary_fraction(&self, shard_count: usize) -> f64 {
+        let cross = self.cross_shard_edges(shard_count);
+        if self.edge_count() == 0 {
+            0.0
+        } else {
+            cross as f64 / self.edge_count() as f64
+        }
+    }
+
     /// Cuts the contiguous node range `range` out of the snapshot as a [`CsrSlice`]:
     /// the range's row block is copied once and its offsets rebased to start at zero.
-    /// This is exactly the per-host shipment of placed execution — pair it with the
-    /// matching shard manifest record to know the range, and with
-    /// `ShardedCsr::shard_targets` to see the same rows in place.
+    /// This is exactly the per-host shipment of placed execution; [`shard_range`] names
+    /// the range of each shard.
     ///
     /// # Panics
     ///
@@ -231,7 +321,7 @@ impl CsrGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Graph;
+    use crate::{Graph, GraphView};
 
     fn path_graph(n: usize) -> CsrGraph {
         let mut g = Graph::with_nodes(n);
@@ -239,6 +329,53 @@ mod tests {
             g.add_edge(NodeId::new(i), NodeId::new(i + 1)).unwrap();
         }
         g.freeze()
+    }
+
+    #[test]
+    fn shard_ranges_tile_the_node_ids_evenly_and_shard_of_inverts_them() {
+        for n in [0usize, 1, 2, 23, 100] {
+            for s in (1..=7).chain([n, n + 3]).filter(|&s| s > 0) {
+                let ranges: Vec<Range<usize>> = (0..s).map(|i| shard_range(n, s, i)).collect();
+                let mut next = 0;
+                for range in &ranges {
+                    assert_eq!(range.start, next, "{n} nodes, {s} shards");
+                    next = range.end;
+                }
+                assert_eq!(next, n, "{n} nodes, {s} shards");
+                let sizes = ranges.iter().map(ExactSizeIterator::len);
+                let (min, max) = (sizes.clone().min().unwrap(), sizes.max().unwrap());
+                assert!(max - min <= 1, "{n} nodes, {s} shards: sizes {min}..={max}");
+                for (i, range) in ranges.iter().enumerate() {
+                    for node in range.clone() {
+                        assert_eq!(
+                            shard_of(node, n, s),
+                            i,
+                            "node {node}, {n} nodes, {s} shards"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cross_shard_edges_count_the_entries_whose_ends_have_different_owners() {
+        let mut g = Graph::with_nodes(23);
+        for i in 0..23 {
+            g.add_edge(NodeId::new(i), NodeId::new((i + 1) % 23))
+                .unwrap();
+            let _ = g.add_edge(NodeId::new(i), NodeId::new((i + 7) % 23));
+        }
+        let csr = g.freeze();
+        for s in [1usize, 2, 5, 23, 30] {
+            let owner = |node: NodeId| shard_of(node.index(), 23, s);
+            let crossing = csr.edges().filter(|&(u, v)| owner(u) != owner(v)).count();
+            assert_eq!(csr.cross_shard_edges(s), crossing, "{s} shards");
+            let sent: usize = (0..s)
+                .map(|i| csr.boundary_entries(shard_range(23, s, i)))
+                .sum();
+            assert_eq!(sent, 2 * crossing, "{s} shards");
+        }
     }
 
     #[test]

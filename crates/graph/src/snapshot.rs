@@ -4,26 +4,26 @@
 //! format for handing topologies between processes — the ROADMAP's build-once /
 //! persist / query-many workload. This module is the codec for that hand-off: a
 //! versioned, checksummed, little-endian container holding the `offsets`/`targets`
-//! arrays verbatim, plus two optional sections:
+//! arrays verbatim, a shard count, and an optional **provenance record** — which
+//! scenario curve generated the topology (`label`, `m`, cutoff, seed, realization) and
+//! the `sweep_seed` drawn from the generation stream right after the topology was
+//! built, so a search sweep run against the file continues the *identical* RNG
+//! discipline as one run against the inline generator.
 //!
-//! * a **shard manifest** — the contiguous node ranges and per-shard cross-shard
-//!   boundary tables of a sharded store (`sfo-engine`'s `ShardedCsr` writes and reads
-//!   it; a per-host shard placement ships exactly one shard's rows plus its table), and
-//! * a **provenance record** — which scenario curve generated the topology (`label`,
-//!   `m`, cutoff, seed, realization) and the `sweep_seed` drawn from the generation
-//!   stream right after the topology was built, so a search sweep run against the file
-//!   continues the *identical* RNG discipline as one run against the inline generator.
+//! A file stores the topology, not what follows from it. The header's shard count is
+//! the whole partition record of a sharded store (`sfo-engine`'s `ShardedCsr`): shard
+//! `i` of `s` owns [`crate::shard_range`]`(node_count, s, i)`, and every shard's
+//! cross-shard entries follow from its rows, so neither the ranges nor boundary tables
+//! are stored.
 //!
 //! The full byte layout is documented in `docs/FORMATS.md` at the workspace root (and
 //! in [`SnapshotFile`]'s docs). Both directions stream through one fixed-size buffer:
-//! the writer computes each boundary table from the rows and the ranges as it writes
-//! it, and the reader hashes every byte as it arrives, decodes the arrays straight
-//! into the vectors it returns, and checks each stored boundary entry against the same
-//! computation as it streams past — boundary tables are derived data on both sides.
-//! Readers are strict: wrong magic, unknown versions or flags, truncation, trailing
-//! bytes, checksum mismatches, and structurally invalid topologies (non-monotone
-//! offsets, out-of-range targets, self-loops, unmirrored adjacency) all yield a typed
-//! [`SnapshotError`] — never a panic, and never a silently wrong graph.
+//! the reader hashes every byte as it arrives and decodes the arrays straight into the
+//! vectors it returns, in one front-to-back pass. Readers are strict: wrong magic,
+//! unknown versions or flags, a shard count the partition cannot cut, truncation,
+//! trailing bytes, checksum mismatches, and structurally invalid topologies
+//! (non-monotone offsets, out-of-range targets, self-loops, unmirrored adjacency) all
+//! yield a typed [`SnapshotError`] — never a panic, and never a silently wrong graph.
 
 use crate::{CsrGraph, NodeId};
 use std::error::Error;
@@ -36,25 +36,23 @@ use std::path::Path;
 /// The four magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"SFOS";
 
-/// The format version this build writes and the only one it accepts.
-pub const SNAPSHOT_VERSION: u16 = 1;
+/// The format version this build writes and the only one it accepts. Version 1 files
+/// also stored a shard manifest; rebuild them with `sfo snapshot build`.
+pub const SNAPSHOT_VERSION: u16 = 2;
 
-/// Header flag bit: the file carries a shard manifest section.
-const FLAG_SHARD_MANIFEST: u16 = 1 << 0;
-/// Header flag bit: the file carries a provenance section.
+/// Header flag bit: the file carries a provenance section. (Bit 0, version 1's shard
+/// manifest flag, is retired: no version 2 file sets it.)
 const FLAG_PROVENANCE: u16 = 1 << 1;
 /// Header flag bit: the provenance section ends with an origin tag. Requires
 /// [`FLAG_PROVENANCE`]; older files never set it and keep loading unchanged.
 const FLAG_ORIGIN: u16 = 1 << 2;
 /// All flag bits this version understands; anything else is a corrupt or future file.
-const KNOWN_FLAGS: u16 = FLAG_SHARD_MANIFEST | FLAG_PROVENANCE | FLAG_ORIGIN;
+const KNOWN_FLAGS: u16 = FLAG_PROVENANCE | FLAG_ORIGIN;
 
 /// Fixed-size prefix of the file before any variable-length section.
 const HEADER_LEN: usize = 32;
 /// Size of the trailing checksum.
 const TRAILER_LEN: usize = 8;
-/// Bytes of one stored boundary entry: `source`, `target`, `target_shard`.
-const BOUNDARY_ENTRY_LEN: u64 = 12;
 
 /// Size of the one buffer a snapshot is read or written through.
 const IO_BUFFER_LEN: usize = 64 * 1024;
@@ -111,7 +109,7 @@ pub enum SnapshotError {
     },
     /// A section the caller requires is not present in the file.
     MissingSection {
-        /// The absent section (`"shard manifest"` or `"provenance"`).
+        /// The absent section (`"shard partition"` or `"provenance"`).
         section: &'static str,
     },
 }
@@ -195,91 +193,12 @@ pub struct SnapshotHeader {
     pub node_count: u64,
     /// Number of undirected edges in the stored topology.
     pub edge_count: u64,
-    /// Number of shards in the manifest (0 when the file has no manifest).
+    /// Number of shards the topology is cut into (0 for a plain, unsharded file).
     pub shard_count: u32,
-    /// Whether a shard manifest section is present.
-    pub has_shard_manifest: bool,
     /// Whether a provenance section is present.
     pub has_provenance: bool,
     /// Whether the provenance section ends with an origin tag (absent in older files).
     pub has_origin: bool,
-}
-
-/// One shard of a stored manifest: a contiguous node range.
-///
-/// The file stores each shard's boundary table too — the directed adjacency entries
-/// leaving the range, in frozen adjacency order, each with the shard owning its
-/// target — but the table is derived data: the writer computes it from the rows and
-/// the ranges, and the reader checks every stored entry against the same computation,
-/// so only the range is kept.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRecord {
-    /// First global node id of the shard.
-    pub start: u64,
-    /// One past the last global node id of the shard.
-    pub end: u64,
-}
-
-impl ShardRecord {
-    /// The number of directed adjacency entries of `csr` leaving this shard's range:
-    /// the length of the boundary table stored for it.
-    pub fn boundary_len(&self, csr: &CsrGraph) -> usize {
-        let (offsets, targets) = csr.raw_parts();
-        CrossEntries::new(offsets, targets, self).count()
-    }
-}
-
-/// The entries of a shard's rows whose neighbor lies outside the shard, in frozen
-/// adjacency order: its boundary table without the target shards. A range beyond the
-/// node count is cut at it.
-struct CrossEntries<'a> {
-    offsets: &'a [u32],
-    targets: &'a [NodeId],
-    range: Range<usize>,
-    node: usize,
-    at: usize,
-}
-
-impl<'a> CrossEntries<'a> {
-    fn new(offsets: &'a [u32], targets: &'a [NodeId], shard: &ShardRecord) -> Self {
-        let node_count = offsets.len() - 1;
-        let cut = |id: u64| usize::try_from(id).map_or(node_count, |id| id.min(node_count));
-        let range = cut(shard.start)..cut(shard.end);
-        CrossEntries {
-            offsets,
-            targets,
-            at: offsets[range.start] as usize,
-            node: range.start,
-            range,
-        }
-    }
-}
-
-impl Iterator for CrossEntries<'_> {
-    type Item = (usize, NodeId);
-
-    fn next(&mut self) -> Option<(usize, NodeId)> {
-        while self.node < self.range.end {
-            let row_end = self.offsets[self.node + 1] as usize;
-            while self.at < row_end {
-                let neighbor = self.targets[self.at];
-                self.at += 1;
-                if !self.range.contains(&neighbor.index()) {
-                    return Some((self.node, neighbor));
-                }
-            }
-            self.node += 1;
-        }
-        None
-    }
-}
-
-/// The shard owning `node` when `shards` tile the node ids; the first shard for any
-/// node before the first range.
-fn owner_of(shards: &[ShardRecord], node: NodeId) -> u32 {
-    shards
-        .partition_point(|shard| shard.start <= node.index() as u64)
-        .saturating_sub(1) as u32
 }
 
 /// How a snapshot's topology came to exist: drawn offline by a generator, or frozen
@@ -340,21 +259,20 @@ pub struct Provenance {
 
 /// A decoded snapshot: the topology plus its optional sections.
 ///
-/// # On-disk layout (version 1, all integers little-endian)
+/// # On-disk layout (version 2, all integers little-endian)
 ///
 /// | offset | size | field |
 /// |-------:|-----:|-------|
 /// | 0      | 4    | magic `"SFOS"` |
-/// | 4      | 2    | version (`u16`, = 1) |
-/// | 6      | 2    | flags (`u16`: bit 0 shard manifest, bit 1 provenance, bit 2 origin) |
+/// | 4      | 2    | version (`u16`, = 2) |
+/// | 6      | 2    | flags (`u16`: bit 1 provenance, bit 2 origin; bit 0 retired) |
 /// | 8      | 8    | `node_count` (`u64`) |
 /// | 16     | 8    | `edge_count` (`u64`, undirected) |
-/// | 24     | 4    | `shard_count` (`u32`, 0 without a manifest) |
+/// | 24     | 4    | `shard_count` (`u32`, 0 for a plain file, at most `node_count`) |
 /// | 28     | 4    | reserved, must be 0 |
 /// | 32     | …    | provenance section, if flagged |
 /// | …      | …    | `offsets`: `(node_count + 1) × u32` |
 /// | …      | …    | `targets`: `2 × edge_count × u32` |
-/// | …      | …    | shard manifest, if flagged |
 /// | end−8  | 8    | FNV-1a 64 checksum of every preceding byte |
 ///
 /// The provenance section is `label_len (u32)`, the UTF-8 label bytes, zero padding to
@@ -364,12 +282,8 @@ pub struct Provenance {
 /// tag: `kind (u32`, 0 = generator, 1 = live-overlay`)`, `params_len (u32)`, the UTF-8
 /// params bytes, and zero padding to the next 4-byte boundary — so the arrays stay
 /// 4-aligned. The origin flag requires the provenance flag; files without it decode to
-/// `origin: None`, which keeps every pre-origin snapshot loading unchanged.
-/// The shard manifest is `shard_count` records of `start (u64)`, `end (u64)`,
-/// `boundary_len (u64)` and `boundary_len` boundary entries of `source`, `target`,
-/// `target_shard` (each `u32`): the shard's directed entries that leave its range, in
-/// frozen adjacency order. The entries follow from the rows and the ranges, so
-/// [`SnapshotFile::shards`] keeps only the ranges. Placing provenance *before* the
+/// `origin: None`. A nonzero `shard_count` cuts the node ids into
+/// [`crate::shard_range`]'s contiguous near-equal ranges. Placing provenance *before* the
 /// arrays keeps [`read_meta`] a small prefix read; padding the label keeps the
 /// `offsets`/`targets` sections on 4-byte file offsets, which is what lets the
 /// zero-copy mmap loader ([`SnapshotFile::load_mmap`]) borrow them in place (see
@@ -399,8 +313,9 @@ pub struct Provenance {
 pub struct SnapshotFile {
     /// The stored topology.
     pub csr: CsrGraph,
-    /// The shard ranges, when the file was written by a sharded store.
-    pub shards: Option<Vec<ShardRecord>>,
+    /// The shard count, when the file was written by a sharded store: shard `i` owns
+    /// [`crate::shard_range`]`(node_count, shards, i)`.
+    pub shards: Option<usize>,
     /// The provenance record, when the file was written by `sfo snapshot build`.
     pub provenance: Option<Provenance>,
 }
@@ -421,8 +336,7 @@ impl SnapshotFile {
             version: SNAPSHOT_VERSION,
             node_count: self.csr.node_count() as u64,
             edge_count: self.csr.edge_count() as u64,
-            shard_count: self.shards.as_ref().map_or(0, |s| s.len() as u32),
-            has_shard_manifest: self.shards.is_some(),
+            shard_count: self.shards.map_or(0, |s| s as u32),
             has_provenance: self.provenance.is_some(),
             has_origin: self.provenance.as_ref().is_some_and(|p| p.origin.is_some()),
         }
@@ -430,30 +344,31 @@ impl SnapshotFile {
 
     /// Encodes the snapshot to its on-disk byte representation, including the trailer:
     /// exactly the bytes [`SnapshotFile::save`] writes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is `Some(0)` or exceeds the node count: a file the reader
+    /// would refuse.
     pub fn to_bytes(&self) -> Vec<u8> {
         let csr = &self.csr;
         let estimate = HEADER_LEN + TRAILER_LEN + 4 * (csr.node_count() + 1) + 8 * csr.edge_count();
         encode(
             csr,
-            self.shards.as_deref(),
+            self.shards,
             self.provenance.as_ref(),
             Vec::with_capacity(estimate),
         )
-        .expect("writing to a vector cannot fail")
+        .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Writes the snapshot to `path`, replacing any existing file.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Io`] when the file cannot be written.
+    /// Returns [`SnapshotError::Io`] when the file cannot be written, or when `shards`
+    /// is `Some(0)` or exceeds the node count.
     pub fn save(&self, path: impl AsRef<Path>) -> Result<(), SnapshotError> {
-        save(
-            path,
-            &self.csr,
-            self.shards.as_deref(),
-            self.provenance.as_ref(),
-        )
+        save(path, &self.csr, self.shards, self.provenance.as_ref())
     }
 
     /// Reads and fully validates a snapshot from `path`.
@@ -480,7 +395,7 @@ impl SnapshotFile {
     /// out of a read-only file mapping instead of copying them into the heap.
     ///
     /// Verify once, then borrow: the file streams through the same single pass as
-    /// [`SnapshotFile::load`] (checksum, sections, manifest), the structural validation
+    /// [`SnapshotFile::load`] (checksum and sections), the structural validation
     /// runs over the mapped arrays, and the returned [`CsrGraph`] then traverses the
     /// page cache in place ([`CsrGraph::is_mapped`] reports which storage a load
     /// produced). Only the array pages of the mapping are ever touched. The fallbacks,
@@ -523,8 +438,9 @@ impl SnapshotFile {
     /// # Errors
     ///
     /// Returns a [`SnapshotError`] on wrong magic, an unsupported version, unknown
-    /// flags, truncation, trailing bytes, a checksum mismatch, or any structural
-    /// inconsistency between the header, the arrays, and the manifest.
+    /// flags, a shard count the partition cannot cut, truncation, trailing bytes, a
+    /// checksum mismatch, or any structural inconsistency between the header and the
+    /// arrays.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, SnapshotError> {
         read_snapshot(
             std::io::Cursor::new(bytes),
@@ -535,23 +451,24 @@ impl SnapshotFile {
     }
 }
 
-/// Writes a topology plus optional sections to `path` in the on-disk format, replacing
-/// any existing file — the borrowing core behind [`SnapshotFile::save`],
-/// [`CsrGraph::save`] and the sharded store's `save`. Nothing of the file is held but
-/// one fixed-size buffer; each shard's boundary table is computed from the rows as it
-/// is written.
+/// Writes a topology plus its shard count and optional provenance to `path` in the
+/// on-disk format, replacing any existing file — the borrowing core behind
+/// [`SnapshotFile::save`], [`CsrGraph::save`] and the sharded store's `save`. Nothing
+/// of the file is held but one fixed-size buffer.
 ///
 /// # Errors
 ///
-/// Returns [`SnapshotError::Io`] when the file cannot be written.
+/// Returns [`SnapshotError::Io`] when the file cannot be written, or when `shards` is
+/// `Some(0)` or exceeds the node count.
 pub fn save(
     path: impl AsRef<Path>,
     csr: &CsrGraph,
-    shards: Option<&[ShardRecord]>,
+    shards: Option<usize>,
     provenance: Option<&Provenance>,
 ) -> Result<(), SnapshotError> {
     let path = path.as_ref();
-    File::create(path)
+    check_cut(csr, shards)
+        .and_then(|()| File::create(path))
         .and_then(|file| encode(csr, shards, provenance, file))
         .map(drop)
         .map_err(|e| SnapshotError::io(path, &e))
@@ -608,18 +525,32 @@ impl<W: Write> Encoder<W> {
     }
 }
 
-/// Encodes a topology plus optional sections to `out` in the on-disk format: the one
-/// encoder behind [`SnapshotFile::to_bytes`] and [`save`].
+/// Refuses, as an [`std::io::ErrorKind::InvalidInput`] error, a shard count the
+/// reader would refuse: zero, or more shards than nodes.
+fn check_cut(csr: &CsrGraph, shards: Option<usize>) -> std::io::Result<()> {
+    match shards.filter(|&s| s == 0 || s > csr.node_count()) {
+        Some(shards) => Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidInput,
+            format!(
+                "{shards} shards cannot cut a {}-node topology",
+                csr.node_count()
+            ),
+        )),
+        None => Ok(()),
+    }
+}
+
+/// Encodes a topology plus its shard count and optional provenance to `out` in the
+/// on-disk format: the one encoder behind [`SnapshotFile::to_bytes`] and [`save`]. A
+/// shard count the reader would refuse fails [`check_cut`] before anything is written.
 fn encode<W: Write>(
     csr: &CsrGraph,
-    shards: Option<&[ShardRecord]>,
+    shards: Option<usize>,
     provenance: Option<&Provenance>,
     out: W,
 ) -> std::io::Result<W> {
+    check_cut(csr, shards)?;
     let mut flags = 0u16;
-    if shards.is_some() {
-        flags |= FLAG_SHARD_MANIFEST;
-    }
     if provenance.is_some() {
         flags |= FLAG_PROVENANCE;
     }
@@ -637,7 +568,7 @@ fn encode<W: Write>(
     out.put(&flags.to_le_bytes())?;
     out.u64(csr.node_count() as u64)?;
     out.u64(csr.edge_count() as u64)?;
-    out.u32(shards.map_or(0u32, |s| s.len() as u32))?;
+    out.u32(shards.map_or(0, |s| s as u32))?;
     out.u32(0)?;
 
     if let Some(provenance) = provenance {
@@ -672,19 +603,6 @@ fn encode<W: Write>(
     }
     for &target in targets {
         out.u32(target.as_u32())?;
-    }
-
-    if let Some(shards) = shards {
-        for shard in shards {
-            out.u64(shard.start)?;
-            out.u64(shard.end)?;
-            out.u64(CrossEntries::new(offsets, targets, shard).count() as u64)?;
-            for (source, target) in CrossEntries::new(offsets, targets, shard) {
-                out.u32(source as u32)?;
-                out.u32(target.as_u32())?;
-                out.u32(owner_of(shards, target))?;
-            }
-        }
     }
     out.finish()
 }
@@ -925,19 +843,15 @@ impl<'p, R: Read> Reader<'p, R> {
             ))),
         }
     }
-
-    fn into_source(self) -> R {
-        self.source
-    }
 }
 
 /// The one loader: a single front-to-back pass over a `len`-byte source.
 ///
 /// Verdicts come in a fixed order, whatever order the pass meets them in: header
 /// errors, then the checksum, then the sections' decoding errors in file order, then
-/// the topology, then the manifest's ranges, then its boundary entries. A structural
-/// fault found mid-pass is held until the trailer has been checked.
-fn read_snapshot<R: Read + Seek>(
+/// the topology. A structural fault found mid-pass is held until the trailer has been
+/// checked.
+fn read_snapshot<R: Read>(
     source: R,
     path: &Path,
     len: u64,
@@ -960,40 +874,20 @@ fn read_snapshot<R: Read + Seek>(
         body => body,
     };
     reader.verify()?;
-    let body = body?;
-    if let (Some(manifest_at), Some(shards)) = (body.mismatch_at, &body.shards) {
-        // The stored entries disagree with the rows somewhere: read the manifest again,
-        // now that every range is known, to name the first disagreement.
-        let mut source = reader.into_source();
-        source
-            .seek(SeekFrom::Start(manifest_at))
-            .map_err(|e| SnapshotError::io(path, &e))?;
-        let manifest_len = len - TRAILER_LEN as u64 - manifest_at;
-        let mut manifest = Reader::new(source, path, manifest_len, IO_BUFFER_LEN);
-        first_boundary_mismatch(&mut manifest, shards, &body.csr)?;
-    }
+    let (provenance, csr) = body?;
     Ok(SnapshotFile {
-        csr: body.csr,
-        shards: body.shards,
-        provenance: body.provenance,
+        csr,
+        shards: (header.shard_count > 0).then_some(header.shard_count as usize),
+        provenance,
     })
 }
 
-/// A decoded body whose checksum has not been checked yet.
-struct Body {
-    provenance: Option<Provenance>,
-    csr: CsrGraph,
-    shards: Option<Vec<ShardRecord>>,
-    /// File offset of the manifest when a stored boundary entry disagrees with the rows.
-    mismatch_at: Option<u64>,
-}
-
-/// Everything after the header: sections in file order, then the held verdicts.
+/// Everything after the header: sections in file order, then the held topology verdict.
 fn read_body<R: Read>(
     reader: &mut Reader<'_, R>,
     header: &SnapshotHeader,
     arrays: Arrays,
-) -> Result<Body, SnapshotError> {
+) -> Result<(Option<Provenance>, CsrGraph), SnapshotError> {
     let provenance = if header.has_provenance {
         Some(reader.provenance(header.has_origin)?)
     } else {
@@ -1042,20 +936,6 @@ fn read_body<R: Read>(
     };
     let (offsets, targets) = csr.raw_parts();
     let topology = validate_topology(offsets, targets);
-
-    let manifest_at = reader.position();
-    let shards = if header.has_shard_manifest {
-        let rows = topology.is_ok().then_some((offsets, targets));
-        Some(read_manifest(
-            reader,
-            header.shard_count,
-            entry_count,
-            node_count,
-            rows,
-        )?)
-    } else {
-        None
-    };
     if reader.remaining() != 0 {
         return Err(SnapshotError::corrupt(format!(
             "{} undeclared bytes between the last section and the trailer",
@@ -1063,18 +943,7 @@ fn read_body<R: Read>(
         )));
     }
     topology?;
-    let (shards, mismatch_at) = match shards {
-        Some((_, Verdict::Corrupt(error))) => return Err(error),
-        Some((shards, Verdict::Mismatch)) => (Some(shards), Some(manifest_at)),
-        Some((shards, Verdict::Matches)) => (Some(shards), None),
-        None => (None, None),
-    };
-    Ok(Body {
-        provenance,
-        csr,
-        shards,
-        mismatch_at,
-    })
+    Ok((provenance, csr))
 }
 
 /// Decodes the two arrays into the vectors the loaded graph owns.
@@ -1088,163 +957,6 @@ fn read_arrays<R: Read>(
     let mut targets = Vec::with_capacity(entry_count);
     reader.words(entry_count, |word| targets.push(NodeId::from(word)))?;
     Ok(CsrGraph::from_raw_parts(offsets, targets))
-}
-
-/// What the stored manifest says about the topology, judged after every decoding check.
-enum Verdict {
-    Matches,
-    /// A range does not tile the node ids, or the ranges do not cover them.
-    Corrupt(SnapshotError),
-    /// Some stored boundary entry is not the one the rows produce.
-    Mismatch,
-}
-
-/// Reads the shard manifest, checking each boundary entry against the rows as it
-/// streams past.
-///
-/// Decoding errors return at once. The verdict on the content comes second, in the
-/// order a reader holding the whole manifest would give it: the first range that does
-/// not tile, then coverage, then the boundary entries. `rows` is `None` when the
-/// topology failed validation, which outranks anything the manifest says.
-///
-/// An entry's target shard may lie beyond the shard being read, whose range is not
-/// known yet; those claims are kept as the least and greatest target claimed for each
-/// shard and checked when its range arrives. That answers whether some entry
-/// disagrees, not which one comes first: the caller reads the manifest again for that.
-fn read_manifest<R: Read>(
-    reader: &mut Reader<'_, R>,
-    shard_count: u32,
-    entry_count: usize,
-    node_count: usize,
-    rows: Option<(&[u32], &[NodeId])>,
-) -> Result<(Vec<ShardRecord>, Verdict), SnapshotError> {
-    // Every record is at least 24 bytes, so a shard count the remaining bytes cannot
-    // possibly hold is rejected before sizing any allocation by it.
-    if u64::from(shard_count) > reader.remaining() / 24 {
-        return Err(SnapshotError::Truncated {
-            section: "shard manifest",
-        });
-    }
-    let shard_count = shard_count as usize;
-    let mut shards: Vec<ShardRecord> = Vec::with_capacity(shard_count);
-    // Per target shard: the least and greatest target an earlier shard says it owns.
-    let mut claims = vec![(u32::MAX, 0u32); shard_count];
-    let mut tiling: Option<SnapshotError> = None;
-    let mut mismatch = false;
-    let mut next_start = 0u64;
-    for s in 0..shard_count {
-        let start = reader.u64("shard manifest")?;
-        let end = reader.u64("shard manifest")?;
-        let boundary_len = usize::try_from(reader.u64("shard manifest")?)
-            .ok()
-            .filter(|&n| n <= entry_count)
-            .ok_or_else(|| {
-                SnapshotError::corrupt("shard boundary table longer than the adjacency itself")
-            })?;
-        if boundary_len as u64 * BOUNDARY_ENTRY_LEN > reader.remaining() {
-            return Err(SnapshotError::Truncated {
-                section: "shard manifest",
-            });
-        }
-        if tiling.is_none() && (start != next_start || end < start) {
-            tiling = Some(SnapshotError::corrupt(format!(
-                "shard {s} range [{start}, {end}) does not tile the node ids contiguously"
-            )));
-        }
-        next_start = end;
-        let shard = ShardRecord { start, end };
-        let (least, greatest) = claims[s];
-        if least <= greatest && (u64::from(least) < start || u64::from(greatest) >= end) {
-            mismatch = true;
-        }
-        let mut expected = rows
-            .filter(|_| tiling.is_none() && !mismatch && end <= node_count as u64)
-            .map(|(offsets, targets)| CrossEntries::new(offsets, targets, &shard));
-        let mut entry = [0u32; 3];
-        let mut filled = 0;
-        reader.words(3 * boundary_len, |word| {
-            entry[filled] = word;
-            filled = (filled + 1) % 3;
-            if filled != 0 || mismatch {
-                return;
-            }
-            let Some(expected) = expected.as_mut() else {
-                return;
-            };
-            let [source, target, target_shard] = entry;
-            mismatch = match expected.next() {
-                Some((node, neighbor)) if node as u32 == source && neighbor.as_u32() == target => {
-                    if (neighbor.index() as u64) < start {
-                        target_shard != owner_of(&shards, neighbor)
-                    } else if (s + 1..shard_count).contains(&(target_shard as usize)) {
-                        let claim = &mut claims[target_shard as usize];
-                        *claim = (claim.0.min(target), claim.1.max(target));
-                        false
-                    } else {
-                        true
-                    }
-                }
-                _ => true,
-            };
-        })?;
-        if !mismatch && expected.is_some_and(|mut rest| rest.next().is_some()) {
-            mismatch = true;
-        }
-        shards.push(shard);
-    }
-    let verdict = match tiling {
-        Some(error) => Verdict::Corrupt(error),
-        None if next_start != node_count as u64 => Verdict::Corrupt(SnapshotError::corrupt(
-            "shard ranges do not cover every node",
-        )),
-        None if mismatch => Verdict::Mismatch,
-        None => Verdict::Matches,
-    };
-    Ok((shards, verdict))
-}
-
-/// Reads the boundary entries of a manifest whose ranges tile a valid topology and
-/// reports the first that differs from what the rows produce.
-fn first_boundary_mismatch<R: Read>(
-    reader: &mut Reader<'_, R>,
-    shards: &[ShardRecord],
-    csr: &CsrGraph,
-) -> Result<(), SnapshotError> {
-    let (offsets, targets) = csr.raw_parts();
-    for (s, shard) in shards.iter().enumerate() {
-        reader.skip(16)?;
-        let boundary_len = reader.u64("shard manifest")?;
-        let mut expected = CrossEntries::new(offsets, targets, shard)
-            .map(|(node, neighbor)| (node, neighbor, owner_of(shards, neighbor)));
-        let unlisted = |(node, neighbor, _): (usize, NodeId, u32)| {
-            SnapshotError::corrupt(format!(
-                "shard {s} boundary table does not list the cross-shard entry \
-                 n{node}->{neighbor} its rows produce"
-            ))
-        };
-        for _ in 0..boundary_len {
-            let stored = (
-                reader.u32("shard manifest")?,
-                reader.u32("shard manifest")?,
-                reader.u32("shard manifest")?,
-            );
-            match expected.next() {
-                None => {
-                    return Err(SnapshotError::corrupt(format!(
-                        "shard {s} boundary table lists entries its rows do not produce"
-                    )))
-                }
-                Some(entry) if (entry.0 as u32, entry.1.as_u32(), entry.2) != stored => {
-                    return Err(unlisted(entry))
-                }
-                Some(_) => {}
-            }
-        }
-        if let Some(entry) = expected.next() {
-            return Err(unlisted(entry));
-        }
-    }
-    Ok(())
 }
 
 /// Reads only the header and (if present) provenance of a snapshot file — a small
@@ -1337,9 +1049,6 @@ pub struct SectionLayout {
     pub offsets_bytes: Range<u64>,
     /// Byte range of the `targets` array: `2 × edge_count × u32`.
     pub targets_bytes: Range<u64>,
-    /// Byte range of the shard manifest, when flagged. Its internal record boundaries
-    /// are variable-length, so only the section extent is computable from the prefix.
-    pub manifest_bytes: Option<Range<u64>>,
     /// Byte range of the checksum trailer (the last 8 bytes).
     pub trailer_bytes: Range<u64>,
     /// Total file size in bytes.
@@ -1425,20 +1134,12 @@ pub fn section_layout(path: impl AsRef<Path>) -> Result<SectionLayout, SnapshotE
     }
     let trailer_start = file_len - TRAILER_LEN as u64;
 
-    let manifest_bytes = if header.has_shard_manifest {
-        // Each of the shard_count records is at least 24 bytes.
-        if trailer_start - targets_end < header.shard_count as u64 * 24 {
-            return Err(truncated("shard manifest"));
-        }
-        Some(targets_end..trailer_start)
-    } else if targets_end != trailer_start {
+    if targets_end != trailer_start {
         return Err(SnapshotError::corrupt(format!(
             "{} undeclared bytes between the last section and the trailer",
             trailer_start - targets_end
         )));
-    } else {
-        None
-    };
+    }
 
     Ok(SectionLayout {
         header,
@@ -1446,7 +1147,6 @@ pub fn section_layout(path: impl AsRef<Path>) -> Result<SectionLayout, SnapshotE
         provenance_bytes,
         offsets_bytes: offsets_start..offsets_end,
         targets_bytes: offsets_end..targets_end,
-        manifest_bytes,
         trailer_bytes: trailer_start..file_len,
         file_len,
     })
@@ -1486,16 +1186,10 @@ fn decode_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
     if reserved != 0 {
         return Err(SnapshotError::corrupt("reserved header bytes are not zero"));
     }
-    let has_shard_manifest = flags & FLAG_SHARD_MANIFEST != 0;
-    if has_shard_manifest && shard_count == 0 {
-        return Err(SnapshotError::corrupt(
-            "shard manifest flagged but shard count is zero",
-        ));
-    }
-    if !has_shard_manifest && shard_count != 0 {
-        return Err(SnapshotError::corrupt(
-            "shard count set but no shard manifest flagged",
-        ));
+    if u64::from(shard_count) > node_count {
+        return Err(SnapshotError::corrupt(format!(
+            "{shard_count} shards cannot cut a {node_count}-node topology"
+        )));
     }
     let has_provenance = flags & FLAG_PROVENANCE != 0;
     let has_origin = flags & FLAG_ORIGIN != 0;
@@ -1509,7 +1203,6 @@ fn decode_header(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
         node_count,
         edge_count,
         shard_count,
-        has_shard_manifest,
         has_provenance,
         has_origin,
     })
@@ -1738,15 +1431,10 @@ mod tests {
     }
 
     #[test]
-    fn provenance_and_manifest_round_trip() {
-        let csr = sample();
-        let shards = vec![
-            ShardRecord { start: 0, end: 3 },
-            ShardRecord { start: 3, end: 6 },
-        ];
+    fn provenance_and_shard_count_round_trip() {
         let file = SnapshotFile {
-            csr,
-            shards: Some(shards),
+            csr: sample(),
+            shards: Some(2),
             provenance: Some(provenance()),
         };
         let bytes = file.to_bytes();
@@ -1754,30 +1442,12 @@ mod tests {
         assert_eq!(back, file);
         let header = back.header();
         assert_eq!(header.shard_count, 2);
-        assert!(header.has_shard_manifest);
         assert!(header.has_provenance);
-
-        // The stored tables are the entries leaving each range, in row order, each
-        // with the shard owning its target.
-        let shard = |start: u64, end: u64, entries: &[(u32, u32, u32)]| {
-            let mut out = Vec::new();
-            for value in [start, end, entries.len() as u64] {
-                out.extend_from_slice(&value.to_le_bytes());
-            }
-            for &(source, target, shard) in entries {
-                for value in [source, target, shard] {
-                    out.extend_from_slice(&value.to_le_bytes());
-                }
-            }
-            out
-        };
-        let mut manifest = shard(0, 3, &[(0, 5, 1), (0, 3, 1), (2, 3, 1)]);
-        manifest.extend(shard(3, 6, &[(3, 2, 0), (3, 0, 0), (5, 0, 0)]));
-        let body = &bytes[..bytes.len() - TRAILER_LEN];
-        assert!(body.ends_with(&manifest));
-        for record in back.shards.as_ref().unwrap() {
-            assert_eq!(record.boundary_len(&back.csr), 3);
-        }
+        // The shard count is the whole partition record: the arrays end the body.
+        assert_eq!(bytes[24..28], 2u32.to_le_bytes());
+        let label_len = provenance().label.len();
+        let prov_len = 4 + label_len + label_pad(label_len) + 5 * 8;
+        assert_eq!(bytes.len(), HEADER_LEN + prov_len + 28 + 56 + TRAILER_LEN);
     }
 
     #[test]
@@ -1871,6 +1541,18 @@ mod tests {
             SnapshotFile::from_bytes(b"PK\x03\x04 not a snapshot"),
             Err(SnapshotError::BadMagic { .. })
         ));
+    }
+
+    #[test]
+    fn version_1_files_are_unsupported() {
+        // A version 1 header, manifest flag and all: refused before anything else.
+        let mut bytes = SnapshotFile::plain(sample()).to_bytes();
+        bytes[4..6].copy_from_slice(&1u16.to_le_bytes());
+        bytes[6] |= 1;
+        assert_eq!(
+            SnapshotFile::from_bytes(&bytes),
+            Err(SnapshotError::UnsupportedVersion { found: 1 })
+        );
     }
 
     #[test]
@@ -2000,102 +1682,57 @@ mod tests {
             Err(SnapshotError::Corrupt { reason }) if reason.contains("reserved")
         ));
 
-        // Shard count without a manifest flag.
-        let bytes = rehashed(&file, |b| b[24] = 3);
-        assert!(matches!(
+        // Flag bit 0, version 1's shard manifest flag, is retired.
+        let bytes = rehashed(&file, |b| b[6] |= 1);
+        assert_eq!(
             SnapshotFile::from_bytes(&bytes),
-            Err(SnapshotError::Corrupt { reason }) if reason.contains("shard count")
-        ));
-    }
-
-    /// A hand-written manifest: `(start, end, boundary entries)` per shard.
-    type Tables = Vec<(u64, u64, Vec<(u32, u32, u32)>)>;
-
-    /// `file` (which has no manifest) with `shards` appended as its manifest, re-hashed.
-    fn with_manifest(file: &SnapshotFile, shards: &Tables) -> Vec<u8> {
-        rehashed(file, |b| {
-            b[6] |= FLAG_SHARD_MANIFEST as u8;
-            b[24..28].copy_from_slice(&(shards.len() as u32).to_le_bytes());
-            for (start, end, entries) in shards {
-                for value in [*start, *end, entries.len() as u64] {
-                    b.extend_from_slice(&value.to_le_bytes());
-                }
-                for &(source, target, shard) in entries {
-                    for value in [source, target, shard] {
-                        b.extend_from_slice(&value.to_le_bytes());
-                    }
-                }
-            }
-        })
-    }
-
-    /// The manifest the writer derives for `sample()` cut at node 3.
-    fn sample_tables() -> Tables {
-        vec![
-            (0, 3, vec![(0, 5, 1), (0, 3, 1), (2, 3, 1)]),
-            (3, 6, vec![(3, 2, 0), (3, 0, 0), (5, 0, 0)]),
-        ]
+            Err(SnapshotError::corrupt(
+                "unknown flag bits 0x0001 for version 2"
+            ))
+        );
     }
 
     #[test]
-    fn invalid_manifests_are_rejected() {
-        let csr = sample();
-        let bad_range = SnapshotFile {
-            csr: csr.clone(),
-            shards: Some(vec![ShardRecord { start: 0, end: 4 }]),
+    fn shard_counts_the_partition_cannot_cut_are_corrupt() {
+        // One shard per node is the finest cut; one more is corrupt.
+        let file = SnapshotFile {
+            csr: sample(),
+            shards: Some(6),
             provenance: None,
         };
-        assert!(matches!(
-            SnapshotFile::from_bytes(&bad_range.to_bytes()),
-            Err(SnapshotError::Corrupt { reason }) if reason.contains("cover")
-        ));
-
-        let plain = SnapshotFile::plain(csr);
-        assert!(SnapshotFile::from_bytes(&with_manifest(&plain, &sample_tables())).is_ok());
-        // n0's entry into n3 names shard 0 as the owner of n3.
-        let mut bad_owner = sample_tables();
-        bad_owner[0].2[1].2 = 0;
+        assert_eq!(SnapshotFile::from_bytes(&file.to_bytes()).unwrap(), file);
+        let bytes = rehashed(&file, |b| b[24] = 7);
         assert_eq!(
-            SnapshotFile::from_bytes(&with_manifest(&plain, &bad_owner)),
+            SnapshotFile::from_bytes(&bytes),
             Err(SnapshotError::corrupt(
-                "shard 0 boundary table does not list the cross-shard entry n0->n3 its rows \
-                 produce"
+                "7 shards cannot cut a 6-node topology"
             ))
         );
-    }
-
-    #[test]
-    fn lying_boundary_tables_are_rejected_by_recomputation() {
-        // Ranges and ownership are consistent, but the tables omit real cross edges /
-        // invent fake ones; the reader recomputes the partition's boundary and compares.
-        let plain = SnapshotFile::plain(sample());
-        let mut empty = sample_tables();
-        for shard in &mut empty {
-            shard.2.clear();
+        // Shards on an empty graph.
+        let empty = SnapshotFile::plain(Graph::new().freeze());
+        let bytes = rehashed(&empty, |b| b[24] = 1);
+        assert_eq!(
+            SnapshotFile::from_bytes(&bytes),
+            Err(SnapshotError::corrupt(
+                "1 shards cannot cut a 0-node topology"
+            ))
+        );
+        // The writer refuses to produce either file.
+        let dir = std::env::temp_dir().join(format!("sfos-cut-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("uncut.sfos");
+        for (csr, shards) in [(sample(), 7), (sample(), 0), (Graph::new().freeze(), 1)] {
+            let err = save(&path, &csr, Some(shards), None).unwrap_err();
+            assert!(
+                matches!(&err, SnapshotError::Io { message, .. } if message.contains("cannot cut")),
+                "{shards} shards: {err:?}"
+            );
+            assert!(
+                !path.exists(),
+                "{shards} shards: the refused file was created"
+            );
         }
-        assert!(matches!(
-            SnapshotFile::from_bytes(&with_manifest(&plain, &empty)),
-            Err(SnapshotError::Corrupt { reason }) if reason.contains("does not list")
-        ));
-
-        // One shard has no cross edges; inventing one must fail.
-        let invented = vec![(0, 6, vec![(0, 1, 0)])];
-        assert!(matches!(
-            SnapshotFile::from_bytes(&with_manifest(&plain, &invented)),
-            Err(SnapshotError::Corrupt { reason }) if reason.contains("do not produce")
-        ));
-
-        // A later shard's lie does not hide an earlier one.
-        let mut both = sample_tables();
-        both[1].2[2].1 = 1;
-        both[0].2[0].2 = 0;
-        assert_eq!(
-            SnapshotFile::from_bytes(&with_manifest(&plain, &both)),
-            Err(SnapshotError::corrupt(
-                "shard 0 boundary table does not list the cross-shard entry n0->n5 its rows \
-                 produce"
-            ))
-        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -2191,22 +1828,7 @@ mod tests {
 
     #[test]
     fn oversized_length_fields_are_rejected_before_allocation() {
-        // A shard count the file cannot possibly hold must fail as truncation, not
-        // reserve memory for 4 billion records.
-        let file = SnapshotFile {
-            csr: sample(),
-            shards: Some(vec![ShardRecord { start: 0, end: 6 }]),
-            provenance: None,
-        };
-        let bytes = rehashed(&file, |b| {
-            b[24..28].copy_from_slice(&u32::MAX.to_le_bytes())
-        });
-        assert!(matches!(
-            SnapshotFile::from_bytes(&bytes),
-            Err(SnapshotError::Truncated { .. })
-        ));
-
-        // Same for a provenance label length in read_meta (no checksum protection).
+        // A provenance label length read_meta (no checksum protection) cannot back.
         let dir = std::env::temp_dir().join(format!("sfos-bounds-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bad-label.sfos");
@@ -2244,10 +1866,10 @@ mod tests {
         .to_string()
         .contains("checksum"));
         assert!(SnapshotError::MissingSection {
-            section: "shard manifest"
+            section: "shard partition"
         }
         .to_string()
-        .contains("shard manifest"));
+        .contains("shard partition"));
     }
 
     #[test]
@@ -2458,7 +2080,7 @@ mod tests {
         let path = dir.join("layout.sfos");
         let file = SnapshotFile {
             csr: sample(),
-            shards: Some(vec![ShardRecord { start: 0, end: 6 }]),
+            shards: Some(3),
             provenance: Some(provenance()),
         };
         file.save(&path).unwrap();
@@ -2474,9 +2096,7 @@ mod tests {
         // 7 nodes' worth of offsets (6 + 1) and 14 directed entries.
         assert_eq!(layout.offsets_bytes.end - layout.offsets_bytes.start, 28);
         assert_eq!(layout.targets_bytes.end - layout.targets_bytes.start, 56);
-        let manifest = layout.manifest_bytes.clone().unwrap();
-        assert_eq!(manifest.start, layout.targets_bytes.end);
-        assert_eq!(manifest.end, layout.trailer_bytes.start);
+        assert_eq!(layout.targets_bytes.end, layout.trailer_bytes.start);
         assert_eq!(layout.trailer_bytes.end, layout.file_len);
         assert!(layout.zero_copy_eligible());
 
@@ -2485,7 +2105,6 @@ mod tests {
         SnapshotFile::plain(sample()).save(&plain_path).unwrap();
         let plain = section_layout(&plain_path).unwrap();
         assert!(plain.provenance_bytes.is_none());
-        assert!(plain.manifest_bytes.is_none());
         assert_eq!(plain.offsets_bytes.start, 32);
         assert_eq!(plain.targets_bytes.end, plain.trailer_bytes.start);
         assert!(plain.zero_copy_eligible());
@@ -2543,7 +2162,7 @@ mod tests {
         let path = dir.join("mapped.sfos");
         let file = SnapshotFile {
             csr: sample(),
-            shards: Some(vec![ShardRecord { start: 0, end: 6 }]),
+            shards: Some(3),
             provenance: Some(provenance()),
         };
         file.save(&path).unwrap();

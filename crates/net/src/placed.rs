@@ -3,10 +3,10 @@
 //! frontiers, and the shard-shipment builder.
 //!
 //! Placement never ships routing tables. The partition is *canonical arithmetic*:
-//! shard `i` of `s` over `n` nodes owns [`shard_range`]`(n, s, i)`, the same
-//! contiguous near-equal split [`sfo_engine::ShardedCsr`] computes — so every
-//! endpoint (dispatcher, shard host, test oracle) derives ownership from three
-//! integers and can never disagree.
+//! shard `i` of `s` over `n` nodes owns [`shard_range`]`(n, s, i)` — `sfo-graph`'s
+//! one partition, re-exported here, which [`sfo_engine::ShardedCsr`] and a snapshot's
+//! shard count mean too — so every endpoint (dispatcher, shard host, test oracle)
+//! derives ownership from three integers and can never disagree.
 
 use crate::message::ShardPayload;
 use crate::NetError;
@@ -14,47 +14,8 @@ use rand::Rng;
 use sfo_engine::{placed_start, PlacedAlgorithm, PlacedState, NO_NODE};
 use sfo_graph::CsrGraph;
 use sfo_scenario::SearchSpec;
-use std::ops::Range;
 
-/// The node range shard `index` of `shard_count` owns over `node_count` nodes: the
-/// first `node_count % shard_count` shards hold one extra node. Identical to the
-/// [`sfo_engine::ShardedCsr`] partition whenever `shard_count <= node_count`; beyond
-/// that, surplus shards own empty ranges.
-///
-/// # Panics
-///
-/// Panics if `shard_count` is zero or `index` is not a shard index.
-pub fn shard_range(node_count: usize, shard_count: usize, index: usize) -> Range<usize> {
-    assert!(
-        shard_count > 0 && index < shard_count,
-        "shard {index} of {shard_count} is not a placement"
-    );
-    let base = node_count / shard_count;
-    let big = node_count % shard_count;
-    let start = index * base + index.min(big);
-    start..start + base + usize::from(index < big)
-}
-
-/// The shard owning `node` under the canonical partition — the placed routing
-/// function.
-///
-/// # Panics
-///
-/// Panics if `shard_count` is zero or `node` is out of bounds.
-pub fn shard_of(node: usize, node_count: usize, shard_count: usize) -> usize {
-    assert!(
-        shard_count > 0 && node < node_count,
-        "node {node} out of bounds for a {node_count}-node snapshot"
-    );
-    let base = node_count / shard_count;
-    let big = node_count % shard_count;
-    let cut = big * (base + 1);
-    if node < cut {
-        node / (base + 1)
-    } else {
-        big + (node - cut) / base
-    }
-}
+pub use sfo_graph::{shard_of, shard_range};
 
 /// Compiles a [`SearchSpec`] to its placed equivalent, resolving `k_min: None` to the
 /// topology's `m` exactly as [`SearchSpec::build_for`] does.
@@ -191,34 +152,6 @@ pub(crate) fn sweep_job_state(
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn shard_range_partitions_exactly_and_matches_sharded_csr() {
-        for (n, s) in [(10usize, 3usize), (500, 7), (6, 6), (5, 8), (0, 2), (1, 1)] {
-            let mut covered = 0usize;
-            for i in 0..s {
-                let range = shard_range(n, s, i);
-                assert_eq!(range.start, covered, "shard {i} of {s} over {n}");
-                covered = range.end;
-                for node in range.clone() {
-                    assert_eq!(
-                        shard_of(node, n, s),
-                        i,
-                        "node {node} ({n} nodes, {s} shards)"
-                    );
-                }
-            }
-            assert_eq!(covered, n);
-        }
-        // Against the engine's partition, which clamps instead of allowing empties.
-        let csr = sfo_graph::generators::ring_graph(23, 2).unwrap().freeze();
-        for s in [1usize, 2, 5, 7, 23] {
-            let sharded = sfo_engine::ShardedCsr::from_csr(&csr, s);
-            for (i, shard) in sharded.shards().iter().enumerate() {
-                assert_eq!(shard.node_range(), shard_range(23, s, i));
-            }
-        }
-    }
 
     #[test]
     fn placed_algorithm_resolves_k_min_and_refuses_row_hungry_shapes() {

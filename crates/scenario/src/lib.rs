@@ -26,7 +26,7 @@
 //!
 //! Topologies can also be built once and persisted: [`build_snapshot`] writes a spec's
 //! realization-0 topology as a binary `SFOS` file (with provenance and an optional
-//! shard manifest), and [`TopologySpec::Snapshot`] runs any later scenario against that
+//! shard count), and [`TopologySpec::Snapshot`] runs any later scenario against that
 //! file with byte-identical results — the paper's reuse-the-same-realizations workflow,
 //! served by `sfo snapshot build|inspect|verify` on the CLI.
 //!

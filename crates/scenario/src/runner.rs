@@ -32,7 +32,7 @@ use sfo_engine::{
     WorkerPool,
 };
 use sfo_graph::snapshot::{Provenance, SnapshotError, SnapshotFile, SnapshotOrigin};
-use sfo_graph::GraphView;
+use sfo_graph::{CsrGraph, GraphView};
 use sfo_obs::{PhaseTimer, Registry};
 use sfo_search::experiment::{
     label_salt, rw_normalized_to_nf, stream_rng, ttl_sweep, AveragedOutcome,
@@ -485,7 +485,7 @@ impl ScenarioRunner {
             "scenario.freeze_micros",
             freeze_timer,
         );
-        record_boundary_fraction(self.metrics.as_deref(), sharded.boundary_fraction());
+        record_boundary_fraction(self.metrics.as_deref(), || sharded.boundary_fraction());
         let pool = self.pool(sweep.threads);
         let m = usize::try_from(provenance.m).unwrap_or(usize::MAX);
         let sweep_timer = PhaseTimer::start();
@@ -626,16 +626,15 @@ fn fold_snapshot_sweep(
     }
 }
 
-/// One `(curve, realization)` task of a static sweep: generate in frozen form, shard if
-/// asked, sweep.
+/// One `(curve, realization)` task of a static sweep: generate in frozen form, sweep.
 ///
 /// This reproduces the stream discipline the figure harness has always used — the
 /// per-realization RNG is `stream_rng(seed, label_salt(curve label), realization)`, the
 /// topology is drawn first, and the TTL sweep continues on the same stream — so a curve
 /// produces bit-identical data whether it runs here or ran in the old bespoke loops.
-/// With `shard_count > 1` the sweep runs on a [`ShardedCsr`] store instead of the plain
-/// snapshot; the sharded store reports identical neighbor slices, so even that does not
-/// change a single byte of the output.
+/// A serial sweep reads the frozen rows in place whatever `shard_count` says, since a
+/// shard cut changes no neighbor slice; `shard_count > 1` only adds the cut's boundary
+/// fraction to the metrics.
 fn run_sweep_task(
     curve: &TopologySpec,
     label: &str,
@@ -651,43 +650,29 @@ fn run_sweep_task(
     let frozen = generator.generate_frozen(&mut rng)?;
     observe_phase(metrics, "scenario.generate_micros", generate_timer);
     let freeze_timer = PhaseTimer::start();
+    observe_phase(metrics, "scenario.freeze_micros", freeze_timer);
     if sweep.shard_count > 1 {
-        let sharded = ShardedCsr::from_csr_owned(frozen, sweep.shard_count);
-        observe_phase(metrics, "scenario.freeze_micros", freeze_timer);
-        record_boundary_fraction(metrics, sharded.boundary_fraction());
-        let sweep_timer = PhaseTimer::start();
-        let outcomes = serial_sweep_on(&sharded, curve, search, sweep, &mut rng);
-        observe_phase(metrics, "scenario.sweep_micros", sweep_timer);
-        outcomes
-    } else {
-        observe_phase(metrics, "scenario.freeze_micros", freeze_timer);
-        let sweep_timer = PhaseTimer::start();
-        let outcomes = serial_sweep_on(&frozen, curve, search, sweep, &mut rng);
-        observe_phase(metrics, "scenario.sweep_micros", sweep_timer);
-        outcomes
+        record_boundary_fraction(metrics, || frozen.boundary_fraction(sweep.shard_count));
     }
-}
-
-/// The serial TTL sweep over any frozen backend (plain or sharded CSR).
-fn serial_sweep_on<G: GraphView + Sync>(
-    frozen: &G,
-    curve: &TopologySpec,
-    search: &SearchSpec,
-    sweep: &SweepSpec,
-    rng: &mut rand::rngs::StdRng,
-) -> Result<Vec<AveragedOutcome>, ScenarioError> {
-    Ok(match search.build_for::<G>(curve.m())? {
+    let sweep_timer = PhaseTimer::start();
+    let outcomes = match search.build_for::<CsrGraph>(curve.m())? {
         BuiltSearch::Algorithm(algorithm) => ttl_sweep(
-            frozen,
+            &frozen,
             algorithm.as_ref(),
             &sweep.ttls,
             sweep.searches_per_point,
-            rng,
+            &mut rng,
         ),
-        BuiltSearch::RwNormalizedToNf { k_min } => {
-            rw_normalized_to_nf(frozen, k_min, &sweep.ttls, sweep.searches_per_point, rng)
-        }
-    })
+        BuiltSearch::RwNormalizedToNf { k_min } => rw_normalized_to_nf(
+            &frozen,
+            k_min,
+            &sweep.ttls,
+            sweep.searches_per_point,
+            &mut rng,
+        ),
+    };
+    observe_phase(metrics, "scenario.sweep_micros", sweep_timer);
+    Ok(outcomes)
 }
 
 /// One `(curve, realization)` task of an engine-batched sweep: generate on the
@@ -718,7 +703,7 @@ fn run_batched_sweep_task(
     let freeze_timer = PhaseTimer::start();
     let sharded = Arc::new(ShardedCsr::from_csr_owned(frozen, sweep.shard_count.max(1)));
     observe_phase(metrics, "scenario.freeze_micros", freeze_timer);
-    record_boundary_fraction(metrics, sharded.boundary_fraction());
+    record_boundary_fraction(metrics, || sharded.boundary_fraction());
     let sweep_timer = PhaseTimer::start();
     let outcomes = match search.build_for::<ShardedCsr>(curve.m())? {
         BuiltSearch::Algorithm(algorithm) => batched_ttl_sweep(
@@ -751,12 +736,13 @@ fn observe_phase(metrics: Option<&Registry>, name: &str, timer: PhaseTimer) {
     }
 }
 
-/// Records a sharded store's boundary fraction — the cross-shard share of its edge
-/// endpoints, a pure function of the frozen topology and the shard count — as parts
-/// per million in the `scenario.boundary_fraction_ppm` histogram.
-fn record_boundary_fraction(metrics: Option<&Registry>, fraction: f64) {
+/// Records a shard cut's boundary fraction — the cross-shard share of the edges, a pure
+/// function of the frozen topology and the shard count — as parts per million in the
+/// `scenario.boundary_fraction_ppm` histogram. The rows are counted only when a
+/// registry is installed.
+fn record_boundary_fraction(metrics: Option<&Registry>, fraction: impl FnOnce() -> f64) {
     if let Some(registry) = metrics {
-        let ppm = (fraction * 1_000_000.0).round() as u64;
+        let ppm = (fraction() * 1_000_000.0).round() as u64;
         registry
             .histogram("scenario.boundary_fraction_ppm")
             .record(ppm);

@@ -15,17 +15,15 @@
 use crate::spec::{DynamicsSpec, ScenarioSpec, TopologySpec};
 use crate::ScenarioError;
 use rand::RngCore;
-use sfo_engine::ShardedCsr;
 use sfo_graph::snapshot::{Provenance, SnapshotFile, SnapshotOrigin};
 use sfo_search::experiment::{label_salt, stream_rng};
 
 /// Generates the realization-0 topology of `spec` and packs it as a snapshot with
 /// provenance, ready to [`SnapshotFile::save`].
 ///
-/// `shards > 1` also embeds the shard manifest of [`ShardedCsr`]'s partition (node
-/// ranges; the file's boundary tables — the per-host hand-off unit — are derived from
-/// them when it is written); the stored topology is identical either way, and a
-/// scenario run against the file applies its own `sweep.shard_count` regardless.
+/// `shards > 1` also records the shard count, clamped to the node count as
+/// `sfo_engine::ShardedCsr` clamps it; the stored topology is identical either way, and
+/// a scenario run against the file applies its own `sweep.shard_count` regardless.
 ///
 /// # Errors
 ///
@@ -79,10 +77,9 @@ pub fn build_snapshot(spec: &ScenarioSpec, shards: usize) -> Result<SnapshotFile
         sweep_seed,
         origin: Some(SnapshotOrigin::Generator),
     };
-    let shards = (shards > 1).then(|| ShardedCsr::manifest(csr.node_count(), shards));
     Ok(SnapshotFile {
+        shards: (shards > 1).then(|| shards.min(csr.node_count())),
         csr,
-        shards,
         provenance: Some(provenance),
     })
 }
@@ -136,12 +133,13 @@ mod tests {
     }
 
     #[test]
-    fn build_with_shards_embeds_a_matching_manifest() {
-        let file = build_snapshot(&base_spec(), 4).unwrap();
-        let records = file.shards.as_ref().unwrap();
-        assert_eq!(records.len(), 4);
-        let rebuilt = ShardedCsr::from_csr(&file.csr, 4);
-        assert_eq!(rebuilt.to_snapshot_file().shards.as_ref().unwrap(), records);
+    fn build_with_shards_records_the_clamped_shard_count() {
+        let csr = build_snapshot(&base_spec(), 0).unwrap().csr;
+        for (asked, stored) in [(1usize, None), (4, Some(4)), (500, Some(200))] {
+            let file = build_snapshot(&base_spec(), asked).unwrap();
+            assert_eq!(file.shards, stored, "--shards {asked}");
+            assert_eq!(file.csr, csr, "--shards {asked}");
+        }
     }
 
     #[test]

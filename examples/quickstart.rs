@@ -32,8 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     if let Some(fit) = fit_exponent_from_counts(&histogram.counts, 2, 19) {
         println!(
             "degree distribution: gamma ~= {:.2} (R^2 = {:.3})",
-            fit.gamma,
-            fit.r_squared.unwrap_or(0.0)
+            fit.gamma, fit.r_squared
         );
     }
     println!("peers pinned at the cutoff k=20: {}", histogram.count(20));

@@ -9,7 +9,7 @@
 # inspects and verifies the file, runs the same spec inline (generating the topology in
 # process), and checks that the inline result is byte-identical to the snapshot
 # run's. It then checks the same for a sweep over the zero-copy load (`--mmap`) and
-# over a `--shards 1` build of the same spec: a file with no shard manifest (the spec's
+# over a `--shards 1` build of the same spec: a file with no shard count (the spec's
 # `shard_count` of 4 is the build's default).
 # Everything it writes lives in a temporary directory.
 # The last line of output is `ok`, or the diff / failed check.

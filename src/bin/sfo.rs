@@ -82,10 +82,11 @@
 //! unchanged.
 
 use sfoverlay::prelude::{
-    build_snapshot, remote_runner, remote_runner_with_metrics, run_loadtest, LiveConfig,
-    LoadtestConfig, LoadtestReport, OverlayNode, OverlayNodeConfig, PeerRef, ProtocolConfig,
-    Registry, ScenarioReport, ScenarioSpec, SearchSpec, ServeConfig, ShardedCsr, SimulationConfig,
-    SnapshotFile, SweepSpec, TopologySpec, WorkerClient, WorkerServer, WorkloadSpec,
+    build_snapshot, remote_runner, remote_runner_with_metrics, run_loadtest, shard_range,
+    LiveConfig, LoadtestConfig, LoadtestReport, OverlayNode, OverlayNodeConfig, PeerRef,
+    ProtocolConfig, Registry, ScenarioReport, ScenarioSpec, SearchSpec, ServeConfig,
+    SimulationConfig, SnapshotFile, SweepSpec, TopologySpec, WorkerClient, WorkerServer,
+    WorkloadSpec,
 };
 use sfoverlay::scenario::json::{JsonValue, ToJson};
 use sfoverlay::scenario::{ScenarioResult, SweepMetric};
@@ -752,8 +753,8 @@ fn snapshot_build_command(args: &[String]) -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    // Default to the spec's own engine sharding so the persisted manifest matches what
-    // the scenario would run with; --shards overrides.
+    // Default to the spec's own engine sharding so the persisted shard count matches
+    // what the scenario would run with; --shards overrides.
     let shards = shards.unwrap_or_else(|| spec.sweep.as_ref().map_or(0, |s| s.shard_count));
     let file = match build_snapshot(&spec, shards) {
         Ok(file) => file,
@@ -773,8 +774,7 @@ fn snapshot_build_command(args: &[String]) -> ExitCode {
         file.csr.node_count(),
         file.csr.edge_count(),
         file.shards
-            .as_ref()
-            .map(|s| format!(", {} shards", s.len()))
+            .map(|s| format!(", {s} shards"))
             .unwrap_or_default(),
         provenance.seed,
     );
@@ -820,39 +820,31 @@ fn snapshot_inspect(args: &[String]) -> ExitCode {
         let mean = 2.0 * header.edge_count as f64 / header.node_count as f64;
         println!("  degree: min {min}, mean {mean:.2}, max {max}");
     }
-    match &file.shards {
-        Some(records) => {
-            let boundary: Vec<usize> = records
-                .iter()
-                .map(|record| record.boundary_len(&file.csr))
-                .collect();
-            let cross = boundary.iter().sum::<usize>() / 2;
-            let fraction = if header.edge_count == 0 {
-                0.0
-            } else {
-                cross as f64 / header.edge_count as f64
-            };
+    match file.shards {
+        Some(shards) => {
             println!(
-                "  shards: {} (cross-shard edges: {cross}, boundary fraction {fraction:.4})",
-                records.len()
+                "  shards: {shards} (cross-shard edges: {}, boundary fraction {:.4})",
+                file.csr.cross_shard_edges(shards),
+                file.csr.boundary_fraction(shards),
             );
-            // Per-shard cut quality: adjacency entries come straight from the offsets
-            // array, boundary entries are the rows' entries leaving the range (the
-            // stored table, which the load checked), so the per-shard fraction is
-            // outbound boundary entries over the shard's directed entries.
+            // Per-shard cut quality: the shard count is the partition, adjacency entries
+            // come straight from the offsets array and boundary entries are the rows'
+            // entries leaving the range, so the per-shard fraction is outbound boundary
+            // entries over the shard's directed entries.
             let (offsets, _) = file.csr.raw_parts();
-            for (index, (record, &boundary)) in records.iter().zip(&boundary).enumerate() {
-                let entries =
-                    offsets[record.end as usize] as u64 - offsets[record.start as usize] as u64;
+            for index in 0..shards {
+                let range = shard_range(file.csr.node_count(), shards, index);
+                let entries = offsets[range.end] - offsets[range.start];
+                let boundary = file.csr.boundary_entries(range.clone());
                 let shard_fraction = if entries == 0 {
                     0.0
                 } else {
-                    boundary as f64 / entries as f64
+                    boundary as f64 / f64::from(entries)
                 };
                 println!(
-                    "    shard {index}: nodes {}..{} ({} entries, {} boundary, \
+                    "    shard {index}: nodes {}..{} ({entries} entries, {boundary} boundary, \
                      boundary fraction {shard_fraction:.4})",
-                    record.start, record.end, entries, boundary,
+                    range.start, range.end,
                 );
             }
         }
@@ -899,9 +891,6 @@ fn snapshot_inspect(args: &[String]) -> ExitCode {
             }
             row("offsets", &layout.offsets_bytes);
             row("targets", &layout.targets_bytes);
-            if let Some(manifest) = &layout.manifest_bytes {
-                row("manifest", manifest);
-            }
             row("trailer", &layout.trailer_bytes);
             println!(
                 "    zero-copy eligible: {}",
@@ -925,28 +914,19 @@ fn snapshot_verify(args: &[String]) -> ExitCode {
         Ok(path) => path,
         Err(code) => return code,
     };
-    // One full load checks magic, version, checksum, and structural consistency of the
-    // arrays and manifest; building the sharded store from it additionally proves the
-    // manifest is the partition the store cuts.
+    // One full load checks magic, version, the shard count against the node count,
+    // the checksum, and the structural consistency of the arrays.
     let file = match load_snapshot(path) {
         Ok(file) => file,
         Err(code) => return code,
     };
-    let (nodes, edges) = (file.csr.node_count(), file.csr.edge_count());
-    let sharded = file.shards.is_some();
-    if sharded {
-        if let Err(e) = ShardedCsr::from_snapshot_file(file) {
-            eprintln!("{path}: {e}");
-            return ExitCode::FAILURE;
-        }
-    }
     println!(
-        "{path}: ok — {nodes} nodes, {edges} edges, checksum and structure verified{}",
-        if sharded {
-            ", shard manifest consistent"
-        } else {
-            ""
-        }
+        "{path}: ok — {} nodes, {} edges, checksum and structure verified{}",
+        file.csr.node_count(),
+        file.csr.edge_count(),
+        file.shards
+            .map(|s| format!(", {s} shards"))
+            .unwrap_or_default()
     );
     ExitCode::SUCCESS
 }

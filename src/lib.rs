@@ -15,8 +15,9 @@
 //! * [`search`] — flooding, normalized flooding, and random-walk search ([`sfo_search`]).
 //! * [`engine`] — the sharded CSR topology store and batched query scheduler
 //!   ([`sfo_engine`]): [`ShardedCsr`](sfo_engine::ShardedCsr) partitions a frozen
-//!   snapshot into `Send + Sync` node-range shards with cross-shard boundary tables,
-//!   and [`WorkerPool`](sfo_engine::WorkerPool) fans
+//!   snapshot into `Send + Sync` node-range shards — [`sfo_graph::shard_range`]'s
+//!   partition, the one a snapshot's shard count and placed execution mean — and
+//!   [`WorkerPool`](sfo_engine::WorkerPool) fans
 //!   [`QueryBatch`](sfo_engine::QueryBatch)es across a persistent work-stealing pool
 //!   with per-job RNG streams (results independent of worker and shard counts).
 //! * [`analysis`] — histograms, power-law fits, and result series ([`sfo_analysis`]).
@@ -96,18 +97,18 @@ pub mod prelude {
         UncorrelatedConfigurationModel,
     };
     pub use sfo_engine::{
-        batched_rw_normalized_to_nf, batched_ttl_sweep, placed_advance, placed_start,
-        BoundaryTable, CsrShard, EngineConfig, PlacedAlgorithm, PlacedState, PlacedStep,
-        QueryBatch, QueryJob, ShardedCsr, StepStats, WorkerPool,
+        batched_rw_normalized_to_nf, batched_ttl_sweep, placed_advance, placed_start, CsrShard,
+        EngineConfig, PlacedAlgorithm, PlacedState, PlacedStep, QueryBatch, QueryJob, ShardedCsr,
+        StepStats, WorkerPool,
     };
     pub use sfo_graph::snapshot::{
         section_layout, Provenance, SectionLayout, SnapshotError, SnapshotFile, SnapshotHeader,
         SnapshotOrigin, SNAPSHOT_MAGIC, SNAPSHOT_VERSION,
     };
     pub use sfo_graph::{
-        CsrGraph, CsrSlice, Graph, GraphError, GraphView, MultiGraph, NodeId, ShardView,
+        shard_of, shard_range, CsrGraph, CsrSlice, Graph, GraphError, GraphView, MultiGraph,
+        NodeId, ShardView,
     };
-    pub use sfo_net::placed::{shard_of, shard_range};
     pub use sfo_net::{
         remote_runner, remote_runner_with_metrics, run_loadtest, LoadtestConfig, LoadtestReport,
         NetError, OverlayNode, OverlayNodeConfig, OverlayNodeHandle, RemoteDispatcher, ServeConfig,

@@ -391,7 +391,7 @@ fn rng_streams(digests: &mut Digests) {
 }
 
 /// The snapshot files `sfo snapshot build --shards 4` writes for two checked-in build
-/// specs: topology, shard manifest and provenance, byte for byte.
+/// specs: topology, shard count and provenance, byte for byte.
 fn snapshots(digests: &mut Digests) {
     for name in [
         "examples/scenario_snapshot_build.json",

@@ -79,7 +79,7 @@ fn aged_overlay_csr(case: u64, input: &mut StdRng) -> CsrGraph {
 }
 
 /// Structure is preserved for every shard count: counts, degrees, neighbor slices (order
-/// included), shard-range bookkeeping, and the boundary tables.
+/// included), shard-range bookkeeping, and the cross-shard edge count.
 #[test]
 fn sharding_preserves_structure_for_all_counts() {
     for_cases(12, |case, input| {
@@ -106,8 +106,13 @@ fn sharding_preserves_structure_for_all_counts() {
                 next = shard.node_range().end;
             }
             assert_eq!(next, csr.node_count());
-            // Boundary tables account exactly for the non-internal directed entries.
-            let cross: usize = sharded.shards().iter().map(|s| s.boundary().len()).sum();
+            // The cross-shard count is the directed entries whose ends have different
+            // owners, counted here from the rows.
+            let cross: usize = csr
+                .nodes()
+                .flat_map(|node| csr.neighbors(node).iter().map(move |&v| (node, v)))
+                .filter(|&(u, v)| sharded.shard_of(u) != sharded.shard_of(v))
+                .count();
             assert_eq!(sharded.cross_shard_edges() * 2, cross, "case {case}");
             assert_eq!(sharded.to_csr(), csr, "case {case}, {shards} shards");
         }

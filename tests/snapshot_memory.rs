@@ -1,7 +1,8 @@
 //! The heap a snapshot load or save holds, measured by a counting allocator.
 //!
 //! A load may hold, beyond the value it returns, at most four bytes per node and 4 MiB:
-//! never the file, the decoded manifest or a copy of `targets`. A sharded save may hold
+//! never the file or a copy of `targets`. A sharded store holds what the plain load
+//! holds plus 4 KiB: its shard ranges, never a per-shard table. A sharded save may hold
 //! at most 4 MiB beyond what it started with: never the file or a copy of the arrays.
 //! The snapshot is a 4-shard capped-PA topology of 10^5 nodes.
 //!
@@ -76,6 +77,7 @@ fn measure<T>(f: impl FnOnce() -> T) -> (T, usize, usize) {
 }
 
 const NODES: usize = 100_000;
+const KIB: usize = 1 << 10;
 const MIB: usize = 1 << 20;
 
 #[test]
@@ -114,13 +116,18 @@ fn loads_hold_their_arrays_plus_four_bytes_a_node_and_saves_one_buffer() {
         peak <= held + slack,
         "SnapshotFile::load of a {file_len}-byte file peaked at {peak} bytes, holding {held}"
     );
-    assert_eq!(file.shards.as_ref().map(Vec::len), Some(4));
+    assert_eq!(file.shards, Some(4));
     drop(file);
+    let file_held = held;
 
     let (sharded, peak, held) = measure(|| ShardedCsr::load(&path).unwrap());
     assert!(
         peak <= held + slack,
         "ShardedCsr::load peaked at {peak} bytes, holding {held}"
+    );
+    assert!(
+        held <= file_held + 4 * KIB,
+        "ShardedCsr::load holds {held} bytes, SnapshotFile::load {file_held}"
     );
 
     let (mapped, peak, held) = measure(|| SnapshotFile::load_mmap(&path).unwrap());

@@ -1,10 +1,9 @@
 //! The snapshot reader against the whole-buffer reader it replaced.
 //!
-//! `SnapshotFile::load` streams a file through one fixed-size buffer and derives the
-//! shard boundary tables from the rows. This file keeps the reader it replaced — read
-//! the whole file, verify the checksum, decode every section into memory (boundary
-//! records included), then check the topology and the manifest — as a test-only
-//! oracle, and requires for every case of a generated corruption matrix that
+//! `SnapshotFile::load` streams a file through one fixed-size buffer. This file keeps
+//! the reader it replaced — read the whole file, verify the checksum, decode every
+//! section into memory, then check the topology — as a test-only oracle of the version
+//! 2 format, and requires for every case of a generated corruption matrix that
 //! `SnapshotFile::from_bytes`, `SnapshotFile::load` and `SnapshotFile::load_mmap` return
 //! the oracle's value or exactly its error.
 //!
@@ -13,11 +12,8 @@
 //!
 //! * truncation one byte before, at and after every section boundary, with the trailer
 //!   left as it was and with the trailer re-hashed over what is left;
-//! * three flipped bits at the first, middle and last byte of every section, with and
-//!   without re-hashing;
-//! * boundary records that lie about a target shard before or after their own shard,
-//!   alone and together with a later lie, so the first lie in stream order is the one
-//!   reported.
+//! * three flipped bits at the first, middle and last byte of every section and of the
+//!   header's shard count, with and without re-hashing.
 
 use rand::SeedableRng;
 use sfoverlay::graph::snapshot::fnv1a64;
@@ -33,17 +29,16 @@ mod oracle {
 
     const HEADER_LEN: usize = 32;
     const TRAILER_LEN: usize = 8;
-    const FLAG_SHARD_MANIFEST: u16 = 1;
     const FLAG_PROVENANCE: u16 = 2;
     const FLAG_ORIGIN: u16 = 4;
-    const KNOWN_FLAGS: u16 = 7;
+    const KNOWN_FLAGS: u16 = 6;
 
     /// Everything a successful load returns, in plain arrays.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub(crate) struct Decoded {
         pub(crate) offsets: Vec<u32>,
         pub(crate) targets: Vec<u32>,
-        pub(crate) shards: Option<Vec<(u64, u64)>>,
+        pub(crate) shards: Option<usize>,
         pub(crate) provenance: Option<Provenance>,
     }
 
@@ -51,15 +46,8 @@ mod oracle {
         node_count: u64,
         edge_count: u64,
         shard_count: u32,
-        has_shard_manifest: bool,
         has_provenance: bool,
         has_origin: bool,
-    }
-
-    struct Record {
-        start: u64,
-        end: u64,
-        boundary: Vec<(u32, u32, u32)>,
     }
 
     fn corrupt(reason: impl Into<String>) -> SnapshotError {
@@ -88,13 +76,13 @@ mod oracle {
             return Err(SnapshotError::BadMagic { found });
         }
         let version = u16::from_le_bytes(bytes[4..6].try_into().unwrap());
-        if version != 1 {
+        if version != 2 {
             return Err(SnapshotError::UnsupportedVersion { found: version });
         }
         let flags = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
         if flags & !KNOWN_FLAGS != 0 {
             return Err(corrupt(format!(
-                "unknown flag bits {:#06x} for version 1",
+                "unknown flag bits {:#06x} for version 2",
                 flags & !KNOWN_FLAGS
             )));
         }
@@ -105,12 +93,10 @@ mod oracle {
         if reserved != 0 {
             return Err(corrupt("reserved header bytes are not zero"));
         }
-        let has_shard_manifest = flags & FLAG_SHARD_MANIFEST != 0;
-        if has_shard_manifest && shard_count == 0 {
-            return Err(corrupt("shard manifest flagged but shard count is zero"));
-        }
-        if !has_shard_manifest && shard_count != 0 {
-            return Err(corrupt("shard count set but no shard manifest flagged"));
+        if u64::from(shard_count) > node_count {
+            return Err(corrupt(format!(
+                "{shard_count} shards cannot cut a {node_count}-node topology"
+            )));
         }
         let has_provenance = flags & FLAG_PROVENANCE != 0;
         let has_origin = flags & FLAG_ORIGIN != 0;
@@ -121,7 +107,6 @@ mod oracle {
             node_count,
             edge_count,
             shard_count,
-            has_shard_manifest,
             has_provenance,
             has_origin,
         })
@@ -257,41 +242,6 @@ mod oracle {
         let targets_len = array_len(entry_count, "targets")?;
         let targets = words(cursor.take(targets_len, "targets")?);
 
-        let shards = if header.has_shard_manifest {
-            if header.shard_count as u64 > (cursor.remaining() / 24) as u64 {
-                return Err(SnapshotError::Truncated {
-                    section: "shard manifest",
-                });
-            }
-            let mut shards = Vec::new();
-            for _ in 0..header.shard_count {
-                let start = cursor.u64("shard manifest")?;
-                let end = cursor.u64("shard manifest")?;
-                let boundary_len = cursor.u64("shard manifest")?;
-                let boundary_len = usize::try_from(boundary_len)
-                    .ok()
-                    .filter(|&n| n <= entry_count)
-                    .ok_or_else(|| {
-                        corrupt("shard boundary table longer than the adjacency itself")
-                    })?;
-                let mut boundary = Vec::new();
-                for _ in 0..boundary_len {
-                    boundary.push((
-                        cursor.u32("shard manifest")?,
-                        cursor.u32("shard manifest")?,
-                        cursor.u32("shard manifest")?,
-                    ));
-                }
-                shards.push(Record {
-                    start,
-                    end,
-                    boundary,
-                });
-            }
-            Some(shards)
-        } else {
-            None
-        };
         if cursor.remaining() != 0 {
             return Err(corrupt(format!(
                 "{} undeclared bytes between the last section and the trailer",
@@ -300,13 +250,10 @@ mod oracle {
         }
 
         validate_topology(&offsets, &targets)?;
-        if let Some(shards) = &shards {
-            validate_manifest(shards, &offsets, &targets)?;
-        }
         Ok(Decoded {
             offsets,
             targets,
-            shards: shards.map(|s| s.iter().map(|r| (r.start, r.end)).collect()),
+            shards: (header.shard_count > 0).then_some(header.shard_count as usize),
             provenance,
         })
     }
@@ -357,53 +304,6 @@ mod oracle {
         }
         Ok(())
     }
-
-    fn validate_manifest(
-        shards: &[Record],
-        offsets: &[u32],
-        targets: &[u32],
-    ) -> Result<(), SnapshotError> {
-        let node_count = offsets.len() - 1;
-        let mut expected_start = 0u64;
-        for (s, shard) in shards.iter().enumerate() {
-            if shard.start != expected_start || shard.end < shard.start {
-                return Err(corrupt(format!(
-                    "shard {s} range [{}, {}) does not tile the node ids contiguously",
-                    shard.start, shard.end
-                )));
-            }
-            expected_start = shard.end;
-        }
-        if expected_start != node_count as u64 {
-            return Err(corrupt("shard ranges do not cover every node"));
-        }
-        let owner_of =
-            |node: u32| shards.partition_point(|shard| shard.start <= node as u64) as u32 - 1;
-        for (s, shard) in shards.iter().enumerate() {
-            let mut stored = shard.boundary.iter();
-            for node in shard.start..shard.end {
-                let node = node as usize;
-                for &neighbor in &targets[offsets[node] as usize..offsets[node + 1] as usize] {
-                    let target_shard = owner_of(neighbor);
-                    if target_shard as usize == s {
-                        continue;
-                    }
-                    if stored.next() != Some(&(node as u32, neighbor, target_shard)) {
-                        return Err(corrupt(format!(
-                            "shard {s} boundary table does not list the cross-shard entry \
-                             n{node}->n{neighbor} its rows produce"
-                        )));
-                    }
-                }
-            }
-            if stored.next().is_some() {
-                return Err(corrupt(format!(
-                    "shard {s} boundary table lists entries its rows do not produce"
-                )));
-            }
-        }
-        Ok(())
-    }
 }
 
 fn temp_path(name: &str) -> PathBuf {
@@ -417,9 +317,7 @@ fn decoded(file: SnapshotFile) -> oracle::Decoded {
     oracle::Decoded {
         offsets: offsets.to_vec(),
         targets: targets.iter().map(|t| t.as_u32()).collect(),
-        shards: file
-            .shards
-            .map(|shards| shards.iter().map(|r| (r.start, r.end)).collect()),
+        shards: file.shards,
         provenance: file.provenance,
     }
 }
@@ -492,18 +390,15 @@ fn sections(bytes: &[u8], path: &PathBuf) -> Vec<(&'static str, Range<usize>)> {
     std::fs::write(path, bytes).unwrap();
     let layout = section_layout(path).unwrap();
     let range = |r: &Range<u64>| r.start as usize..r.end as usize;
-    let mut sections = vec![("header", range(&layout.header_bytes))];
+    let mut sections = vec![
+        ("header", range(&layout.header_bytes)),
+        ("shard count", 24..28),
+    ];
     if let Some(provenance) = &layout.provenance_bytes {
         sections.push(("provenance", range(provenance)));
     }
     sections.push(("offsets", range(&layout.offsets_bytes)));
     sections.push(("targets", range(&layout.targets_bytes)));
-    if let Some(manifest) = &layout.manifest_bytes {
-        // The first record's fixed prefix is a section of its own for truncation.
-        let manifest = range(manifest);
-        sections.push(("manifest record", manifest.start..manifest.start + 24));
-        sections.push(("manifest", manifest));
-    }
     sections.push(("trailer", range(&layout.trailer_bytes)));
     sections
 }
@@ -565,61 +460,5 @@ fn flipped_bits_in_every_section_match_the_oracle() {
     }
     // The re-hashed flips reach the structural checks, not only the checksum.
     assert!(structural > 50, "{structural} structural rejections");
-    std::fs::remove_file(&path).unwrap();
-}
-
-#[test]
-fn lying_target_shards_report_the_first_lie_in_stream_order() {
-    let path = temp_path("lying.sfos");
-    let (_, pristine) = pristine_files().remove(0);
-    let layout = sections(&pristine, &path);
-    let manifest = layout
-        .iter()
-        .find(|(name, _)| *name == "manifest")
-        .unwrap()
-        .1
-        .clone();
-    let word = |bytes: &[u8], at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap());
-    // Shard 0's records start after its 24-byte prefix; each is 12 bytes.
-    let len0 = u64::from_le_bytes(
-        pristine[manifest.start + 16..manifest.start + 24]
-            .try_into()
-            .unwrap(),
-    );
-    let record = |i: usize| manifest.start + 24 + 12 * i;
-    let forward = (0..len0 as usize)
-        .find(|&i| word(&pristine, record(i) + 8) == 2)
-        .expect("shard 0 has an entry into shard 2");
-    let set = |bytes: &mut [u8], at: usize, value: u32| {
-        bytes[at..at + 4].copy_from_slice(&value.to_le_bytes())
-    };
-
-    // A forward lie: the entry into shard 2 claims shard 1.
-    let mut bytes = pristine[..pristine.len() - 8].to_vec();
-    set(&mut bytes, record(forward) + 8, 1);
-    assert!(!agree("forward lie", &rehash(bytes.clone()), &path));
-
-    // The forward lie first, a lie about the source later: the forward one is named.
-    let last = len0 as usize - 1;
-    assert!(last > forward);
-    set(&mut bytes, record(last), word(&pristine, record(last)) + 1);
-    let both = rehash(bytes);
-    assert!(!agree("forward lie, then source lie", &both, &path));
-    let source = word(&pristine, record(forward));
-    let target = word(&pristine, record(forward) + 4);
-    assert_eq!(
-        SnapshotFile::from_bytes(&both).unwrap_err().to_string(),
-        format!(
-            "corrupt snapshot: shard 0 boundary table does not list the cross-shard entry \
-             n{source}->n{target} its rows produce"
-        )
-    );
-
-    // A lie into a shard that does not exist, and a lie naming the record's own shard.
-    for claim in [3u32, 0, u32::MAX] {
-        let mut bytes = pristine[..pristine.len() - 8].to_vec();
-        set(&mut bytes, record(0) + 8, claim);
-        assert!(!agree(&format!("claim {claim}"), &rehash(bytes), &path));
-    }
     std::fs::remove_file(&path).unwrap();
 }
